@@ -45,6 +45,21 @@ def _parse_word(text):
         raise InstanceError("cannot parse word %r" % text) from None
 
 
+def _parse_element(group, text, name):
+    """The group element of a reduced word; non-reduced words are refused."""
+    word = _parse_word(text)
+    try:
+        element = group.from_word(word)
+    except ValueError as caught:
+        raise InstanceError(str(caught)) from None
+    if len(word) != group.length(element):
+        raise InstanceError(
+            "%s word %s is not reduced: it has length %d but its element has length %d"
+            % (name, ",".join(map(str, word)), len(word), group.length(element))
+        )
+    return element
+
+
 def _parse_weight(text, rank, dominant=False, name="weight"):
     try:
         coords = tuple(int(part) for part in text.strip().split(","))
@@ -60,11 +75,8 @@ def _parse_weight(text, rank, dominant=False, name="weight"):
 def _load_instance(args, need_v=True):
     rs = parse_type(args.type)
     group = weyl_group(rs)
-    try:
-        v = group.from_word(_parse_word(args.v)) if need_v else None
-        w = group.from_word(_parse_word(args.w))
-    except ValueError as caught:
-        raise InstanceError(str(caught)) from None
+    v = _parse_element(group, args.v, "--v") if need_v else None
+    w = _parse_element(group, args.w, "--w")
     lam = _parse_weight(args.lam, rs.rank, dominant=True, name="lambda")
     mu = _parse_weight(args.mu, rs.rank, dominant=True, name="mu")
     return rs, group, v, w, lam, mu
@@ -183,7 +195,7 @@ def cmd_graph(args):
     crystal = generate_crystal(rs, lam)
     highlight = ()
     if args.w is not None:
-        w = group.from_word(_parse_word(args.w))
+        w = _parse_element(group, args.w, "--w")
         highlight = generate_demazure(group, w, lam).elements
     graph = graph_on(rs, crystal.vertices)
     dot = to_dot(graph, name="crystal", highlight=highlight)

@@ -23,23 +23,27 @@ class MultipleHighestWeights(Exception):
 class TensorElement:
     """An ordered pair of LS paths carrying the tensor crystal structure."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_hash")
 
     def __init__(self, left, right):
         if left.rs != right.rs:
             raise ValueError("tensor factors over different root systems")
         self.left = left
         self.right = right
+        self._hash = hash((left, right))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, TensorElement)
+            and self._hash == other._hash
             and self.left == other.left
             and self.right == other.right
         )
 
     def __hash__(self):
-        return hash((self.left, self.right))
+        return self._hash
 
     def __repr__(self):
         return "%r (x) %r" % (self.left, self.right)
@@ -84,10 +88,12 @@ def _reflect_between(path, i, t0, t1):
 
 
 def _validated(path):
-    if isinstance(path, LSPath):
+    """Validate an operator result; interned paths are checked only once."""
+    if isinstance(path, LSPath) and not path.checked:
         problem = path.validate()
         if problem is not None:
             raise AssertionError("operator produced an invalid path: %s" % problem)
+        path.checked = True
     return path
 
 
@@ -105,7 +111,8 @@ def _path_f(path, i):
             slope = path.rs.pairing(path.directions[j - 1], i)
             t1 = breaks[j - 1] + Fraction(m + 1 - heights[j - 1], 1) / slope
             break
-    assert t1 is not None
+    if t1 is None:
+        raise AssertionError("the %d-height never reaches %s after %s" % (i, m + 1, t0))
     return _validated(_reflect_between(path, i, t0, t1))
 
 
@@ -123,7 +130,8 @@ def _path_e(path, i):
             slope = path.rs.pairing(path.directions[j - 1], i)
             t0 = breaks[j - 1] + Fraction(m + 1 - heights[j - 1], 1) / slope
             break
-    assert t0 is not None
+    if t0 is None:
+        raise AssertionError("the %d-height never reaches %s before %s" % (i, m + 1, t1))
     return _validated(_reflect_between(path, i, t0, t1))
 
 
@@ -176,7 +184,8 @@ def eps(x, i):
     while y is not None:
         n += 1
         y = e_op(y, i)
-    assert n == -min(x.height_profile(i))
+    if n != -min(x.height_profile(i)):
+        raise AssertionError("eps(%r, %d) = %d disagrees with the minimal height" % (x, i, n))
     return n
 
 
@@ -194,7 +203,8 @@ def phi(x, i):
         n += 1
         y = f_op(y, i)
     heights = x.height_profile(i)
-    assert n == heights[-1] - min(heights)
+    if n != heights[-1] - min(heights):
+        raise AssertionError("phi(%r, %d) = %d disagrees with the final height" % (x, i, n))
     return n
 
 
@@ -312,16 +322,19 @@ def generate_crystal(rs, lam):
                 if y is None:
                     continue
                 edges[(x, i)] = y
-                assert e_op(y, i) == x
-                assert weight_of(y) == tuple(
+                if e_op(y, i) != x:
+                    raise AssertionError("e_%d(f_%d(x)) != x at %r" % (i, i, x))
+                if weight_of(y) != tuple(
                     w - a for w, a in zip(weight_of(x), rs.simple_roots[i - 1].fw)
-                )
+                ):
+                    raise AssertionError("f_%d does not lower the weight of %r by a root" % (i, x))
                 if y not in vertices:
                     vertices.add(y)
                     nxt.append(y)
         frontier = nxt
     graph = CrystalGraph(rs, vertices, edges)
-    assert graph.highest_weight_vertices == (start,)
+    if graph.highest_weight_vertices != (start,):
+        raise AssertionError("B(%r) has a top other than the straight path" % (lam,))
     return graph
 
 
@@ -455,11 +468,18 @@ def _tops(rs, members):
     return [
         x
         for x in members
-        if all(
-            e_op(x, i) is None or e_op(x, i) not in members
-            for i in range(1, rs.rank + 1)
-        )
+        if all(e_op(x, i) not in members for i in range(1, rs.rank + 1))
     ]
+
+
+def unique_top(rs, elements):
+    """The single element of the set that no raising operator stays inside."""
+    tops = _tops(rs, frozenset(elements))
+    if len(tops) != 1:
+        raise MultipleHighestWeights(
+            "expected a unique highest weight vertex, got %d" % len(tops)
+        )
+    return tops[0]
 
 
 def is_isomorphic(rs, a_elements, b_elements):

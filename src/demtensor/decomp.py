@@ -30,6 +30,7 @@ from .crystal import (
     is_isomorphic,
     reflection_lift,
     tensor_product_elements,
+    unique_top,
     weight_of,
 )
 from .demazure import check_string_property, generate_demazure
@@ -69,9 +70,13 @@ def dominant_paths(group, w, mu, lam):
     return out
 
 
-def component(group, pi, v, w, lam, mu):
-    """Connected component of the product through the pair (top path, pi)."""
-    members = tensor_demazure(group, v, w, lam, mu)
+def component(group, pi, v, w, lam, mu, members=None):
+    """Connected component of the product through the pair (top path, pi).
+
+    `members` is the product set when the caller has already built it.
+    """
+    if members is None:
+        members = tensor_demazure(group, v, w, lam, mu)
     seed = TensorElement(straight_path(group.rs, lam), pi)
     if seed not in members:
         raise ValueError("pi is not an element of the right Demazure factor")
@@ -182,17 +187,29 @@ def path_witness(group, pi, w, mu, lam):
     return group.bruhat_max(final)
 
 
+def demazure_matches(group, comp, nu):
+    """The minimal coset representatives x whose Demazure crystal B_x(nu) is
+    isomorphic to the component.
+
+    Isomorphic crystals have the same size, so only the crystals with the
+    component's size go to `is_isomorphic`, which checks the unique top of
+    both sides.  When no crystal has that size, the component's unique top
+    is checked here instead.
+    """
+    rs = group.rs
+    reps = group.minimal_coset_reps(group.stabilizer_indices(nu))
+    crystals = [(x, generate_demazure(group, x, nu)) for x in reps]
+    candidates = [(x, crystal) for x, crystal in crystals if len(crystal) == len(comp)]
+    if not candidates:
+        unique_top(rs, comp)
+    return [x for x, crystal in candidates if is_isomorphic(rs, comp, crystal.elements)]
+
+
 def path_witness_by_search(group, pi, w, mu, lam):
     """Independent oracle: identify the component of (top, pi) by direct
     isomorphism search over the minimal coset representatives."""
     comp = component(group, pi, group.identity, w, lam, mu)
-    nu = vadd(lam, weight_of(pi))
-    reps = group.minimal_coset_reps(group.stabilizer_indices(nu))
-    matches = [
-        x
-        for x in reps
-        if is_isomorphic(group.rs, comp, generate_demazure(group, x, nu).elements)
-    ]
+    matches = demazure_matches(group, comp, vadd(lam, weight_of(pi)))
     if len(matches) != 1:
         raise NoDemazureMatch(
             "component of %r matched %d Demazure crystals" % (pi, len(matches))
@@ -304,30 +321,25 @@ def decompose(group, v, w, lam, mu, oracle=False):
 
     Every component is tested for isomorphism with the Demazure crystals of
     the matching highest weight; a failed search is certified by a string
-    property violation in the ambient full product.  The biconditional
-    between the group condition and all-verdicts-positive is enforced, and
-    under the condition the verdict must agree with the lifted witness.
+    property violation in the ambient full product, which is built only
+    then.  The biconditional between the group condition and
+    all-verdicts-positive is enforced, and under the condition the verdict
+    must agree with the lifted witness.
     """
     rs = group.rs
     if not (rs.is_dominant(lam) and rs.is_dominant(mu)):
         raise ValueError("shapes must be dominant")
     cond = condition_check(group, v, w, lam, mu)
     members = tensor_demazure(group, v, w, lam, mu)
-    ambient = full_tensor_graph(rs, lam, mu)
     entries = []
     covered = set()
     for pi in dominant_paths(group, w, mu, lam):
-        comp = component(group, pi, v, w, lam, mu)
+        comp = component(group, pi, v, w, lam, mu, members)
         if covered & comp:
             raise TheoremViolation("components indexed by dominant paths overlap")
         covered |= comp
         nu = vadd(lam, weight_of(pi))
-        reps = group.minimal_coset_reps(group.stabilizer_indices(nu))
-        matches = [
-            x
-            for x in reps
-            if is_isomorphic(rs, comp, generate_demazure(group, x, nu).elements)
-        ]
+        matches = demazure_matches(group, comp, nu)
         if len(matches) > 1:
             raise AssertionError("distinct Demazure crystals cannot both match")
         expected = None
@@ -349,7 +361,7 @@ def decompose(group, v, w, lam, mu, oracle=False):
                 raise TheoremViolation(
                     "condition holds but the component of %r is not Demazure" % (pi,)
                 )
-            violation = check_string_property(comp, ambient)
+            violation = check_string_property(comp, full_tensor_graph(rs, lam, mu))
             entries.append(
                 DecompositionEntry(pi, comp, nu, False, None, expected, violation)
             )
@@ -406,7 +418,8 @@ def recursive_component(group, pi, v, i, w, lam, mu):
         bound = rs.pairing(weight_of(p2), i)
         for b in range(1, bound + 1):
             lowered = f_power(p2, i, b)
-            assert lowered is not None
+            if lowered is None:
+                raise AssertionError("f_%d^%d vanishes on %r within its string" % (i, b, p2))
             removed.add(TensorElement(left, lowered))
     result = frozenset(grown - removed)
     expected = component(group, pi, group.multiply(si, v), w, lam, mu)

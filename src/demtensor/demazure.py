@@ -17,6 +17,7 @@ from .crystal import (
     eps,
     f_op,
     f_string_closure,
+    unique_top,
 )
 from .lspath import straight_path
 from .weyl import weyl_group
@@ -73,6 +74,10 @@ def demazure_elements_for_word(rs, word, lam):
 def _generate_demazure_cached(group, witness_matrix, lam):
     witness = group.element_of_matrix(witness_matrix)
     elements = demazure_elements_for_word(group.rs, witness.word, lam)
+    if unique_top(group.rs, elements) != straight_path(group.rs, lam):
+        raise AssertionError(
+            "the Demazure crystal of %r has a top other than the straight path" % (witness,)
+        )
     return DemazureCrystal(group.rs, lam, witness, elements, witness.word)
 
 

@@ -8,6 +8,15 @@ live in RawPath, which drops the orbit bookkeeping but supports the same
 evaluation and root-operator machinery.  Paths are immutable and kept in a
 normal form (no zero-length segments, no equal adjacent directions), so
 structural equality is path equality.
+
+LS paths are hash-consed: `make_path` keeps one table keyed by
+(root system, shape, directions, breakpoints) and returns the same object
+for every request of the same path, so each distinct path exists once.
+Every path computes its hash once, at construction, and equality returns
+early on identity; the structural comparison stays as the fallback for
+paths built directly.  An interned path also carries `checked`, set by the
+root operators once the path has passed `validate`, so each distinct path
+an operator produces is validated exactly once.
 """
 
 from fractions import Fraction
@@ -92,17 +101,22 @@ class _PathBase:
 class LSPath(_PathBase):
     """An LS path; use make_path / straight_path instead of raw construction."""
 
-    __slots__ = ("rs", "shape", "directions", "breaks")
+    __slots__ = ("rs", "shape", "directions", "breaks", "checked", "_hash")
 
     def __init__(self, rs, shape, directions, breaks):
         self.rs = rs
         self.shape = shape
         self.directions = directions
         self.breaks = breaks
+        self.checked = False
+        self._hash = hash((shape, directions, breaks))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, LSPath)
+            and self._hash == other._hash
             and self.rs == other.rs
             and self.shape == other.shape
             and self.directions == other.directions
@@ -110,7 +124,7 @@ class LSPath(_PathBase):
         )
 
     def __hash__(self):
-        return hash((self.shape, self.directions, self.breaks))
+        return self._hash
 
     def sort_key(self):
         return (
@@ -169,24 +183,28 @@ class LSPath(_PathBase):
 class RawPath(_PathBase):
     """A piecewise-linear path that need not be an LS path of one shape."""
 
-    __slots__ = ("rs", "directions", "breaks")
+    __slots__ = ("rs", "directions", "breaks", "_hash")
 
     def __init__(self, rs, directions, breaks):
         directions, breaks = _normalize_segments(directions, breaks)
         self.rs = rs
         self.directions = directions
         self.breaks = breaks
+        self._hash = hash((directions, breaks))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, RawPath)
+            and self._hash == other._hash
             and self.rs == other.rs
             and self.directions == other.directions
             and self.breaks == other.breaks
         )
 
     def __hash__(self):
-        return hash((self.directions, self.breaks))
+        return self._hash
 
     def __repr__(self):
         inner = ", ".join(repr(d) for d in self.directions)
@@ -194,10 +212,22 @@ class RawPath(_PathBase):
         return "RawPath(%s; %s)" % (inner, times)
 
 
+# Every LSPath made by make_path, keyed by its fields; like the operator
+# caches it lives as long as the process.
+_INTERNED = {}
+
+
 def make_path(rs, shape, directions, breaks):
-    """Normalized LSPath of the given shape (validity is not enforced here)."""
+    """The interned, normalized LSPath of the given shape.
+
+    Equal inputs give the same object.  Validity is not enforced here.
+    """
     directions, breaks = _normalize_segments(directions, breaks)
-    return LSPath(rs, normalize_coords(shape), directions, breaks)
+    key = (rs, normalize_coords(shape), directions, breaks)
+    path = _INTERNED.get(key)
+    if path is None:
+        path = _INTERNED[key] = LSPath(*key)
+    return path
 
 
 def straight_path(rs, shape, x=None):

@@ -86,6 +86,8 @@ def parse_grid(text):
         for coords in itertools.product(range(bound + 1), repeat=rs.rank)
         if any(coords)
     ]
+    if not shapes:
+        raise ValueError("grid %r has no nonzero shapes to sweep" % text)
     return Grid(rs, shapes)
 
 
@@ -155,7 +157,8 @@ def weyl_dimension(rs, lam):
     for beta in rs.positive_roots:
         num *= rs.root_pairing(vadd(lam, rho), beta)
         den *= rs.root_pairing(rho, beta)
-    assert num % den == 0
+    if num % den:
+        raise AssertionError("Weyl dimension of %r is not an integer" % (lam,))
     return num // den
 
 

@@ -395,7 +395,8 @@ class OrbitPoset:
             for beta in rs.positive_roots:
                 if rs.root_pairing(mu, beta) < 0:
                     nu = rs.reflect(mu, beta)
-                    assert nu in point_set
+                    if nu not in point_set:
+                        raise AssertionError("reflection of %r leaves the orbit of %r" % (mu, lam))
                     steps.append((beta, nu))
             self.down_steps[mu] = tuple(steps)
         # descendants[mu] = every nu with nu <= mu
@@ -411,7 +412,8 @@ class OrbitPoset:
                         stack.append(y)
             self._below[mu] = frozenset(seen)
         minima = [mu for mu in self.points if self._below[mu] == {mu}]
-        assert minima == [lam], "dominant weight is not the unique minimum"
+        if minima != [lam]:
+            raise AssertionError("dominant weight is not the unique minimum")
         self._dist = {}
         self._covers = None
 

@@ -1,8 +1,14 @@
 """Command line surface: JSON reports, DOT output, exit codes, determinism."""
 
+import ast
 import json
 import os
+import subprocess
+import sys
 
+import pytest
+
+import demtensor
 from demtensor.cli import main
 
 EX1 = ["--type", "A2", "--v", "1,2", "--w", "1,2,1", "--lambda", "1,1", "--mu", "1,0"]
@@ -118,3 +124,57 @@ def test_verify_tiny_grid(capsys):
     assert code == 0
     lines = [line for line in out.strip().splitlines()]
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("grid", ["A2:0", "A2:-1"])
+def test_verify_refuses_empty_grid(capsys, grid):
+    code = main(["verify", "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert repr(grid) in captured.err and "no nonzero shapes" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--type", "A2", "--v", "1,1", "--w", "1", "--lambda", "1,0", "--mu", "1,0"],
+        ["check", "--type", "A2", "--v", "1", "--w", "1,2,1,2", "--lambda", "1,0", "--mu", "1,0"],
+        ["graph", "--type", "A2", "--lambda", "1,0", "--w", "2,2"],
+    ],
+    ids=["decompose-v", "check-w", "graph-w"],
+)
+def test_non_reduced_words_exit_one(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "is not reduced" in captured.err
+
+
+def test_no_bare_asserts_in_package():
+    """Checks of the paper's identities must survive python -O."""
+    package = os.path.dirname(demtensor.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as handle:
+                tree = ast.parse(handle.read(), filename=name)
+            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_decompose_output_unchanged_under_optimize():
+    src = os.path.dirname(os.path.dirname(demtensor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_cli(*flags):
+        argv = [sys.executable, *flags, "-m", "demtensor.cli", "decompose", *EX1]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    plain = run_cli()
+    assert json.loads(plain)["condition_holds"] is True
+    assert run_cli("-O") == plain

@@ -345,3 +345,32 @@ def test_validity_matches_operator_reachability(rs, lam):
     # operators generate from the straight dominant path
     reachable = frozenset(generate_crystal(rs, lam).vertices)
     assert enumerate_valid_paths(rs, lam) == reachable
+
+
+G2 = root_system("G", 2)
+
+
+@pytest.mark.parametrize("rs", [A2, B2, G2], ids=["A2", "B2", "G2"])
+def test_raising_undoes_lowering_on_the_same_object(rs):
+    for x in generate_crystal(rs, (1, 1)):
+        for i in range(1, rs.rank + 1):
+            y = f_op(x, i)
+            if y is not None:
+                assert e_op(y, i) is x
+
+
+def test_operator_results_are_validated_once_per_path():
+    crystal = generate_crystal(B2, (1, 1))
+    top = straight_path(B2, (1, 1))
+    # every vertex but the top is an operator result, validated and marked
+    assert all(x.checked for x in crystal if x is not top)
+
+
+def test_equal_tensor_elements_hash_and_compare_equal():
+    a = f_op(straight_path(A2, (1, 1)), 1)
+    b = f_op(straight_path(A2, (1, 0)), 1)
+    first, second = TensorElement(a, b), TensorElement(a, b)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert TensorElement(b, a) != first

@@ -1,5 +1,6 @@
 """Tensor decomposition: witnesses, condition, reports, recursion, product rule."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -292,3 +293,47 @@ def test_rank_three_decompositions():
     B3 = weyl_group(root_system("B", 3))
     rep3 = decompose(B3, B3.from_word((1,)), B3.longest(), (1, 0, 0), (0, 0, 1), oracle=True)
     assert rep3.condition_holds and len(rep3.entries) == 2
+
+
+def test_size_filtered_search_matches_exhaustive_sweep():
+    from demtensor.crystal import is_isomorphic
+    from demtensor.decomp import demazure_matches
+    from demtensor.demazure import generate_demazure
+    from demtensor.verify import default_grids
+
+    compared = non_demazure = 0
+    for grid in default_grids():
+        group = weyl_group(grid.rs)
+        for lam, mu, v, w in itertools.product(grid.shapes, grid.shapes, group, group):
+            members = tensor_demazure(group, v, w, lam, mu)
+            for pi in dominant_paths(group, w, mu, lam):
+                comp = component(group, pi, v, w, lam, mu, members)
+                nu = vadd(lam, weight_of(pi))
+                reps = group.minimal_coset_reps(group.stabilizer_indices(nu))
+                sweep = [
+                    x
+                    for x in reps
+                    if is_isomorphic(grid.rs, comp, generate_demazure(group, x, nu).elements)
+                ]
+                assert demazure_matches(group, comp, nu) == sweep, (v, w, lam, mu, pi)
+                compared += 1
+                non_demazure += not sweep
+    # both verdicts occur, so neither branch passes vacuously
+    assert compared > non_demazure > 0
+
+
+def test_decompose_builds_the_ambient_product_only_when_needed():
+    from demtensor.decomp import full_tensor_graph
+
+    before = full_tensor_graph.cache_info()
+    report = decompose(WA2, **EX1)
+    assert report.condition_holds and all(entry.demazure for entry in report.entries)
+    # not even looked up: no hit, no miss, no new entry
+    assert full_tensor_graph.cache_info() == before
+
+    report = decompose(WA2, **EX3)
+    bad = [entry for entry in report.entries if not entry.demazure]
+    assert len(bad) == 1
+    color, string = bad[0].string_violation
+    inside = [x for x in string if x in bad[0].elements]
+    assert 0 < len(inside) < len(string)

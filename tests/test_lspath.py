@@ -151,3 +151,24 @@ def test_height_local_minima_are_integers():
                     is_min = (left is None or left >= h) and (right is None or right >= h)
                     if is_min:
                         assert F(h).denominator == 1
+
+
+def test_make_path_interns_equal_paths():
+    first = make_path(A2, (1, 2), ((3, -2), (1, 2)), (F(0), F(1, 2), F(1)))
+    # same path from unnormalized input: an empty segment, ints for times
+    second = make_path(
+        A2, [1, 2], ((3, -2), (3, -2), (1, 2), (1, 2)), (0, F(1, 4), F(1, 2), F(1, 2), 1)
+    )
+    assert second is first
+    assert make_path(A2, (1, 2), ((3, -2), (1, 2)), (F(0), F(1, 3), F(1))) is not first
+    assert straight_path(A2, (1, 0)) is straight_path(A2, (1, 0), (1, 0))
+
+
+def test_directly_built_paths_compare_structurally():
+    from demtensor.lspath import LSPath, RawPath
+
+    pi = straight_path(A2, (1, 0))
+    twin = LSPath(A2, pi.shape, pi.directions, pi.breaks)
+    assert twin is not pi and twin == pi and hash(twin) == hash(pi)
+    raw = RawPath(A2, ((1, 0),), (F(0), F(1)))
+    assert raw == RawPath(A2, ((1, 0),), (0, 1)) and raw != pi
