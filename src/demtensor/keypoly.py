@@ -4,27 +4,27 @@ A key polynomial is indexed by an arbitrary weight nu through the pair
 (dominant representative, minimal coset representative moving it to nu) and
 is realized as the character of the corresponding Demazure crystal.  The
 divided-difference operators give an independent route to the same
-characters, and products expand in the key basis by an exact linear solve
-over the rationals (no monomial order is ever chosen, and uniqueness of the
-solution doubles as a linear-independence check of the candidate keys).
+characters.
+
+Keys are unitriangular.  Rank a weight by the height of its dominant form
+and then by the length of its minimal coset representative: key(nu) has
+e^nu with coefficient 1, and every other weight of it ranks strictly lower
+(a dominance-lower dominant form, or u.lam with u Bruhat-below the witness).
+So products expand in the key basis by an exact integer peel: take a weight
+of maximal rank from the residual, record its coefficient for its key,
+subtract that multiple of the key, and repeat until the residual is zero.
+Every key is checked to be unitriangular when it is built.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .cartan import vadd, vsub
 from .crystal import CharPoly, character, weight_of
 from .decomp import condition_check, dominant_paths, lifted_witness
 from .demazure import generate_demazure
-from .lspath import dominant_representative
-
-
-class NotInSpan(Exception):
-    """The polynomial is not a linear combination of the candidate keys."""
-
-
-class NonIntegralCoefficient(Exception):
-    """The expansion solved but produced a non-integer coefficient."""
+from .lspath import dominant_walk
 
 
 class TheoremViolation(Exception):
@@ -99,74 +99,33 @@ class KeyIndex:
 
 def key_index(group, nu):
     """Normalize an arbitrary weight to its key index."""
-    nu = tuple(nu)
-    shape = dominant_representative(group, nu)
-    for u in group.elements:
-        if group.apply(u, shape) == nu:
-            return KeyIndex(shape, group.coset_min_weight(u, shape))
-    raise AssertionError("unreachable: %r not in the orbit of its dominant form" % (nu,))
+    shape, word = dominant_walk(group, nu)
+    return KeyIndex(shape, group.coset_min_weight(group.from_word(word), shape))
 
 
 @lru_cache(maxsize=None)
-def _key_polynomial_cached(group, shape, witness_matrix):
-    witness = group.element_of_matrix(witness_matrix)
-    dem = generate_demazure(group, witness, shape)
-    poly = character(dem.elements)
-    check = demazure_operator_word(group.rs, CharPoly.monomial(shape), witness.word)
-    if poly != check:
-        raise AssertionError(
-            "crystal character and operator character disagree on %r" % (witness,)
-        )
-    return poly
+def _height_form(rs):
+    """Positive integers h with sum(h_i x_i) a fixed positive multiple of the
+    height (sum of simple-root coordinates) of every weight x."""
+    rows = [_root_coordinates(rs, rs.fundamental_weight(i)) for i in range(1, rs.rank + 1)]
+    heights = [sum(row) for row in rows]
+    scale = lcm(*(h.denominator for h in heights))
+    return tuple(int(h * scale) for h in heights)
 
 
-def key_polynomial(group, nu):
-    """Character of the Demazure crystal indexed by a weight or KeyIndex."""
-    idx = nu if isinstance(nu, KeyIndex) else key_index(group, nu)
-    return _key_polynomial_cached(group, idx.shape, idx.witness.matrix)
+@lru_cache(maxsize=None)
+def _height(rs, shape):
+    return sum(h * x for h, x in zip(_height_form(rs), shape))
 
 
-def key_of_pair(group, w, lam):
-    """Key polynomial of the weight w(lam), as a (index, polynomial) pair."""
-    idx = key_index(group, group.apply(w, lam))
-    return idx, key_polynomial(group, idx)
+def _rank(group, nu):
+    """(height of the dominant form of nu, length of the walk to it).
 
-
-# -- expansion in the key basis ----------------------------------------------------
-
-
-def _dominant_weights_below(group, bound):
-    """Dominant weights whose difference from the bound is a sum of simple roots.
-
-    Walks the weight diagram of the bound: subtract simple roots, keep
-    whatever stays inside the convex hull of the orbit of the bound.
+    The walk is a reduced word of the minimal coset representative moving
+    the dominant form to nu, so its length is that representative's length.
     """
-    rs = group.rs
-    seen = {bound}
-    frontier = [bound]
-    out = [bound] if rs.is_dominant(bound) else []
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for root in rs.simple_roots:
-                y = vsub(x, root.fw)
-                if y in seen:
-                    continue
-                seen.add(y)
-                if dominance_leq(group, dominant_representative(group, y), bound):
-                    nxt.append(y)
-                    if rs.is_dominant(y):
-                        out.append(y)
-        frontier = nxt
-    return sorted(set(out))
-
-
-def dominance_leq(group, theta, bound):
-    """theta <= bound in dominance: the difference is a nonnegative rational
-    combination of simple roots (both weights dominant)."""
-    diff = vsub(bound, theta)
-    coeffs = _root_coordinates(group.rs, diff)
-    return all(c >= 0 for c in coeffs)
+    shape, word = dominant_walk(group, nu)
+    return (_height(group.rs, shape), len(word))
 
 
 def _root_coordinates(rs, x):
@@ -185,82 +144,88 @@ def _root_coordinates(rs, x):
     return [rows[i][n] for i in range(n)]
 
 
-def candidate_key_indices(group, f):
-    """All key indices that can appear in an expansion of f.
+def _check_unitriangular(group, idx, poly):
+    """The key of idx has e^{idx.weight} with coefficient 1 and every other
+    weight of strictly lower rank: the premise of the peel in expand_in_keys."""
+    lead = idx.weight
+    top = _rank(group, lead)
+    if poly.coeff(lead) != 1:
+        raise AssertionError("key %r: leading coefficient %d" % (idx, poly.coeff(lead)))
+    for x in poly.terms:
+        if x != lead and _rank(group, x) >= top:
+            raise AssertionError("key %r: weight %r does not rank below %r" % (idx, x, lead))
 
-    Any expansion only uses shapes dominance-below the dominant forms of the
-    support (peeling the dominance-maximal shape, then the orbit-maximal
-    index of that shape, shows the leading coefficient must come from the
-    support itself).
-    """
-    if not f.terms:
-        return []
-    supports = [dominant_representative(group, x) for x in f.support()]
-    maxima = []
-    for s in set(supports):
-        if not any(s != t and dominance_leq(group, s, t) for t in supports):
-            maxima.append(s)
-    shapes = set()
-    for m in maxima:
-        shapes.update(_dominant_weights_below(group, m))
-    indices = []
-    for shape in sorted(shapes):
-        for rep in group.minimal_coset_reps(group.stabilizer_indices(shape)):
-            indices.append(KeyIndex(shape, rep))
-    indices.sort(key=lambda idx: idx.sort_key())
-    return indices
+
+@lru_cache(maxsize=None)
+def _key_polynomial_cached(group, shape, witness_matrix):
+    witness = group.element_of_matrix(witness_matrix)
+    dem = generate_demazure(group, witness, shape)
+    poly = character(dem.elements)
+    check = demazure_operator_word(group.rs, CharPoly.monomial(shape), witness.word)
+    if poly != check:
+        raise AssertionError(
+            "crystal character and operator character disagree on %r" % (witness,)
+        )
+    _check_unitriangular(group, KeyIndex(shape, witness), poly)
+    return poly
+
+
+def key_polynomial(group, nu):
+    """Character of the Demazure crystal indexed by a weight or KeyIndex."""
+    idx = nu if isinstance(nu, KeyIndex) else key_index(group, nu)
+    return _key_polynomial_cached(group, idx.shape, idx.witness.matrix)
+
+
+def key_of_pair(group, w, lam):
+    """Key polynomial of the weight w(lam), as a (index, polynomial) pair."""
+    idx = key_index(group, group.apply(w, lam))
+    return idx, key_polynomial(group, idx)
+
+
+# -- expansion in the key basis ----------------------------------------------------
 
 
 def expand_in_keys(group, f):
     """Exact expansion of f in the key basis; KeyIndex -> integer.
 
-    Solves the linear system in the monomial basis over the rationals;
-    raises if the system is inconsistent (not in the span), ambiguous (the
-    candidates were dependent, which would contradict the basis property),
-    or solves to non-integers.
+    Peels keys off along the rank order: a residual weight of maximal rank
+    is the leading weight of a key that must appear with exactly its
+    coefficient, since every other weight of every key ranks below its own
+    leading weight.  Subtracting that multiple only adds weights of lower
+    rank, so the weights of the top rank are peeled together, and each
+    weight is ranked and peeled at most once.  Only integers are
+    subtracted; keys are a Z-basis, so the residual always reaches zero.
+    The result is ordered by KeyIndex.sort_key().
     """
-    if not f.terms:
-        return {}
-    indices = candidate_key_indices(group, f)
-    keys = [key_polynomial(group, idx) for idx in indices]
-    monomials = sorted(set(f.support()).union(*[k.support() for k in keys]))
-    row_of = {w: r for r, w in enumerate(monomials)}
-    ncols = len(indices)
-    matrix = [[Fraction(0)] * (ncols + 1) for _ in monomials]
-    for c, k in enumerate(keys):
-        for w, coeff in k.terms.items():
-            matrix[row_of[w]][c] = Fraction(coeff)
-    for w, coeff in f.terms.items():
-        matrix[row_of[w]][ncols] = Fraction(coeff)
-    # Gaussian elimination over the rationals
-    pivot_rows = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((k for k in range(r, len(matrix)) if matrix[k][c] != 0), None)
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        scale = matrix[r][c]
-        matrix[r] = [v / scale for v in matrix[r]]
-        for k in range(len(matrix)):
-            if k != r and matrix[k][c] != 0:
-                factor = matrix[k][c]
-                matrix[k] = [a - factor * b for a, b in zip(matrix[k], matrix[r])]
-        pivot_rows.append((r, c))
-        r += 1
-    if len(pivot_rows) != ncols:
-        raise AssertionError("candidate key polynomials are linearly dependent")
-    for k in range(r, len(matrix)):
-        if matrix[k][ncols] != 0:
-            raise NotInSpan("nonzero residual after solving the key expansion")
+    residual = dict(f.terms)
+    ranked = set()
+    levels = {}
+
+    def enter(x):
+        if x not in ranked:
+            ranked.add(x)
+            levels.setdefault(_rank(group, x), []).append(x)
+
+    for x in residual:
+        enter(x)
     coeffs = {}
-    for row, col in pivot_rows:
-        value = matrix[row][ncols]
-        if value.denominator != 1:
-            raise NonIntegralCoefficient("coefficient %s of %r" % (value, indices[col]))
-        if value != 0:
-            coeffs[indices[col]] = int(value)
-    return coeffs
+    while levels:
+        for nu in levels.pop(max(levels)):
+            c = residual.get(nu, 0)
+            if not c:
+                continue
+            idx = key_index(group, nu)
+            coeffs[idx] = c
+            for x, k in key_polynomial(group, idx).terms.items():
+                left = residual.get(x, 0) - c * k
+                if left:
+                    residual[x] = left
+                    enter(x)
+                else:
+                    residual.pop(x, None)
+    if residual:
+        raise AssertionError("key peel left a residual on %r" % (sorted(residual),))
+    return dict(sorted(coeffs.items(), key=lambda kv: kv[0].sort_key()))
 
 
 # -- the product report -------------------------------------------------------------

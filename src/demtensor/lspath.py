@@ -286,11 +286,22 @@ def path_from_json(rs, data):
     return make_path(rs, shape, directions, breaks)
 
 
-def dominant_representative(group, x):
-    """The dominant weight in the orbit of x."""
+def dominant_walk(group, x):
+    """The dominant weight in the orbit of x and the word of the walk to it.
+
+    Each step reflects x in the first simple root it pairs negatively with;
+    for the word (i_1, ..., i_k) of those steps, x = s_{i_1} ... s_{i_k} (dominant).
+    """
     x = normalize_coords(x)
+    word = []
     while True:
         neg = [i for i in range(group.rs.rank) if x[i] < 0]
         if not neg:
-            return x
+            return x, tuple(word)
+        word.append(neg[0] + 1)
         x = group.rs.simple_reflect(x, neg[0] + 1)
+
+
+def dominant_representative(group, x):
+    """The dominant weight in the orbit of x."""
+    return dominant_walk(group, x)[0]

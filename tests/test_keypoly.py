@@ -1,14 +1,19 @@
 """Demazure operators, key polynomials, and product expansion."""
 
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from demtensor.cartan import root_system, vadd
 from demtensor.crystal import CharPoly, character, generate_crystal, tensor_product_elements
 from demtensor.demazure import generate_demazure
 from demtensor.keypoly import (
     KeyIndex,
-    candidate_key_indices,
+    _check_unitriangular,
     demazure_operator,
     demazure_operator_word,
-    dominance_leq,
     expand_in_keys,
     key_index,
     key_of_pair,
@@ -16,12 +21,19 @@ from demtensor.keypoly import (
     monomials_type_a,
     product_report,
 )
+from demtensor.lspath import dominant_walk
 from demtensor.weyl import weyl_group
+from key_oracle import candidate_key_indices, dense_expand_in_keys, dominance_leq, scan_key_index
 
 A1 = root_system("A", 1)
 A2 = root_system("A", 2)
 WA1 = weyl_group(A1)
 WA2 = weyl_group(A2)
+WB2 = weyl_group(root_system("B", 2))
+WG2 = weyl_group(root_system("G", 2))
+
+# Rank-two groups with every shape of coordinate bound 1.
+BOUND_ONE = [(group, [(1, 0), (0, 1), (1, 1)]) for group in (WA2, WB2, WG2)]
 
 
 def mono(*coords):
@@ -204,3 +216,87 @@ def test_full_character_matches_alternating_sum_formula():
                 return out
 
             assert full * alternating(rho) == alternating(vadd(mu, rho))
+
+
+# -- the integer peel ---------------------------------------------------------------
+
+
+def test_key_index_walk_matches_group_scan():
+    for group, shapes in BOUND_ONE:
+        for lam in shapes:
+            for nu in group.orbit(lam):
+                idx = key_index(group, nu)
+                assert idx == scan_key_index(group, nu)
+                # the walk is a reduced word of the witness
+                assert len(dominant_walk(group, nu)[1]) == group.length(idx.witness)
+
+
+def test_premise_check_rejects_non_unitriangular():
+    for group in (WA2, WB2, WG2):
+        nu = group.apply(group.simple(1), (1, 0))
+        idx = key_index(group, nu)
+        key = key_polynomial(group, idx)
+        _check_unitriangular(group, idx, key)
+        with pytest.raises(AssertionError, match="leading coefficient 2"):
+            _check_unitriangular(group, idx, key + CharPoly.monomial(nu))
+        # a weight of the same orbit with a longer witness ranks above the lead
+        above = group.apply(group.longest(), idx.shape)
+        with pytest.raises(AssertionError, match="does not rank below"):
+            _check_unitriangular(group, idx, key + CharPoly.monomial(above))
+
+
+def _products(group, shapes):
+    weights = [nu for lam in shapes for nu in group.orbit(lam)]
+    return [(x, y) for x in weights for y in weights]
+
+
+def test_peel_matches_dense_oracle():
+    # every product of two keys on the default A2 grid and on B2 with
+    # fundamental shapes, and 50 seeded G2 products
+    cases = [(WA2, pair) for pair in _products(WA2, [(1, 0), (0, 1), (1, 1)])]
+    cases += [(WB2, pair) for pair in _products(WB2, [(1, 0), (0, 1)])]
+    g2 = random.Random(2018).sample(_products(WG2, [(1, 0), (0, 1)]), 50)
+    cases += [(WG2, pair) for pair in g2]
+    for group, (x, y) in cases:
+        f = key_polynomial(group, x) * key_polynomial(group, y)
+        got = expand_in_keys(group, f)
+        assert got == dense_expand_in_keys(group, f), (group.rs, x, y)
+        assert list(got) == sorted(got, key=KeyIndex.sort_key)
+
+
+@st.composite
+def group_and_weights(draw, count):
+    group, shapes = draw(st.sampled_from(BOUND_ONE))
+    orbit = st.sampled_from(shapes).flatmap(lambda lam: st.sampled_from(group.orbit(lam)))
+    return group, draw(st.lists(orbit, min_size=count[0], max_size=count[1]))
+
+
+@settings(max_examples=60, deadline=10000)
+@given(
+    data=group_and_weights((1, 4)),
+    coeffs=st.lists(st.integers(-9, 9).filter(bool), min_size=4, max_size=4),
+)
+def test_peel_round_trips_key_combinations(data, coeffs):
+    group, weights = data
+    f = CharPoly()
+    expected = {}
+    for nu, c in zip(weights, coeffs):
+        f = f + c * key_polynomial(group, nu)
+        idx = key_index(group, nu)
+        expected[idx] = expected.get(idx, 0) + c
+    assert expand_in_keys(group, f) == {idx: c for idx, c in expected.items() if c}
+
+
+@settings(max_examples=60, deadline=10000)
+@given(data=group_and_weights((2, 2)))
+def test_peel_expansion_sums_back_to_the_product(data):
+    group, (x, y) = data
+
+    def key(idx):
+        return demazure_operator_word(group.rs, CharPoly.monomial(idx.shape), idx.witness.word)
+
+    product = key(key_index(group, x)) * key(key_index(group, y))
+    total = CharPoly()
+    for idx, c in expand_in_keys(group, product).items():
+        total = total + c * key(idx)
+    assert total == product
