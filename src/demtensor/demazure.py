@@ -43,7 +43,7 @@ class DemazureCrystal:
         )
 
     def __hash__(self):
-        return hash((self.shape, self.witness.matrix))
+        return hash((self.shape, self.witness))
 
     def __len__(self):
         return len(self.elements)
@@ -71,8 +71,7 @@ def demazure_elements_for_word(rs, word, lam):
 
 
 @lru_cache(maxsize=None)
-def _generate_demazure_cached(group, witness_matrix, lam):
-    witness = group.element_of_matrix(witness_matrix)
+def _generate_demazure_cached(group, witness, lam):
     elements = demazure_elements_for_word(group.rs, witness.word, lam)
     if unique_top(group.rs, elements) != straight_path(group.rs, lam):
         raise AssertionError(
@@ -86,7 +85,7 @@ def generate_demazure(group, w, lam):
     if not group.rs.is_dominant(lam):
         raise ValueError("Demazure crystals need a dominant shape")
     witness = group.coset_min_weight(w, lam)
-    return _generate_demazure_cached(group, witness.matrix, lam)
+    return _generate_demazure_cached(group, witness, lam)
 
 
 def contains(pi, w, lam):

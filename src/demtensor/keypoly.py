@@ -88,7 +88,7 @@ class KeyIndex:
         )
 
     def __hash__(self):
-        return hash((self.shape, self.witness.matrix))
+        return hash((self.shape, self.witness))
 
     def sort_key(self):
         return (self.shape, self.witness.word)
@@ -157,8 +157,7 @@ def _check_unitriangular(group, idx, poly):
 
 
 @lru_cache(maxsize=None)
-def _key_polynomial_cached(group, shape, witness_matrix):
-    witness = group.element_of_matrix(witness_matrix)
+def _key_polynomial_cached(group, shape, witness):
     dem = generate_demazure(group, witness, shape)
     poly = character(dem.elements)
     check = demazure_operator_word(group.rs, CharPoly.monomial(shape), witness.word)
@@ -173,7 +172,7 @@ def _key_polynomial_cached(group, shape, witness_matrix):
 def key_polynomial(group, nu):
     """Character of the Demazure crystal indexed by a weight or KeyIndex."""
     idx = nu if isinstance(nu, KeyIndex) else key_index(group, nu)
-    return _key_polynomial_cached(group, idx.shape, idx.witness.matrix)
+    return _key_polynomial_cached(group, idx.shape, idx.witness)
 
 
 def key_of_pair(group, w, lam):

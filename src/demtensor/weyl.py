@@ -2,12 +2,19 @@
 
 Groups are materialized as explicit element lists (target scale is rank <= 3,
 so enumeration beats cleverness and makes every claim exhaustively checkable).
-An element is identified by its action matrix on fundamental-weight
-coordinates; reduced words are bookkeeping on the side.
+An element is identified by its index in `WeylGroup.elements`, and there is
+one `WeylElement` per group element, so equality is identity.  The group
+keeps integer generator tables, built once with it: w*s_i, s_i*w, w^-1 and
+the length of every element.  Products, inverses, lengths, descents, cosets
+and Bruhat comparisons walk these tables.  Each element also carries its
+action matrix on fundamental-weight coordinates, which serves `apply`,
+`reflection` and `element_of_matrix`, and one stored reduced word, the
+lexicographically least.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .cartan import normalize_coords
 
@@ -18,11 +25,37 @@ class NonUniqueMaximum(Exception):
 
 GROUP_SIZE_LIMIT = 100000
 
+# |W| per type in closed form, so an oversized group is refused before it
+# is enumerated.
+GROUP_ORDERS = {
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "C": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
+    "F": lambda n: 1152,
+    "G": lambda n: 12,
+}
 
-def _matmul(a, b):
-    n = len(a)
+
+def group_order(rs):
+    """The order of the Weyl group of a root system, in closed form."""
+    return GROUP_ORDERS[rs.type_letter](rs.rank)
+
+
+def _too_large(rs, size):
+    return ValueError(
+        "Weyl group of %r too large to materialize (%d elements, the limit is %d)"
+        % (rs, size, GROUP_SIZE_LIMIT)
+    )
+
+
+def _right_step(mat, c, alpha):
+    """mat * s_{c+1}: only column c changes, to mat[r][c] - <row r, alpha>,
+    with alpha = alpha_{c+1} in fundamental-weight coordinates as (k, a_k)
+    pairs for a_k != 0."""
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+        row[:c] + (row[c] - sum(row[k] * a for k, a in alpha),) + row[c + 1 :] for row in mat
     )
 
 
@@ -32,24 +65,22 @@ def _matvec(a, x):
 
 
 class WeylElement:
-    """A group element: action matrix plus one stored reduced word."""
+    """A group element: its index in the group, action matrix and least reduced word.
 
-    __slots__ = ("group", "matrix", "word")
+    Elements are canonical, so equality is identity (the default); the hash
+    is the index, which keeps set iteration order deterministic.
+    """
 
-    def __init__(self, group, matrix, word):
+    __slots__ = ("group", "index", "matrix", "word")
+
+    def __init__(self, group, index, matrix, word):
         self.group = group
+        self.index = index
         self.matrix = matrix
         self.word = word
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.group is other.group
-            and self.matrix == other.matrix
-        )
-
     def __hash__(self):
-        return hash(self.matrix)
+        return self.index
 
     def __repr__(self):
         if not self.word:
@@ -61,40 +92,72 @@ class WeylGroup:
     """The full Weyl group of a root system, materialized element by element."""
 
     def __init__(self, rs):
+        order = group_order(rs)
+        if order > GROUP_SIZE_LIMIT:
+            raise _too_large(rs, order)
         self.rs = rs
         n = rs.rank
+        alphas = [tuple((k, a) for k, a in enumerate(root.fw) if a) for root in rs.simple_roots]
         eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        gens = []
-        for i in range(1, n + 1):
-            fw = rs.simple_roots[i - 1].fw
-            mat = tuple(
-                tuple(int(j == k) - fw[j] * int(k == i - 1) for k in range(n)) for j in range(n)
-            )
-            gens.append(mat)
-        self._gen_matrices = gens
-        # BFS over right multiplication; the first word found is reduced.
-        words = {eye: ()}
-        frontier = [eye]
-        while frontier:
-            nxt = []
-            for mat in frontier:
-                w = words[mat]
-                for i in range(1, n + 1):
-                    m2 = _matmul(mat, gens[i - 1])
-                    if m2 not in words:
-                        words[m2] = w + (i,)
-                        nxt.append(m2)
-            frontier = nxt
-            if len(words) > GROUP_SIZE_LIMIT:
-                raise ValueError("Weyl group of %r too large to materialize" % rs)
-        self._words = words
+        index = {eye: 0}
+        matrices = [eye]
+        words = [()]
+        rmul = [[] for _ in range(n)]
+        # Queue BFS over right multiplication, generators in increasing
+        # order: each element is first reached by its lexicographically
+        # least reduced word, so discovery order is (length, word) order.
+        # `matrices` grows while it is walked.
+        for k, mat in enumerate(matrices):
+            for c in range(n):
+                m2 = _right_step(mat, c, alphas[c])
+                j = index.get(m2)
+                if j is None:
+                    j = index[m2] = len(matrices)
+                    matrices.append(m2)
+                    words.append(words[k] + (c + 1,))
+                rmul[c].append(j)
+            if len(matrices) > GROUP_SIZE_LIMIT:
+                raise _too_large(rs, len(matrices))
+        if len(matrices) != order:
+            raise AssertionError("%r has %d elements, not %d" % (rs, len(matrices), order))
         self.elements = tuple(
-            WeylElement(self, m, w) for m, w in sorted(words.items(), key=lambda kv: (len(kv[1]), kv[1]))
+            WeylElement(self, k, m, w) for k, (m, w) in enumerate(zip(matrices, words))
         )
-        self._by_matrix = {el.matrix: el for el in self.elements}
-        self.identity = self._by_matrix[eye]
+        self.identity = self.elements[0]
+        self._index = index
+        self._rmul = rmul
+        self._len = [len(w) for w in words]
+        # s_i y and y^-1 in BFS order without a product: for y = p * s_j,
+        # s_i y = (s_i p) s_j and y^-1 = s_j p^-1, where p and every element
+        # of p's length come before y.
+        size = len(words)
+        lmul = [[0] * size for _ in range(n)]
+        inv = [0] * size
+        for c in range(n):
+            lmul[c][0] = rmul[c][0]
+        for y in range(1, size):
+            j = words[y][-1] - 1
+            rj = rmul[j]
+            p = rj[y]
+            for c in range(n):
+                lmul[c][y] = rj[lmul[c][p]]
+            inv[y] = lmul[j][inv[p]]
+        self._lmul = lmul
+        self._inv = inv
+        self._check_tables()
         self._bruhat_cache = {}
-        self._length_cache = {}
+
+    def _check_tables(self):
+        """Every generator step is an involution that changes the length by
+        one, and inversion is an involution that keeps it."""
+        length, inv = self._len, self._inv
+        for k, j in enumerate(inv):
+            if inv[j] != k or length[j] != length[k]:
+                raise AssertionError("inverse table fails at element %d" % k)
+        for table in self._rmul + self._lmul:
+            for k, j in enumerate(table):
+                if table[j] != k or abs(length[j] - length[k]) != 1:
+                    raise AssertionError("generator table fails at element %d" % k)
 
     def __len__(self):
         return len(self.elements)
@@ -102,89 +165,63 @@ class WeylGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    def _walk(self, k, word):
+        """Index of elements[k] * s_word[0] * s_word[1] * ..."""
+        rmul = self._rmul
+        for i in word:
+            k = rmul[i - 1][k]
+        return k
+
     # -- construction of elements ------------------------------------------
 
     def simple(self, i):
-        return self._by_matrix[self._gen_matrices[i - 1]]
+        return self.elements[self._rmul[i - 1][0]]
 
     def from_word(self, word):
         """Element of a (not necessarily reduced) word of 1-based indices."""
-        mat = self.identity.matrix
+        rank = self.rs.rank
         for i in word:
-            if not 1 <= i <= self.rs.rank:
+            if not 1 <= i <= rank:
                 raise ValueError("generator index %d out of range" % i)
-            mat = _matmul(mat, self._gen_matrices[i - 1])
-        return self._by_matrix[mat]
+        return self.elements[self._walk(0, word)]
 
     def element_of_matrix(self, matrix):
-        return self._by_matrix[matrix]
+        return self.elements[self._index[matrix]]
 
     def longest(self):
-        return max(self.elements, key=lambda w: len(w.word))
+        """The longest element, last in (length, word) order."""
+        return self.elements[-1]
 
     # -- basic operations ----------------------------------------------------
 
     def multiply(self, u, v):
-        """u*v with the stored word re-reduced via the deletion condition."""
+        """The element u*v."""
         if u.group is not self or v.group is not self:
             raise ValueError("elements of a different Weyl group")
-        mat = _matmul(u.matrix, v.matrix)
-        word = self.reduce_word(u.word + v.word)
-        el = self._by_matrix[mat]
-        if word == el.word:
-            return el
-        return WeylElement(self, mat, word)
+        return self.elements[self._walk(u.index, v.word)]
 
     def inverse(self, w):
-        return self.from_word(tuple(reversed(w.word)))
+        return self.elements[self._inv[w.index]]
 
     def apply(self, w, x):
         """Action of w on a weight or rational point x."""
         return normalize_coords(_matvec(w.matrix, x))
 
     def length(self, w):
-        """Length as the inversion count over the positive roots."""
-        got = self._length_cache.get(w.matrix)
-        if got is None:
-            got = sum(
-                1
-                for beta in self.rs.positive_roots
-                if self.rs.root_sign(_matvec(w.matrix, beta.fw)) < 0
-            )
-            self._length_cache[w.matrix] = got
-        return got
+        return self._len[w.index]
 
     def reduce_word(self, word):
-        """Shrink a word to a reduced one by repeated pair deletion."""
-        word = tuple(word)
-        target_mat = self.from_word(word).matrix
-        target_len = self.length(self._by_matrix[target_mat])
-        while len(word) > target_len:
-            found = False
-            for j in range(len(word)):
-                for k in range(j + 1, len(word)):
-                    cand = word[:j] + word[j + 1 : k] + word[k + 1 :]
-                    if self.from_word(cand).matrix == target_mat:
-                        word = cand
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                raise AssertionError("deletion condition failed on %r" % (word,))
-        return word
+        """A reduced word of the element of `word`: the stored one."""
+        return self.from_word(word).word
 
     # -- descents ------------------------------------------------------------
 
     def left_descents(self, w):
         """Simple indices i with length(s_i w) < length(w)."""
-        out = []
-        inv = self.inverse(w)
-        for i in range(1, self.rs.rank + 1):
-            image = _matvec(inv.matrix, self.rs.simple_roots[i - 1].fw)
-            if self.rs.root_sign(image) < 0:
-                out.append(i)
-        return frozenset(out)
+        k, length = w.index, self._len
+        return frozenset(
+            c + 1 for c, table in enumerate(self._lmul) if length[table[k]] < length[k]
+        )
 
     def descent_subgroup(self, w):
         """The parabolic subgroup generated by the left descents of w."""
@@ -195,30 +232,32 @@ class WeylGroup:
     @lru_cache(maxsize=None)
     def parabolic(self, J):
         """All elements of the standard parabolic subgroup W_J, J a frozenset."""
-        J = frozenset(J)
-        seen = {self.identity.matrix}
-        frontier = [self.identity.matrix]
+        tables = [self._rmul[i - 1] for i in J]
+        seen = {0}
+        frontier = [0]
         while frontier:
             nxt = []
-            for mat in frontier:
-                for i in J:
-                    m2 = _matmul(mat, self._gen_matrices[i - 1])
-                    if m2 not in seen:
-                        seen.add(m2)
-                        nxt.append(m2)
+            for k in frontier:
+                for table in tables:
+                    j = table[k]
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
             frontier = nxt
-        return tuple(sorted((self._by_matrix[m] for m in seen), key=lambda w: (len(w.word), w.word)))
+        return tuple(self.elements[k] for k in sorted(seen))
 
     def stabilizer_indices(self, lam):
         """Simple indices whose reflection fixes the dominant weight lam."""
         return frozenset(i for i in range(1, self.rs.rank + 1) if lam[i - 1] == 0)
 
     def coset(self, w, J):
-        return tuple(self._by_matrix[_matmul(w.matrix, h.matrix)] for h in self.parabolic(frozenset(J)))
+        """The coset w W_J, in the order of parabolic(J)."""
+        k = w.index
+        return tuple(self.elements[self._walk(k, h.word)] for h in self.parabolic(frozenset(J)))
 
     def _coset_extreme(self, w, J, pick_max):
         coset = self.coset(w, J)
-        lens = [self.length(u) for u in coset]
+        lens = [self._len[u.index] for u in coset]
         ext = max(lens) if pick_max else min(lens)
         hits = [u for u, l in zip(coset, lens) if l == ext]
         if len(hits) != 1:
@@ -245,38 +284,38 @@ class WeylGroup:
         """All minimal-length coset representatives modulo W_J, sorted."""
         J = frozenset(J)
         reps = {self.coset_min(w, J) for w in self.elements}
-        return tuple(sorted(reps, key=lambda w: (len(w.word), w.word)))
+        return tuple(sorted(reps, key=lambda w: w.index))
 
     # -- Bruhat order ----------------------------------------------------------
 
     def bruhat_leq(self, u, v):
         """True iff a reduced word of v contains a reduced word of u as a subword."""
-        key = (u.matrix, v.matrix)
+        key = (u.index, v.index)
         got = self._bruhat_cache.get(key)
         if got is not None:
             return got
         word = v.word
+        length, lmul = self._len, self._lmul
         memo = {}
 
         def sub(k, x):
-            if self.length(x) == 0:
+            if length[x] == 0:
                 return True
-            if len(word) - k < self.length(x):
+            if len(word) - k < length[x]:
                 return False
-            state = (k, x.matrix)
+            state = (k, x)
             if state in memo:
                 return memo[state]
-            s = self.simple(word[k])
             ok = False
-            sx = self._by_matrix[_matmul(s.matrix, x.matrix)]
-            if self.length(sx) < self.length(x):
+            sx = lmul[word[k] - 1][x]
+            if length[sx] < length[x]:
                 ok = sub(k + 1, sx)
             if not ok:
                 ok = sub(k + 1, x)
             memo[state] = ok
             return ok
 
-        got = sub(0, u)
+        got = sub(0, u.index)
         self._bruhat_cache[key] = got
         return got
 
@@ -305,7 +344,7 @@ class WeylGroup:
             tuple(int(j == k) - root.cocoords[k] * root.fw[j] for k in range(n))
             for j in range(n)
         )
-        return self._by_matrix[mat]
+        return self.element_of_matrix(mat)
 
     def stabilizer(self, x):
         """The subgroup generated by reflections fixing the rational point x.
@@ -315,37 +354,31 @@ class WeylGroup:
         guards the general case.
         """
         gens = [
-            self.reflection(beta)
+            self.reflection(beta).word
             for beta in self.rs.positive_roots
             if self.rs.root_pairing(x, beta) == 0
         ]
-        seen = {self.identity.matrix}
-        frontier = [self.identity]
+        seen = {0}
+        frontier = [0]
         while frontier:
             nxt = []
-            for u in frontier:
+            for k in frontier:
                 for g in gens:
-                    m2 = _matmul(u.matrix, g.matrix)
-                    if m2 not in seen:
-                        seen.add(m2)
-                        nxt.append(self._by_matrix[m2])
+                    j = self._walk(k, g)
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
             frontier = nxt
-        subgroup = tuple(
-            sorted((self._by_matrix[m] for m in seen), key=lambda w: (len(w.word), w.word))
-        )
-        full = tuple(
-            sorted(
-                (w for w in self.elements if self.apply(w, x) == normalize_coords(x)),
-                key=lambda w: (len(w.word), w.word),
-            )
-        )
+        subgroup = tuple(self.elements[k] for k in sorted(seen))
+        point = normalize_coords(x)
+        full = tuple(w for w in self.elements if self.apply(w, x) == point)
         if subgroup != full:
             raise AssertionError("reflection stabilizer differs from point stabilizer at %r" % (x,))
         return subgroup
 
     def coset_bruhat_max(self, subgroup_elements, w):
         """Bruhat-maximal element of the coset {h*w : h in the subgroup}."""
-        coset = {self._by_matrix[_matmul(h.matrix, w.matrix)] for h in subgroup_elements}
+        coset = {self.elements[self._walk(h.index, w.word)] for h in subgroup_elements}
         return self.bruhat_max(coset)
 
     # -- orbits -------------------------------------------------------------------

@@ -64,6 +64,19 @@ def test_bad_type_exits_one(capsys):
     assert code == 1
 
 
+def test_oversized_group_exits_one_without_traceback():
+    src = os.path.dirname(os.path.dirname(demtensor.__file__))
+    shape = ",".join(["1"] + ["0"] * 7)
+    argv = [sys.executable, "-m", "demtensor.cli", "check", "--type", "E8",
+            "--v", "", "--w", "", "--lambda", shape, "--mu", shape]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "too large" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_check_command(capsys):
     code, out = run(capsys, "check", *EX2)
     assert code == 0

@@ -5,8 +5,9 @@ from itertools import combinations
 
 import pytest
 
+from demtensor import weyl
 from demtensor.cartan import root_system
-from demtensor.weyl import NonUniqueMaximum, weyl_group
+from demtensor.weyl import NonUniqueMaximum, WeylGroup, group_order, weyl_group
 
 
 A2 = weyl_group(root_system("A", 2))
@@ -15,6 +16,42 @@ B2 = weyl_group(root_system("B", 2))
 
 def el(group, *word):
     return group.from_word(word)
+
+
+# -- matrix-only oracles: nothing here reads the group's tables -------------
+
+
+def matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def matvec(a, x):
+    return tuple(sum(a[i][k] * x[k] for k in range(len(x))) for i in range(len(a)))
+
+
+def generator_matrix(rs, i):
+    """s_i on fundamental-weight coordinates: x -> x - x_i alpha_i."""
+    fw = rs.simple_roots[i - 1].fw
+    n = rs.rank
+    return tuple(
+        tuple(int(j == k) - fw[j] * int(k == i - 1) for k in range(n)) for j in range(n)
+    )
+
+
+def word_matrix(rs, word):
+    n = rs.rank
+    mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for i in word:
+        mat = matmul(mat, generator_matrix(rs, i))
+    return mat
+
+
+def inversion_count(rs, matrix):
+    """Length as the number of positive roots the matrix sends negative."""
+    return sum(1 for beta in rs.positive_roots if rs.root_sign(matvec(matrix, beta.fw)) < 0)
 
 
 def bruhat_subword_oracle(group, u, v):
@@ -59,7 +96,7 @@ def test_length_and_reduce_word():
     # stored words always have the true length
     for group in (A2, B2):
         for w in group:
-            assert len(w.word) == group.length(w)
+            assert len(w.word) == inversion_count(group.rs, w.matrix)
 
 
 def test_multiply_reduces_stored_word():
@@ -222,3 +259,110 @@ def test_exchange_corollary():
                     candidate = u.word + (k,)
                     assert group.from_word(candidate) == w
                     assert len(candidate) == group.length(w)
+
+
+# -- generator tables ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("F", 4)])
+def test_tables_agree_with_matrices(letter, rank):
+    group = weyl_group(root_system(letter, rank))
+    rs = group.rs
+    gens = [generator_matrix(rs, i) for i in range(1, rank + 1)]
+    words = [w.word for w in group]
+    assert words == sorted(words, key=lambda word: (len(word), word))
+    for k, w in enumerate(group):
+        assert w.index == k
+        assert w.matrix == word_matrix(rs, w.word)
+        assert group.length(w) == inversion_count(rs, w.matrix)
+        assert group.multiply(w, group.inverse(w)) is group.identity
+        for i, gen in enumerate(gens, start=1):
+            right = group.elements[group._rmul[i - 1][w.index]]
+            left = group.elements[group._lmul[i - 1][w.index]]
+            assert right.matrix == matmul(w.matrix, gen)
+            assert left.matrix == matmul(gen, w.matrix)
+
+
+@pytest.mark.parametrize("group", [A2, B2], ids=["A2", "B2"])
+def test_multiply_returns_the_canonical_element(group):
+    for u in group:
+        for v in group:
+            assert group.multiply(u, v) is group.from_word(u.word + v.word)
+
+
+def oracle_parabolic(rs, J):
+    gens = [generator_matrix(rs, i) for i in J]
+    start = word_matrix(rs, ())
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        frontier = [m for m in {matmul(x, g) for x in frontier for g in gens} if m not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3)])
+def test_cosets_and_descents_match_matrix_oracle(letter, rank):
+    group = weyl_group(root_system(letter, rank))
+    rs = group.rs
+    subsets = [frozenset(J) for k in range(rank + 1) for J in combinations(range(1, rank + 1), k)]
+    parabolics = {J: oracle_parabolic(rs, J) for J in subsets}
+    for w in group:
+        inverse = word_matrix(rs, tuple(reversed(w.word)))
+        descents = frozenset(
+            i
+            for i in range(1, rank + 1)
+            if rs.root_sign(matvec(inverse, rs.simple_roots[i - 1].fw)) < 0
+        )
+        assert group.left_descents(w) == descents
+        for J in subsets:
+            coset = sorted(
+                (inversion_count(rs, m), m) for m in {matmul(w.matrix, h) for h in parabolics[J]}
+            )
+            assert group.coset_min(w, J).matrix == coset[0][1]
+            assert group.coset_max(w, J).matrix == coset[-1][1]
+
+
+@pytest.mark.parametrize("table", ["rmul", "lmul", "inv", "len"])
+def test_table_check_catches_a_corrupted_entry(table):
+    group = WeylGroup(root_system("A", 2))
+    group._check_tables()
+    # Elements of A2 by index: e, s1, s2, s1s2, s2s1, s1s2s1.  Each line
+    # writes a false entry: a generator step never fixes an element, s1s2
+    # is not its own inverse, and s1s2s1 has length 3.
+    if table == "rmul":
+        group._rmul[0][3] = 3
+    elif table == "lmul":
+        group._lmul[1][2] = 2
+    elif table == "inv":
+        group._inv[3] = 3
+    else:
+        group._len[5] = 2
+    with pytest.raises(AssertionError):
+        group._check_tables()
+
+
+def test_group_order_closed_form():
+    types = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4)]
+    types += [("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+    for letter, rank in types:
+        rs = root_system(letter, rank)
+        assert group_order(rs) == len(weyl_group(rs))
+
+
+def test_oversized_groups_refused_before_enumeration(monkeypatch):
+    steps = []
+    right_step = weyl._right_step
+
+    def counted(*args):
+        steps.append(args)
+        return right_step(*args)
+
+    monkeypatch.setattr(weyl, "_right_step", counted)
+    for rank in (7, 8):
+        with pytest.raises(ValueError, match="too large"):
+            WeylGroup(root_system("E", rank))
+    assert steps == []
+    # the counter sees the enumeration of a group that is built
+    WeylGroup(root_system("A", 2))
+    assert len(steps) == 6 * 2
