@@ -255,6 +255,18 @@ class RootSystem:
         return "RootSystem(%s%d)" % (self.type_letter, self.rank)
 
 
+def weyl_dimension(rs, lam):
+    """Weyl's product formula: the size of the highest weight crystal B(lam)."""
+    rho = (1,) * rs.rank
+    num, den = 1, 1
+    for beta in rs.positive_roots:
+        num *= rs.root_pairing(vadd(lam, rho), beta)
+        den *= rs.root_pairing(rho, beta)
+    if num % den:
+        raise AssertionError("Weyl dimension of %r is not an integer" % (lam,))
+    return num // den
+
+
 @lru_cache(maxsize=None)
 def root_system(type_letter, rank):
     """Cached constructor, so equal types share orbit/crystal caches."""

@@ -13,14 +13,23 @@ import os
 import sys
 
 from .cartan import parse_type
-from .crystal import generate_crystal, graph_on, to_dot
-from .decomp import OracleMismatch, TheoremViolation, decompose
+from .crystal import MultipleHighestWeights, generate_crystal, graph_on, to_dot
+from .decomp import NoDemazureMatch, OracleMismatch, TheoremViolation, decompose
 from .demazure import generate_demazure
 from .keypoly import key_polynomial, monomials_type_a, product_report
-from .keypoly import TheoremViolation as KeyTheoremViolation
 from .lspath import path_to_json
 from .verify import default_grids, parse_grid, run_all
-from .weyl import weyl_group
+from .weyl import NonUniqueMaximum, weyl_group
+
+# Failures of an identity on well-formed input: exit code 2.
+STRUCTURAL_FAILURES = (
+    AssertionError,
+    MultipleHighestWeights,
+    NoDemazureMatch,
+    NonUniqueMaximum,
+    OracleMismatch,
+    TheoremViolation,
+)
 
 
 class InstanceError(Exception):
@@ -271,7 +280,7 @@ def main(argv=None):
     except (InstanceError, ValueError) as caught:
         print("error: %s" % caught, file=sys.stderr)
         return 1
-    except (TheoremViolation, OracleMismatch, KeyTheoremViolation) as caught:
+    except STRUCTURAL_FAILURES as caught:
         print("structural failure: %s" % caught, file=sys.stderr)
         return 2
 

@@ -3,17 +3,20 @@
 The raising/lowering operators act on paths by the cutting construction:
 locate the last (resp. first) time the height function attains its minimum,
 the adjacent time it attains minimum + 1, reflect the directions between the
-two times by the simple reflection, and leave the rest untouched.  On ordered
+two times by the simple reflection, and leave the rest untouched.  All of it
+reads the paths' integer ticks and marks: heights are compared scaled by
+the path's denominator, and a cut time that falls between ticks rescales
+the result's ticks by the least factor that makes it whole.  On ordered
 pairs they act by the tensor rule, choosing the factor from the sign of
 phi(left) - eps(right).  Everything is exact and immutable; operator results
 are memoized since graph searches revisit elements constantly.
 """
 
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .cartan import vadd
-from .lspath import LSPath, RawPath, make_path, straight_path
+from .cartan import vadd, weyl_dimension
+from .lspath import LSPath, straight_path
 
 
 class MultipleHighestWeights(Exception):
@@ -63,28 +66,38 @@ def element_sort_key(x):
 # -- root operators on paths ---------------------------------------------------
 
 
-def _reflect_between(path, i, t0, t1):
-    """Reflect the directions of `path` by s_i exactly on [t0, t1]."""
-    rs = path.rs
-    dirs, brks = [], [Fraction(0)]
+def _reflect_between(path, i, scale, t0, t1):
+    """Reflect the directions of `path` by s_i exactly on the ticks [t0, t1].
+
+    The ticks count units of 1 / (den * scale); the result is renormalised.
+    """
+    alpha = path.rs.simple_roots[i - 1].fw
+    ticks = path.ticks
+    dirs, brks = [], [ticks[0] * scale]
 
     def emit(d, b):
         dirs.append(d)
         brks.append(b)
 
-    for d, a, b in path.segments():
+    for k, d in enumerate(path.directions):
+        a, b = ticks[k] * scale, ticks[k + 1] * scale
         lo, hi = max(a, t0), min(b, t1)
         if lo >= hi:
             emit(d, b)
             continue
         if a < lo:
             emit(d, lo)
-        emit(rs.simple_reflect(d, i), hi)
+        emit(tuple(c - d[i - 1] * r for c, r in zip(d, alpha)), hi)
         if hi < b:
             emit(d, b)
-    if isinstance(path, LSPath):
-        return make_path(rs, path.shape, tuple(dirs), tuple(brks))
-    return RawPath(rs, tuple(dirs), tuple(brks))
+    return path._with_segments(tuple(dirs), path.den * scale, tuple(brks))
+
+
+def _cut(tick, rise, slope):
+    """The time tick + rise / slope as (scale, ticks of 1 / (den * scale)),
+    with the least scale that makes it a whole number of ticks."""
+    scale = abs(slope) // gcd(rise, slope)
+    return scale, tick * scale + rise * scale // slope
 
 
 def _validated(path):
@@ -97,42 +110,47 @@ def _validated(path):
     return path
 
 
+def _integral_minimum(path, i, heights):
+    low = min(heights)
+    if low % path.den:
+        raise AssertionError("the %d-height of %r has a non-integral minimum" % (i, path))
+    return low
+
+
 def _path_f(path, i):
-    heights = path.height_profile(i)
-    m = min(heights)
-    if m == heights[-1]:
+    heights = path._heights(i)
+    low = _integral_minimum(path, i, heights)
+    if low == heights[-1]:
         return None
-    breaks = path.breaks
-    k0 = max(k for k, h in enumerate(heights) if h == m)
-    t0 = breaks[k0]
-    t1 = None
+    ticks = path.ticks
+    k0 = len(heights) - 1 - heights[::-1].index(low)
+    target = low + path.den
     for j in range(k0 + 1, len(heights)):
-        if heights[j] >= m + 1:
-            slope = path.rs.pairing(path.directions[j - 1], i)
-            t1 = breaks[j - 1] + Fraction(m + 1 - heights[j - 1], 1) / slope
-            break
-    if t1 is None:
-        raise AssertionError("the %d-height never reaches %s after %s" % (i, m + 1, t0))
-    return _validated(_reflect_between(path, i, t0, t1))
+        if heights[j] >= target:
+            slope = path.directions[j - 1][i - 1]
+            scale, t1 = _cut(ticks[j - 1], target - heights[j - 1], slope)
+            return _validated(_reflect_between(path, i, scale, ticks[k0] * scale, t1))
+    raise AssertionError(
+        "the %d-height never reaches %s after %s" % (i, low // path.den + 1, path.breaks[k0])
+    )
 
 
 def _path_e(path, i):
-    heights = path.height_profile(i)
-    m = min(heights)
-    if m == 0:
+    heights = path._heights(i)
+    low = _integral_minimum(path, i, heights)
+    if low == 0:
         return None
-    breaks = path.breaks
-    k1 = min(k for k, h in enumerate(heights) if h == m)
-    t1 = breaks[k1]
-    t0 = None
+    ticks = path.ticks
+    k1 = heights.index(low)
+    target = low + path.den
     for j in range(k1, 0, -1):
-        if heights[j - 1] >= m + 1:
-            slope = path.rs.pairing(path.directions[j - 1], i)
-            t0 = breaks[j - 1] + Fraction(m + 1 - heights[j - 1], 1) / slope
-            break
-    if t0 is None:
-        raise AssertionError("the %d-height never reaches %s before %s" % (i, m + 1, t1))
-    return _validated(_reflect_between(path, i, t0, t1))
+        if heights[j - 1] >= target:
+            slope = path.directions[j - 1][i - 1]
+            scale, t0 = _cut(ticks[j - 1], target - heights[j - 1], slope)
+            return _validated(_reflect_between(path, i, scale, t0, ticks[k1] * scale))
+    raise AssertionError(
+        "the %d-height never reaches %s before %s" % (i, low // path.den + 1, path.breaks[k1])
+    )
 
 
 # -- generic crystal maps -------------------------------------------------------
@@ -184,7 +202,7 @@ def eps(x, i):
     while y is not None:
         n += 1
         y = e_op(y, i)
-    if n != -min(x.height_profile(i)):
+    if n * x.den != -min(x._heights(i)):
         raise AssertionError("eps(%r, %d) = %d disagrees with the minimal height" % (x, i, n))
     return n
 
@@ -202,8 +220,8 @@ def phi(x, i):
     while y is not None:
         n += 1
         y = f_op(y, i)
-    heights = x.height_profile(i)
-    if n != heights[-1] - min(heights):
+    heights = x._heights(i)
+    if n * x.den != heights[-1] - min(heights):
         raise AssertionError("phi(%r, %d) = %d disagrees with the final height" % (x, i, n))
     return n
 
@@ -305,11 +323,27 @@ class CrystalGraph:
         return strings
 
 
+# Largest crystal B(lam) generated by closure; the Weyl dimension formula
+# refuses a larger one before any path is built.
+CRYSTAL_SIZE_LIMIT = 10000
+
+
+def refuse_oversized(rs, lam):
+    """Raise ValueError when B(lam) has more than CRYSTAL_SIZE_LIMIT elements."""
+    size = weyl_dimension(rs, lam)
+    if size > CRYSTAL_SIZE_LIMIT:
+        raise ValueError(
+            "crystal of highest weight %r for %r too large to generate "
+            "(%d elements, the limit is %d)" % (tuple(lam), rs, size, CRYSTAL_SIZE_LIMIT)
+        )
+
+
 @lru_cache(maxsize=None)
 def generate_crystal(rs, lam):
     """The highest weight crystal of a dominant weight, generated by closure."""
     if not rs.is_dominant(lam):
         raise ValueError("highest weight %r is not dominant" % (lam,))
+    refuse_oversized(rs, lam)
     start = straight_path(rs, lam)
     vertices = {start}
     edges = {}
@@ -357,8 +391,10 @@ def graph_on(rs, elements):
 
 
 def induced_component(rs, seed, members):
-    """Connected component of the induced graph through the seed."""
-    members = frozenset(members)
+    """Connected component of the induced graph through the seed.
+
+    `members` is any container whose `in` is the membership predicate.
+    """
     if seed not in members:
         raise ValueError("seed does not satisfy the membership predicate")
     seen = {seed}

@@ -12,8 +12,8 @@ search (`path_witness_by_search`) provides an independent oracle for the
 same element, and `decompose` certifies every verdict structurally.
 """
 
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .cartan import vadd
 from .crystal import (
@@ -38,7 +38,7 @@ from .lspath import straight_path
 
 
 class TheoremViolation(Exception):
-    """A structural identity that must hold failed on concrete data."""
+    """A structural, positivity or counting identity failed on concrete data."""
 
 
 class OracleMismatch(Exception):
@@ -70,13 +70,28 @@ def dominant_paths(group, w, mu, lam):
     return out
 
 
-def component(group, pi, v, w, lam, mu, members=None):
+class _ProductMembers:
+    """Membership in B_v(lam) (x) B_w(mu), tested factor by factor."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+    def __contains__(self, pair):
+        return pair.left in self.left and pair.right in self.right
+
+
+def component(group, pi, v, w, lam, mu):
     """Connected component of the product through the pair (top path, pi).
 
-    `members` is the product set when the caller has already built it.
+    Membership in the product is tested on the two cached Demazure
+    crystals, so the product set itself is never built.
     """
-    if members is None:
-        members = tensor_demazure(group, v, w, lam, mu)
+    members = _ProductMembers(
+        generate_demazure(group, v, lam).elements, generate_demazure(group, w, mu).elements
+    )
     seed = TensorElement(straight_path(group.rs, lam), pi)
     if seed not in members:
         raise ValueError("pi is not an element of the right Demazure factor")
@@ -111,37 +126,43 @@ def stabilizer_intervals(group, pi, lam):
     """Stabilizer generator sets along the shifted path, minimally merged.
 
     The unit interval splits into finitely many pieces on which the
-    reflection stabilizer of lam + pi(t) is constant; candidate boundaries
-    are the path breakpoints together with interior zeros of the simple
-    pairings, the stabilizers of open pieces are read off at midpoints, and
-    equal neighbours merge.  Returned as the ordered tuple of index sets.
+    reflection stabilizer of lam + pi(t) is constant.  On a segment each
+    coordinate of lam + pi(t) is affine: one with zero slope is zero on the
+    whole open segment or nowhere on it, any other one vanishes at one
+    time at most.  So the pieces are the breakpoints, the interior zeros
+    and the open spans between them, read in that order and merged where
+    equal neighbours meet.  Returned as the ordered tuple of index sets.
+    Everything is in ticks: den * (lam + pi(t)) at the breakpoints is
+    lam * den plus the path's marks.
     """
-    rs = group.rs
-    times = set(pi.breaks)
-    for i in range(1, rs.rank + 1):
-        heights = pi.height_profile(i)
-        for k in range(len(pi.directions)):
-            a, b = pi.breaks[k], pi.breaks[k + 1]
-            ha = lam[i - 1] + heights[k]
-            hb = lam[i - 1] + heights[k + 1]
-            if ha == hb:
-                continue
-            tstar = a + (b - a) * Fraction(0 - ha, hb - ha)
-            if a < tstar < b:
-                times.add(tstar)
-    times = sorted(times)
+    n = group.rs.rank
+    den, ticks = pi.den, pi.ticks
+    shifted = [lam[k % n] * den + m for k, m in enumerate(pi.marks)]
 
-    def indices_at(t):
-        value = pi.value_at(t)
-        return frozenset(
-            i for i in range(1, rs.rank + 1) if lam[i - 1] + value[i - 1] == 0
-        )
+    def zeros(k):
+        return frozenset(c + 1 for c in range(n) if shifted[k * n + c] == 0)
 
-    fine = []
-    for k, t in enumerate(times):
-        fine.append(indices_at(t))
-        if k + 1 < len(times):
-            fine.append(indices_at((t + times[k + 1]) / 2))
+    fine = [zeros(0)]
+    for k, d in enumerate(pi.directions):
+        start = shifted[k * n:(k + 1) * n]
+        length = ticks[k + 1] - ticks[k]
+        flat = frozenset(c + 1 for c in range(n) if d[c] == 0 and start[c] == 0)
+        # coordinate c vanishes num / q ticks into the segment
+        crossings = []
+        for c in range(n):
+            if d[c]:
+                num, q = (-start[c], d[c]) if d[c] > 0 else (start[c], -d[c])
+                if 0 < num < q * length:
+                    crossings.append((num, q, c + 1))
+        common = lcm(*(q for _, q, _ in crossings))
+        at = {}
+        for num, q, c in crossings:
+            at.setdefault(num * (common // q), set()).add(c)
+        for time in sorted(at):
+            fine.append(flat)
+            fine.append(flat | at[time])
+        fine.append(flat)
+        fine.append(zeros(k + 1))
     merged = []
     for J in fine:
         if not merged or merged[-1] != J:
@@ -322,7 +343,9 @@ def decompose(group, v, w, lam, mu, oracle=False):
     Every component is tested for isomorphism with the Demazure crystals of
     the matching highest weight; a failed search is certified by a string
     property violation in the ambient full product, which is built only
-    then.  The biconditional between the group condition and
+    then.  The components must be disjoint with sizes adding up to
+    |B_v(lam)| * |B_w(mu)|, so they cover the product without the product
+    set being built.  The biconditional between the group condition and
     all-verdicts-positive is enforced, and under the condition the verdict
     must agree with the lifted witness.
     """
@@ -330,12 +353,11 @@ def decompose(group, v, w, lam, mu, oracle=False):
     if not (rs.is_dominant(lam) and rs.is_dominant(mu)):
         raise ValueError("shapes must be dominant")
     cond = condition_check(group, v, w, lam, mu)
-    members = tensor_demazure(group, v, w, lam, mu)
     entries = []
     covered = set()
     for pi in dominant_paths(group, w, mu, lam):
-        comp = component(group, pi, v, w, lam, mu, members)
-        if covered & comp:
+        comp = component(group, pi, v, w, lam, mu)
+        if not covered.isdisjoint(comp):
             raise TheoremViolation("components indexed by dominant paths overlap")
         covered |= comp
         nu = vadd(lam, weight_of(pi))
@@ -365,7 +387,9 @@ def decompose(group, v, w, lam, mu, oracle=False):
             entries.append(
                 DecompositionEntry(pi, comp, nu, False, None, expected, violation)
             )
-    if covered != members:
+    # disjoint components inside the product cover it when their sizes add up
+    product_size = len(generate_demazure(group, v, lam)) * len(generate_demazure(group, w, mu))
+    if len(covered) != product_size:
         raise TheoremViolation("dominant-path components do not cover the product")
     if cond != all(entry.demazure for entry in entries):
         raise TheoremViolation(

@@ -17,6 +17,7 @@ from .crystal import (
     eps,
     f_op,
     f_string_closure,
+    refuse_oversized,
     unique_top,
 )
 from .lspath import straight_path
@@ -72,6 +73,7 @@ def demazure_elements_for_word(rs, word, lam):
 
 @lru_cache(maxsize=None)
 def _generate_demazure_cached(group, witness, lam):
+    refuse_oversized(group.rs, lam)
     elements = demazure_elements_for_word(group.rs, witness.word, lam)
     if unique_top(group.rs, elements) != straight_path(group.rs, lam):
         raise AssertionError(

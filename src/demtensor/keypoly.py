@@ -22,13 +22,9 @@ from math import lcm
 
 from .cartan import vadd, vsub
 from .crystal import CharPoly, character, weight_of
-from .decomp import condition_check, dominant_paths, lifted_witness
+from .decomp import TheoremViolation, condition_check, dominant_paths, lifted_witness
 from .demazure import generate_demazure
 from .lspath import dominant_walk
-
-
-class TheoremViolation(Exception):
-    """A positivity or counting identity that must hold failed."""
 
 
 def demazure_operator(rs, f, i):

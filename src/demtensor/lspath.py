@@ -1,16 +1,28 @@
 """Lakshmibai-Seshadri paths and raw piecewise-linear paths.
 
-An LS path of shape lam is stored as the pair of a strictly decreasing
-direction sequence in the orbit W.lam and rational breakpoints
-0 = a_0 < ... < a_r = 1; the path itself is the piecewise-linear map with
-slope nu_k on [a_{k-1}, a_k].  Concatenations of paths of different shapes
-live in RawPath, which drops the orbit bookkeeping but supports the same
-evaluation and root-operator machinery.  Paths are immutable and kept in a
-normal form (no zero-length segments, no equal adjacent directions), so
-structural equality is path equality.
+An LS path of shape lam is the pair of a strictly decreasing direction
+sequence in the orbit W.lam and rational breakpoints 0 = a_0 < ... < a_r = 1;
+the path itself is the piecewise-linear map with slope nu_k on
+[a_{k-1}, a_k].  Concatenations of paths of different shapes live in
+RawPath, which drops the orbit bookkeeping but shares the representation
+and the root-operator machinery.  Paths are immutable and kept in a normal
+form (no zero-length segments, no equal adjacent directions), so structural
+equality is path equality.
+
+Breakpoints are stored as integer ticks over one denominator: `den` is the
+least common denominator of the a_k and `ticks[k] = a_k * den`, so
+gcd(den, *ticks) == 1 and the form is canonical.  `marks` holds the value of
+the path at each breakpoint scaled by den, the integer vectors
+den * pi(a_0), ..., den * pi(a_r) laid end to end in one flat tuple, so
+`marks[i-1::rank]` is the i-height profile scaled by den.  Root operators,
+heights, weights, dominance and validation read only these integers.
+Fractions appear only at the edges: the constructors and `make_path` take
+rational breakpoints, and `breaks` (built on first use),
+`height_profile` and `value_at` give rationals back for JSON, DOT and
+callers.
 
 LS paths are hash-consed: `make_path` keeps one table keyed by
-(root system, shape, directions, breakpoints) and returns the same object
+(root system, shape, directions, den, ticks) and returns the same object
 for every request of the same path, so each distinct path exists once.
 Every path computes its hash once, at construction, and equality returns
 early on identity; the structural comparison stays as the fallback for
@@ -20,25 +32,65 @@ an operator produces is validated exactly once.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .cartan import normalize_coords, vadd, vscale
+from .cartan import normalize_coords, vscale
 from .weyl import weyl_group
 
 
-def _normalize_segments(directions, breaks):
-    """Drop empty segments and merge equal adjacent directions."""
-    dirs, brks = [], [Fraction(breaks[0])]
+def _ticks_of(breaks):
+    """Rational breakpoints as (den, ticks) over their least common denominator."""
+    breaks = [Fraction(b) for b in breaks]
+    den = lcm(*(b.denominator for b in breaks))
+    return den, tuple(b.numerator * (den // b.denominator) for b in breaks)
+
+
+def _canonical(directions, den, ticks):
+    """Drop empty segments, merge equal adjacent directions, and divide the
+    ticks and den by their gcd."""
+    dirs, tks = [], [ticks[0]]
     for k, d in enumerate(directions):
-        a, b = Fraction(breaks[k]), Fraction(breaks[k + 1])
-        if a == b:
+        b = ticks[k + 1]
+        if b == ticks[k]:
             continue
-        d = normalize_coords(d)
         if dirs and dirs[-1] == d:
-            brks[-1] = b
+            tks[-1] = b
         else:
             dirs.append(d)
-            brks.append(b)
-    return tuple(dirs), tuple(brks)
+            tks.append(b)
+    g = gcd(den, *tks)
+    if g > 1:
+        den //= g
+        tks = [t // g for t in tks]
+    return tuple(dirs), den, tuple(tks)
+
+
+def _normalize_segments(directions, breaks):
+    """Normal form of directions and rational breakpoints, as (dirs, den, ticks)."""
+    den, ticks = _ticks_of(breaks)
+    return _canonical([normalize_coords(d) for d in directions], den, ticks)
+
+
+def _scaled_marks(directions, ticks, rank):
+    """den * pi(a_k) for every breakpoint, flattened."""
+    acc = [0] * rank
+    out = list(acc)
+    for k, d in enumerate(directions):
+        step = ticks[k + 1] - ticks[k]
+        acc = [a + step * c for a, c in zip(acc, d)]
+        out.extend(acc)
+    return tuple(out)
+
+
+def _unscale(values, den):
+    """Divide integers by den: ints where exact, Fractions elsewhere."""
+    return tuple(v // den if v % den == 0 else Fraction(v, den) for v in values)
+
+
+def _reduced(tick, den):
+    """tick / den in lowest terms, as (numerator, denominator)."""
+    g = gcd(tick, den)
+    return tick // g, den // g
 
 
 class _PathBase:
@@ -46,29 +98,44 @@ class _PathBase:
 
     __slots__ = ()
 
-    def segments(self):
-        return tuple(
-            (self.directions[k], self.breaks[k], self.breaks[k + 1])
-            for k in range(len(self.directions))
-        )
+    def _set_segments(self, rs, directions, den, ticks):
+        self.rs = rs
+        self.directions = directions
+        self.den = den
+        self.ticks = ticks
+        self.marks = _scaled_marks(directions, ticks, rs.rank)
+        self._breaks = None
+
+    def _heights(self, i):
+        """The i-height at every breakpoint, scaled by den."""
+        rank = self.rs.rank
+        if not 1 <= i <= rank:
+            raise IndexError("simple index %d out of range for rank %d" % (i, rank))
+        return self.marks[i - 1::rank]
+
+    @property
+    def breaks(self):
+        """The breakpoints as Fractions, built on first use."""
+        if self._breaks is None:
+            self._breaks = tuple(Fraction(t, self.den) for t in self.ticks)
+        return self._breaks
 
     def value_at(self, t):
         """Exact value of the path at rational time t in [0, 1]."""
         t = Fraction(t)
         if not 0 <= t <= 1:
             raise ValueError("time %s outside [0, 1]" % t)
-        acc = (Fraction(0),) * self.rank()
-        for d, a, b in self.segments():
-            if t <= b:
-                return normalize_coords(vadd(acc, vscale(t - a, d)))
-            acc = vadd(acc, vscale(b - a, d))
-        return normalize_coords(acc)
+        p, q = t.numerator, t.denominator
+        rank, den, ticks, marks = self.rs.rank, self.den, self.ticks, self.marks
+        for k, d in enumerate(self.directions):
+            if p * den <= ticks[k + 1] * q:
+                run = p * den - ticks[k] * q
+                start = marks[k * rank:(k + 1) * rank]
+                return _unscale([m * q + run * c for m, c in zip(start, d)], den * q)
+        return self.endpoint()
 
     def endpoint(self):
-        acc = (Fraction(0),) * self.rank()
-        for d, a, b in self.segments():
-            acc = vadd(acc, vscale(b - a, d))
-        return normalize_coords(acc)
+        return _unscale(self.marks[-self.rs.rank:], self.den)
 
     def height(self, i, t):
         """Pairing of the path value at time t with the i-th simple coroot."""
@@ -76,40 +143,37 @@ class _PathBase:
 
     def height_profile(self, i):
         """Heights at the breakpoints (piecewise-affine, so extrema sit there)."""
-        out = [Fraction(0)]
-        acc = Fraction(0)
-        for d, a, b in self.segments():
-            acc += (b - a) * self.rs.pairing(d, i)
-            out.append(acc)
-        return out
-
-    def rank(self):
-        return self.rs.rank
+        den = self.den
+        return [Fraction(h, den) for h in self._heights(i)]
 
     def is_dominant_for(self, lam):
         """Does lam + path(t) stay in the dominant cone for all t?
 
         Checked at breakpoints only; each coordinate is affine per segment.
         """
-        for t in self.breaks:
-            v = self.value_at(t)
-            if any(lam[i] + v[i] < 0 for i in range(self.rank())):
-                return False
-        return True
+        rank, den, marks = self.rs.rank, self.den, self.marks
+        return all(lam[c] * den + min(marks[c::rank]) >= 0 for c in range(rank))
 
 
 class LSPath(_PathBase):
     """An LS path; use make_path / straight_path instead of raw construction."""
 
-    __slots__ = ("rs", "shape", "directions", "breaks", "checked", "_hash")
+    __slots__ = (
+        "rs", "shape", "directions", "den", "ticks", "marks", "checked", "_breaks", "_hash",
+    )
 
     def __init__(self, rs, shape, directions, breaks):
-        self.rs = rs
+        self._set(rs, shape, directions, *_ticks_of(breaks))
+
+    def _set(self, rs, shape, directions, den, ticks):
+        self._set_segments(rs, directions, den, ticks)
         self.shape = shape
-        self.directions = directions
-        self.breaks = breaks
         self.checked = False
-        self._hash = hash((shape, directions, breaks))
+        self._hash = hash((shape, directions, ticks))
+
+    def _with_segments(self, directions, den, ticks):
+        """The interned path of the same shape with these segments."""
+        return _intern(self.rs, self.shape, *_canonical(directions, den, ticks))
 
     def __eq__(self, other):
         if self is other:
@@ -120,18 +184,16 @@ class LSPath(_PathBase):
             and self.rs == other.rs
             and self.shape == other.shape
             and self.directions == other.directions
-            and self.breaks == other.breaks
+            and self.den == other.den
+            and self.ticks == other.ticks
         )
 
     def __hash__(self):
         return self._hash
 
     def sort_key(self):
-        return (
-            self.shape,
-            self.directions,
-            tuple((b.numerator, b.denominator) for b in self.breaks),
-        )
+        den = self.den
+        return (self.shape, self.directions, tuple(_reduced(t, den) for t in self.ticks))
 
     def __repr__(self):
         inner = ", ".join(repr(d) for d in self.directions)
@@ -144,10 +206,10 @@ class LSPath(_PathBase):
 
     def weight(self):
         """The endpoint, asserted integral."""
-        w = self.endpoint()
-        if any(isinstance(c, Fraction) for c in w):
+        den, end = self.den, self.marks[-self.rs.rank:]
+        if any(c % den for c in end):
             raise AssertionError("non-integral endpoint on %r" % self)
-        return w
+        return tuple(c // den for c in end)
 
     def validate(self):
         """None if the path is a valid LS path, else the first violation."""
@@ -161,9 +223,10 @@ class LSPath(_PathBase):
         for d in self.directions:
             if d not in poset:
                 return "direction %r is not in the orbit of %r" % (d, self.shape)
-        if self.breaks[0] != 0 or self.breaks[-1] != 1:
+        den, ticks = self.den, self.ticks
+        if ticks[0] != 0 or ticks[-1] != den:
             return "breakpoints must run from 0 to 1"
-        if any(a >= b for a, b in zip(self.breaks, self.breaks[1:])):
+        if any(a >= b for a, b in zip(ticks, ticks[1:])):
             return "breakpoints must increase strictly"
         for k in range(len(self.directions) - 1):
             hi, lo = self.directions[k], self.directions[k + 1]
@@ -171,26 +234,28 @@ class LSPath(_PathBase):
                 return "adjacent directions %r repeat" % (hi,)
             if not poset.leq(lo, hi):
                 return "directions %r, %r do not decrease" % (hi, lo)
-            sigma = self.breaks[k + 1]
-            if not poset.sigma_chain_exists(hi, lo, sigma):
-                return "no %s-chain between %r and %r" % (sigma, hi, lo)
-        w = self.endpoint()
-        if any(isinstance(c, Fraction) for c in w):
-            return "endpoint %r is not a lattice weight" % (w,)
+            if not poset.tick_chain_exists(hi, lo, ticks[k + 1], den):
+                return "no %s-chain between %r and %r" % (self.breaks[k + 1], hi, lo)
+        if any(c % den for c in self.marks[-rs.rank:]):
+            return "endpoint %r is not a lattice weight" % (self.endpoint(),)
         return None
 
 
 class RawPath(_PathBase):
     """A piecewise-linear path that need not be an LS path of one shape."""
 
-    __slots__ = ("rs", "directions", "breaks", "_hash")
+    __slots__ = ("rs", "directions", "den", "ticks", "marks", "_breaks", "_hash")
 
     def __init__(self, rs, directions, breaks):
-        directions, breaks = _normalize_segments(directions, breaks)
-        self.rs = rs
-        self.directions = directions
-        self.breaks = breaks
-        self._hash = hash((directions, breaks))
+        self._set(rs, *_normalize_segments(directions, breaks))
+
+    def _set(self, rs, directions, den, ticks):
+        self._set_segments(rs, directions, den, ticks)
+        self._hash = hash((directions, ticks))
+
+    def _with_segments(self, directions, den, ticks):
+        """The raw path with these segments, in normal form."""
+        return _raw_path(self.rs, directions, den, ticks)
 
     def __eq__(self, other):
         if self is other:
@@ -200,7 +265,8 @@ class RawPath(_PathBase):
             and self._hash == other._hash
             and self.rs == other.rs
             and self.directions == other.directions
-            and self.breaks == other.breaks
+            and self.den == other.den
+            and self.ticks == other.ticks
         )
 
     def __hash__(self):
@@ -212,9 +278,26 @@ class RawPath(_PathBase):
         return "RawPath(%s; %s)" % (inner, times)
 
 
-# Every LSPath made by make_path, keyed by its fields; like the operator
-# caches it lives as long as the process.
+# Every LSPath made by make_path or a root operator, keyed by its fields;
+# like the operator caches it lives as long as the process.
 _INTERNED = {}
+
+
+def _intern(rs, shape, directions, den, ticks):
+    """The one LSPath with these normal-form fields."""
+    key = (rs, shape, directions, den, ticks)
+    path = _INTERNED.get(key)
+    if path is None:
+        path = _INTERNED[key] = LSPath.__new__(LSPath)
+        path._set(*key)
+    return path
+
+
+def _raw_path(rs, directions, den, ticks):
+    """The RawPath with these segments, in normal form."""
+    path = RawPath.__new__(RawPath)
+    path._set(rs, *_canonical(directions, den, ticks))
+    return path
 
 
 def make_path(rs, shape, directions, breaks):
@@ -222,12 +305,7 @@ def make_path(rs, shape, directions, breaks):
 
     Equal inputs give the same object.  Validity is not enforced here.
     """
-    directions, breaks = _normalize_segments(directions, breaks)
-    key = (rs, normalize_coords(shape), directions, breaks)
-    path = _INTERNED.get(key)
-    if path is None:
-        path = _INTERNED[key] = LSPath(*key)
-    return path
+    return _intern(rs, normalize_coords(shape), *_normalize_segments(directions, breaks))
 
 
 def straight_path(rs, shape, x=None):
@@ -238,25 +316,26 @@ def straight_path(rs, shape, x=None):
     x = normalize_coords(x)
     if x not in weyl_group(rs).orbit(shape):
         raise ValueError("%r is not in the orbit of %r" % (x, shape))
-    return make_path(rs, shape, (x,), (Fraction(0), Fraction(1)))
+    return _intern(rs, shape, (x,), 1, (0, 1))
 
 
 def concatenate(first, second):
     """Concatenation: run `first` on [0, 1/2] doubled, then `second`.
 
-    The result is a RawPath; the two inputs may have different shapes.
+    The result is a RawPath over 2 * lcm of the two denominators; the two
+    inputs may have different shapes.
     """
     if first.rs != second.rs:
         raise ValueError("cannot concatenate paths over different root systems")
-    half = Fraction(1, 2)
-    dirs, brks = [], [Fraction(0)]
-    for d, a, b in first.segments():
-        dirs.append(vscale(2, d))
-        brks.append(half * b)
-    for d, a, b in second.segments():
-        dirs.append(vscale(2, d))
-        brks.append(half + half * b)
-    return RawPath(first.rs, tuple(dirs), tuple(brks))
+    half = lcm(first.den, second.den)
+    a, b = half // first.den, half // second.den
+    dirs = tuple(vscale(2, d) for d in first.directions + second.directions)
+    ticks = (
+        (0,)
+        + tuple(a * t for t in first.ticks[1:])
+        + tuple(half + b * t for t in second.ticks[1:])
+    )
+    return _raw_path(first.rs, dirs, 2 * half, ticks)
 
 
 # -- serialization -----------------------------------------------------------

@@ -8,7 +8,7 @@ short human-readable description of the first counterexample.  The CLI
 
 import itertools
 
-from .cartan import root_system, vadd
+from .cartan import root_system, vadd, weyl_dimension
 from .crystal import (
     TensorElement,
     character,
@@ -43,7 +43,6 @@ from .keypoly import (
     demazure_operator_word,
     product_report,
 )
-from .keypoly import TheoremViolation as KeyTheoremViolation
 from .lspath import concatenate, straight_path
 from .weyl import weyl_group
 
@@ -148,18 +147,6 @@ def suite_membership_criterion(grid):
                     if up is not None and up not in dem:
                         return "raising escapes the crystal of w=%r at %r" % (w, pi)
     return None
-
-
-def weyl_dimension(rs, lam):
-    """The product formula for the size of the full crystal."""
-    rho = (1,) * rs.rank
-    num, den = 1, 1
-    for beta in rs.positive_roots:
-        num *= rs.root_pairing(vadd(lam, rho), beta)
-        den *= rs.root_pairing(rho, beta)
-    if num % den:
-        raise AssertionError("Weyl dimension of %r is not an integer" % (lam,))
-    return num // den
 
 
 def suite_dimension_formula(grid):
@@ -324,7 +311,7 @@ def suite_key_positivity(grid):
                 for w in grid.group:
                     try:
                         report = product_report(grid.group, v, w, lam, mu)
-                    except KeyTheoremViolation as caught:
+                    except TheoremViolation as caught:
                         return "v=%r w=%r lam=%r mu=%r: %s" % (v, w, lam, mu, caught)
                     if (
                         report.condition_forward or report.condition_swapped

@@ -508,11 +508,16 @@ class OrbitPoset:
         Each cover step from x by the root beta contributes <x, beta^vee>;
         the chain qualifies when sigma times every such pairing is an integer.
         """
+        sigma = Fraction(sigma)
+        return self.tick_chain_exists(mu, nu, sigma.numerator, sigma.denominator)
+
+    def tick_chain_exists(self, mu, nu, tick, den):
+        """`sigma_chain_exists` for sigma = tick / den, in integers: sigma
+        times a pairing is an integer exactly when tick * pairing % den == 0."""
         self._check(mu)
         self._check(nu)
         if not self.leq(nu, mu):
             return False
-        sigma = Fraction(sigma)
         covers = self.covers()
         rs = self.group.rs
         memo = {}
@@ -524,7 +529,7 @@ class OrbitPoset:
                 return memo[x]
             ok = False
             for beta, y in covers[x]:
-                if nu in self._below[y] and (sigma * rs.root_pairing(x, beta)).denominator == 1:
+                if nu in self._below[y] and tick * rs.root_pairing(x, beta) % den == 0:
                     if search(y):
                         ok = True
                         break

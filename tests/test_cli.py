@@ -10,6 +10,9 @@ import pytest
 
 import demtensor
 from demtensor.cli import main
+from demtensor.crystal import MultipleHighestWeights
+from demtensor.decomp import NoDemazureMatch, OracleMismatch, TheoremViolation
+from demtensor.weyl import NonUniqueMaximum
 
 EX1 = ["--type", "A2", "--v", "1,2", "--w", "1,2,1", "--lambda", "1,1", "--mu", "1,0"]
 EX2 = ["--type", "A2", "--v", "1", "--w", "1,2", "--lambda", "2,1", "--mu", "1,2"]
@@ -191,3 +194,39 @@ def test_decompose_output_unchanged_under_optimize():
     plain = run_cli()
     assert json.loads(plain)["condition_holds"] is True
     assert run_cli("-O") == plain
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [AssertionError, MultipleHighestWeights, NoDemazureMatch, NonUniqueMaximum,
+     OracleMismatch, TheoremViolation],
+    ids=lambda failure: failure.__name__,
+)
+def test_structural_failures_exit_two(monkeypatch, capsys, failure):
+    from demtensor import crystal
+
+    def broken(path, i):
+        raise failure("injected at color %d" % i)
+
+    monkeypatch.setattr(crystal, "_path_f", broken)
+    crystal.f_op.cache_clear()
+    code = main(["decompose", *EX1])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("structural failure: injected at color ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_oversized_crystal_exits_one_quickly(capsys):
+    import time
+
+    start = time.perf_counter()
+    code = main(["decompose", "--type", "G2", "--v", "", "--w", "",
+                 "--lambda", "40,40", "--mu", "1,0"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "too large" in captured.err
+    assert elapsed < 1.0

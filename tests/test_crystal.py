@@ -374,3 +374,69 @@ def test_equal_tensor_elements_hash_and_compare_equal():
     assert first == second and hash(first) == hash(second)
     assert len({first, second}) == 1
     assert TensorElement(b, a) != first
+
+
+def test_operators_make_no_fractions(monkeypatch):
+    """With every path interned, root operators and the eps/phi height checks
+    run on integer ticks alone."""
+    G2 = root_system("G", 2)
+    crystal = generate_crystal(G2, (1, 1))
+    ops = (f_op, e_op, eps, phi)
+    before = {(op, x, i): op(x, i) for op in ops for x in crystal for i in (1, 2)}
+    for op in ops:
+        op.cache_clear()
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    Fraction(1, 3)
+    assert len(made) == 1, "the wrapper must see Fraction construction"
+    made.clear()
+    after = {(op, x, i): op(x, i) for op in ops for x in crystal for i in (1, 2)}
+    monkeypatch.undo()
+    assert made == []
+    assert after == before
+    assert f_op.cache_info().misses >= len(crystal) * 2
+
+
+def test_weyl_dimension_matches_product_oracle():
+    from demtensor.cartan import weyl_dimension
+
+    for rs, lam in [(A2, (1, 1)), (B2, (1, 1)), (root_system("G", 2), (1, 1)),
+                    (root_system("C", 3), (1, 1, 1)), (root_system("G", 2), (40, 40))]:
+        assert weyl_dimension(rs, lam) == weyl_dim(rs, lam)
+    assert weyl_dimension(root_system("G", 2), (40, 40)) == 4750104241
+
+
+def test_oversized_crystals_refused_before_generation():
+    from demtensor.crystal import CRYSTAL_SIZE_LIMIT
+    from demtensor.demazure import generate_demazure
+    from demtensor.lspath import _INTERNED
+    from demtensor.weyl import weyl_group
+
+    G2 = root_system("G", 2)
+    group = weyl_group(G2)
+    assert weyl_dim(G2, (2, 2)) <= CRYSTAL_SIZE_LIMIT < weyl_dim(G2, (4, 4))
+    paths, lowered = len(_INTERNED), f_op.cache_info()
+    for make in (
+        lambda: generate_crystal(G2, (4, 4)),
+        lambda: generate_demazure(group, group.identity, (40, 40)),
+        lambda: generate_demazure(group, group.longest(), (4, 4)),
+    ):
+        with pytest.raises(ValueError, match="too large"):
+            make()
+    assert len(_INTERNED) == paths and f_op.cache_info() == lowered
+
+
+def test_non_integral_height_minimum_is_refused():
+    from demtensor.lspath import RawPath
+
+    # the 1-height dips to -1/2 and comes back: no integral path does that
+    dip = RawPath(A2, ((-1, 0), (1, 0)), (F(0), F(1, 2), F(1)))
+    for op in (f_op, e_op):
+        with pytest.raises(AssertionError, match="non-integral minimum"):
+            op(dip, 1)

@@ -305,9 +305,8 @@ def test_size_filtered_search_matches_exhaustive_sweep():
     for grid in default_grids():
         group = weyl_group(grid.rs)
         for lam, mu, v, w in itertools.product(grid.shapes, grid.shapes, group, group):
-            members = tensor_demazure(group, v, w, lam, mu)
             for pi in dominant_paths(group, w, mu, lam):
-                comp = component(group, pi, v, w, lam, mu, members)
+                comp = component(group, pi, v, w, lam, mu)
                 nu = vadd(lam, weight_of(pi))
                 reps = group.minimal_coset_reps(group.stabilizer_indices(nu))
                 sweep = [
@@ -337,3 +336,45 @@ def test_decompose_builds_the_ambient_product_only_when_needed():
     color, string = bad[0].string_violation
     inside = [x for x in string if x in bad[0].elements]
     assert 0 < len(inside) < len(string)
+
+
+def test_stabilizer_intervals_match_fraction_oracle():
+    import path_oracle
+
+    from demtensor.crystal import generate_crystal
+    from demtensor.verify import default_grids, parse_grid
+
+    dominant = 0
+    for grid in default_grids() + [parse_grid("G2:1")]:
+        for lam in [grid.rs.zero()] + list(grid.shapes):
+            for mu in grid.shapes:
+                for pi in generate_crystal(grid.rs, mu):
+                    got = stabilizer_intervals(grid.group, pi, lam)
+                    assert got == path_oracle.stabilizer_intervals(grid.group, pi, lam), (pi, lam)
+                    dominant += pi.is_dominant_for(lam)
+    assert dominant > 100
+
+
+def test_components_never_build_the_product(monkeypatch):
+    import demtensor.decomp as decomp
+
+    def refuse(*args):
+        raise AssertionError("the product set was built")
+
+    monkeypatch.setattr(decomp, "tensor_demazure", refuse)
+    monkeypatch.setattr(decomp, "tensor_product_elements", refuse)
+    report = decompose(WA2, oracle=True, **EX1)
+    assert sorted(len(e.elements) for e in report.entries) == [2, 6, 7]
+    pi = report.entries[0].pi
+    assert path_witness_by_search(WA2, pi, EX1["w"], EX1["mu"], EX1["lam"])
+    assert recursive_component(WA2, pi, el(), 1, EX1["w"], EX1["lam"], EX1["mu"])
+
+
+def test_decompose_checks_disjoint_cover(monkeypatch):
+    import demtensor.decomp as decomp
+
+    paths = dominant_paths(WA2, EX1["w"], EX1["mu"], EX1["lam"])
+    for broken, message in [(paths[:-1], "do not cover"), (paths + paths[:1], "overlap")]:
+        monkeypatch.setattr(decomp, "dominant_paths", lambda *args, got=broken: got)
+        with pytest.raises(decomp.TheoremViolation, match=message):
+            decompose(WA2, **EX1)

@@ -1,10 +1,14 @@
 """LS path representation, validity, weights, dominance, concatenation."""
 
+import itertools
+import math
 from fractions import Fraction
 
+import path_oracle
 import pytest
 
 from demtensor.cartan import root_system, vadd
+from demtensor.crystal import _path_e, _path_f
 from demtensor.lspath import (
     concatenate,
     dominant_representative,
@@ -172,3 +176,90 @@ def test_directly_built_paths_compare_structurally():
     assert twin is not pi and twin == pi and hash(twin) == hash(pi)
     raw = RawPath(A2, ((1, 0),), (F(0), F(1)))
     assert raw == RawPath(A2, ((1, 0),), (0, 1)) and raw != pi
+
+
+# -- integer ticks against the Fraction oracle ----------------------------------
+
+BOUND_ONE = [
+    (rs, shape)
+    for rs in (A2, root_system("B", 2), root_system("C", 3), root_system("G", 2))
+    for shape in itertools.product((0, 1), repeat=rs.rank)
+    if any(shape)
+]
+
+
+def _times(path):
+    """Every breakpoint and every midpoint between two of them."""
+    out = list(path.breaks)
+    out += [(a + b) / 2 for a, b in zip(path.breaks, path.breaks[1:])]
+    return out
+
+
+def _assert_matches_oracle(path):
+    for i in range(1, path.rs.rank + 1):
+        assert path.height_profile(i) == path_oracle.height_profile(path, i)
+        assert _path_f(path, i) == path_oracle.path_f(path, i)
+        assert _path_e(path, i) == path_oracle.path_e(path, i)
+    for t in _times(path):
+        assert path.value_at(t) == path_oracle.value_at(path, t)
+    assert path.endpoint() == path_oracle.value_at(path, 1)
+
+
+@pytest.mark.parametrize("rs, shape", BOUND_ONE, ids=lambda x: str(x))
+def test_operators_match_fraction_oracle(rs, shape):
+    from demtensor.crystal import generate_crystal
+
+    for pi in generate_crystal(rs, shape):
+        _assert_matches_oracle(pi)
+        for lam in (rs.zero(), shape):
+            stays = all(
+                c >= 0 for t in pi.breaks for c in vadd(lam, path_oracle.value_at(pi, t))
+            )
+            assert pi.is_dominant_for(lam) == stays
+
+
+def test_concatenations_match_fraction_oracle():
+    from demtensor.crystal import generate_crystal
+
+    checked = 0
+    for rs in (A2, root_system("B", 2)):
+        fundamentals = [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
+        paths = [pi for lam in fundamentals for pi in generate_crystal(rs, lam)]
+        for a in paths:
+            for b in paths:
+                raw = concatenate(a, b)
+                assert raw == path_oracle.concatenate(a, b)
+                _assert_matches_oracle(raw)
+                checked += 1
+    assert checked == 6 * 6 + 9 * 9
+
+
+def test_interned_paths_are_canonical():
+    from demtensor.crystal import generate_crystal
+    from demtensor.lspath import _INTERNED
+
+    generated = sum(len(generate_crystal(rs, shape)) for rs, shape in BOUND_ONE)
+    assert len(_INTERNED) >= generated
+    for pi in _INTERNED.values():
+        assert math.gcd(pi.den, *pi.ticks) == 1
+        assert pi.breaks == tuple(F(t, pi.den) for t in pi.ticks)
+        scaled = [pi.den * c for t in pi.breaks for c in path_oracle.value_at(pi, t)]
+        if pi.breaks[0] == 0 and pi.breaks[-1] == 1:
+            assert list(pi.marks) == scaled
+        # the integer sort key is the one read off the Fractions
+        assert pi.sort_key()[2] == tuple((b.numerator, b.denominator) for b in pi.breaks)
+
+
+def test_cut_rescales_to_a_new_denominator():
+    from demtensor.crystal import f_op
+
+    # the 2-height of the straight (-5, 3) path of shape (1, 1) in G2 rises by
+    # 3 over the unit interval, so the first lowering cuts at 1/3
+    G2 = root_system("G", 2)
+    x = straight_path(G2, (1, 1), (-5, 3))
+    assert x.den == 1 and x.ticks == (0, 1) and x.marks == (0, 0, -5, 3)
+    y = f_op(x, 2)
+    assert y.directions == ((4, -3), (-5, 3))
+    assert y.den == 3 and y.ticks == (0, 1, 3) and y.marks == (0, 0, 4, -3, -6, 3)
+    assert y.breaks == (F(0), F(1, 3), F(1))
+    assert y is path_oracle.path_f(x, 2)
