@@ -1,4 +1,4 @@
-"""Crystal structure: root operators, tensor rule, graphs, characters.
+"""Crystal structure: root operators, tensor rule, compiled crystals, characters.
 
 The raising/lowering operators act on paths by the cutting construction:
 locate the last (resp. first) time the height function attains its minimum,
@@ -10,6 +10,17 @@ the result's ticks by the least factor that makes it whole.  On ordered
 pairs they act by the tensor rule, choosing the factor from the sign of
 phi(left) - eps(right).  Everything is exact and immutable; operator results
 are memoized since graph searches revisit elements constantly.
+
+Each highest weight crystal B(lam) is generated once in the path model and
+then compiled (`CompiledCrystal`): its elements are numbered 0..n-1 in
+`element_sort_key` order, and per-colour f and e arrays (-1 for the formal
+zero), eps, phi and weight arrays hold the whole structure as integers.  A
+pair (a, b) of B(lam) (x) B(mu) is the code a * |B(mu)| + b (`TensorCodes`),
+and the tensor rule reads phi of the left id against eps of the right one.
+Ids follow the sort order, so code order is the sort order of the pairs and
+the least element of a set is its minimum.  Components, isomorphism tests
+and closures run on these integers (`Subset`); paths and `TensorElement`s
+are decoded only for public return values and output.
 """
 
 from functools import lru_cache
@@ -260,12 +271,10 @@ def reflection_lift(x, i):
 
 def f_string_closure(elements, i):
     """Union of all lowering powers of a set, the formal zero dropped."""
-    out = set()
-    for x in elements:
-        while x is not None:
-            out.add(x)
-            x = f_op(x, i)
-    return out
+    subset = compiled_subset(elements)
+    if not subset.ids:
+        return set()
+    return set(subset.space._decoded(lower_closure(subset.space, subset.ids, i)))
 
 
 # -- graphs ----------------------------------------------------------------------
@@ -298,29 +307,271 @@ class CrystalGraph:
             self._vset = frozenset(self.vertices)
         return self._vset
 
-    def i_strings(self, i):
-        """The partition of the vertex set into i-strings, tops first.
 
-        Only meaningful when the vertex set is closed under the i-operators
-        (full crystals and full products are); checked, not assumed.
+class CompiledCrystal(CrystalGraph):
+    """A generated B(lam) with its elements numbered in sort order.
+
+    `vertices[k]` is the element with id k, `index` maps back, and `top` is
+    the id of the straight path.  Per colour i (at position i - 1), the
+    tuples `f_table` and `e_table` give the id of f_i / e_i of every id, -1
+    for the formal zero, and `eps_table` / `phi_table` its string position;
+    `weights[k]` is the weight of id k.  The tables are checked to be
+    mutually inverse partial maps.  Per-element methods are private, so
+    that the benchmark tracer (perfbench/spans.py), which wraps public
+    callables, does not time each table lookup.
+    """
+
+    def __init__(self, rs, vertices, edges, top):
+        super().__init__(rs, vertices, edges)
+        self.rank = rank = rs.rank
+        self.index = index = {x: k for k, x in enumerate(self.vertices)}
+        self.top = index[top]
+        n = len(self.vertices)
+        f = [[-1] * n for _ in range(rank)]
+        e = [[-1] * n for _ in range(rank)]
+        for (x, i), y in edges.items():
+            f[i - 1][index[x]] = index[y]
+        for k, y in enumerate(self.vertices):
+            for i in range(1, rank + 1):
+                x = e_op(y, i)
+                if x is None:
+                    continue
+                j = index.get(x, -1)
+                if j < 0 or f[i - 1][j] != k:
+                    raise AssertionError("f_%d(e_%d(y)) != y at %r" % (i, i, y))
+                e[i - 1][k] = j
+        eps_t = [[0] * n for _ in range(rank)]
+        phi_t = [[0] * n for _ in range(rank)]
+        for fi, ei, ep, ph in zip(f, e, eps_t, phi_t):
+            for k in range(n):
+                if ei[k] >= 0:
+                    continue
+                string = [k]
+                while fi[string[-1]] >= 0:
+                    string.append(fi[string[-1]])
+                last = len(string) - 1
+                for pos, y in enumerate(string):
+                    ep[y] = pos
+                    ph[y] = last - pos
+        self.f_table = tuple(map(tuple, f))
+        self.e_table = tuple(map(tuple, e))
+        self.eps_table = tuple(map(tuple, eps_t))
+        self.phi_table = tuple(map(tuple, phi_t))
+        self.weights = tuple(weight_of(x) for x in self.vertices)
+        self._step_rows = tuple(
+            tuple(y for fi, ei in zip(f, e) for y in (fi[k], ei[k])) for k in range(n)
+        )
+
+    def __contains__(self, x):
+        return x in self.index
+
+    def _f(self, k, i):
+        return self.f_table[i - 1][k]
+
+    def _steps(self, k):
+        return self._step_rows[k]
+
+    def _weight(self, k):
+        return self.weights[k]
+
+    def _decode(self, k):
+        return self.vertices[k]
+
+    def _decoded(self, ids):
+        vertices = self.vertices
+        return frozenset(vertices[k] for k in ids)
+
+    def _encode(self, x):
+        k = self.index.get(x)
+        if k is None:
+            shape = self.vertices[self.top].shape
+            raise ValueError("%r is not an element of the crystal of %r" % (x, shape))
+        return k
+
+
+class TensorCodes:
+    """B(lam) (x) B(mu) of two compiled crystals, on pair codes.
+
+    The pair of ids (a, b) is the code a * n + b with n = |B(mu)|, so code
+    order is the sort order of the pairs.  The tensor rule reads the tables:
+    f_i acts on the left factor when phi_i(a) > eps_i(b), e_i when
+    phi_i(a) >= eps_i(b), and on the right factor otherwise.
+    """
+
+    __slots__ = ("rs", "rank", "left", "right", "n", "_colours", "_memo")
+
+    def __init__(self, left, right):
+        if left.rs != right.rs:
+            raise ValueError("tensor factors over different root systems")
+        self.rs = left.rs
+        self.rank = left.rank
+        self.left = left
+        self.right = right
+        self.n = len(right.vertices)
+        self._colours = tuple(zip(
+            left.phi_table, right.eps_table,
+            left.f_table, right.f_table, left.e_table, right.e_table,
+        ))
+        self._memo = {}
+
+    def __len__(self):
+        return len(self.left.vertices) * self.n
+
+    def _f(self, c, i):
+        return self._steps(c)[2 * i - 2]
+
+    def _steps(self, c):
+        """[f_1(c), e_1(c), ..., f_r(c), e_r(c)], -1 for the formal zero.
+
+        Memoized per code: the same product is searched for many (v, w).
         """
-        members = self._vertex_set()
-        seen = set()
-        strings = []
-        for x in self.vertices:
-            if x in seen:
-                continue
-            top = emax(x, i)
-            string = [top]
-            y = f_op(top, i)
-            while y is not None:
-                string.append(y)
-                y = f_op(y, i)
-            if any(z not in members for z in string):
-                raise ValueError("vertex set is not closed under color %d" % i)
-            seen.update(string)
-            strings.append(tuple(string))
-        return strings
+        out = self._memo.get(c)
+        if out is not None:
+            return out
+        n = self.n
+        a, b = divmod(c, n)
+        out = []
+        for phi_l, eps_r, fl, fr, el, er in self._colours:
+            balance = phi_l[a] - eps_r[b]
+            if balance > 0:
+                y = fl[a]
+                out.append(y if y < 0 else c + (y - a) * n)
+            else:
+                y = fr[b]
+                out.append(y if y < 0 else c + y - b)
+            if balance >= 0:
+                y = el[a]
+                out.append(y if y < 0 else c + (y - a) * n)
+            else:
+                y = er[b]
+                out.append(y if y < 0 else c + y - b)
+        out = self._memo[c] = tuple(out)
+        return out
+
+    def _weight(self, c):
+        a, b = divmod(c, self.n)
+        return vadd(self.left.weights[a], self.right.weights[b])
+
+    def _decode(self, c):
+        return TensorElement(self.left.vertices[c // self.n], self.right.vertices[c % self.n])
+
+    def _decoded(self, codes):
+        n, lv, rv = self.n, self.left.vertices, self.right.vertices
+        return frozenset(TensorElement(lv[c // n], rv[c % n]) for c in codes)
+
+    def _encode(self, x):
+        return self.left._encode(x.left) * self.n + self.right._encode(x.right)
+
+    def pairs(self, left_ids, right_ids):
+        """The codes of all pairs of the two id sets."""
+        n = self.n
+        return frozenset(a * n + b for a in left_ids for b in right_ids)
+
+
+@lru_cache(maxsize=None)
+def tensor_space(left, right):
+    """The pair codes of the product of two compiled crystals."""
+    return TensorCodes(left, right)
+
+
+class PairBox:
+    """The codes of the pairs with left id in `left` and right id in `right`.
+
+    Membership is tested factor by factor, so the set is never built.
+    """
+
+    __slots__ = ("left", "right", "n")
+
+    def __init__(self, left, right, n):
+        self.left = left
+        self.right = right
+        self.n = n
+
+    def __contains__(self, c):
+        return c // self.n in self.left and c % self.n in self.right
+
+    def __len__(self):
+        return len(self.left) * len(self.right)
+
+
+class Subset:
+    """Part of a compiled space (a crystal on ids, a product on pair codes).
+
+    `ids` is any container of ids whose `in` is membership; searches that
+    enumerate it need a finite iterable such as a frozenset or a range.
+    """
+
+    __slots__ = ("space", "ids")
+
+    def __init__(self, space, ids):
+        self.space = space
+        self.ids = ids
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __contains__(self, x):
+        return x in self.ids
+
+    def elements(self):
+        """The members decoded to crystal elements."""
+        if not self.ids:
+            return frozenset()
+        return self.space._decoded(self.ids)
+
+    def tops(self):
+        """The members that no raising operator keeps inside, in id order."""
+        ids = self.ids
+        if not ids:
+            return []
+        steps = self.space._steps
+        return sorted(x for x in ids if all(y not in ids for y in steps(x)[1::2]))
+
+
+def space_of(x):
+    """The compiled space of a crystal element: its B(lam), or the product
+    of the two crystals of a pair of paths."""
+    if isinstance(x, TensorElement) and isinstance(x.left, LSPath) and isinstance(x.right, LSPath):
+        return tensor_space(space_of(x.left), space_of(x.right))
+    if not isinstance(x, LSPath):
+        raise ValueError("%r is not an element of a generated crystal" % (x,))
+    return generate_crystal(x.rs, x.shape)
+
+
+def compiled_subset(elements):
+    """A set of crystal elements as a Subset of their one compiled space.
+
+    Elements of several crystals have several highest weight vertices, one
+    in each, and are refused as such.
+    """
+    if isinstance(elements, Subset):
+        return elements
+    members = frozenset(elements)
+    spaces = {space_of(x) for x in members}
+    if len(spaces) > 1:
+        raise MultipleHighestWeights(
+            "elements of %d crystals have more than one highest weight vertex" % len(spaces)
+        )
+    if not spaces:
+        return Subset(None, frozenset())
+    space = spaces.pop()
+    return Subset(space, frozenset(map(space._encode, members)))
+
+
+def lower_closure(space, ids, i):
+    """The ids together with all their f_i-powers, the formal zero dropped.
+
+    A walk down a string stops at the first id already taken, whose own
+    string is then walked from it or was walked already.
+    """
+    grown = set(ids)
+    f = space._f
+    for x in ids:
+        x = f(x, i)
+        while x >= 0 and x not in grown:
+            grown.add(x)
+            x = f(x, i)
+    return frozenset(grown)
 
 
 # Largest crystal B(lam) generated by closure; the Weyl dimension formula
@@ -328,22 +579,18 @@ class CrystalGraph:
 CRYSTAL_SIZE_LIMIT = 10000
 
 
-def refuse_oversized(rs, lam):
-    """Raise ValueError when B(lam) has more than CRYSTAL_SIZE_LIMIT elements."""
+@lru_cache(maxsize=None)
+def generate_crystal(rs, lam):
+    """The highest weight crystal of a dominant weight, generated by closure
+    in the path model and compiled to integer tables."""
+    if not rs.is_dominant(lam):
+        raise ValueError("highest weight %r is not dominant" % (lam,))
     size = weyl_dimension(rs, lam)
     if size > CRYSTAL_SIZE_LIMIT:
         raise ValueError(
             "crystal of highest weight %r for %r too large to generate "
             "(%d elements, the limit is %d)" % (tuple(lam), rs, size, CRYSTAL_SIZE_LIMIT)
         )
-
-
-@lru_cache(maxsize=None)
-def generate_crystal(rs, lam):
-    """The highest weight crystal of a dominant weight, generated by closure."""
-    if not rs.is_dominant(lam):
-        raise ValueError("highest weight %r is not dominant" % (lam,))
-    refuse_oversized(rs, lam)
     start = straight_path(rs, lam)
     vertices = {start}
     edges = {}
@@ -366,10 +613,10 @@ def generate_crystal(rs, lam):
                     vertices.add(y)
                     nxt.append(y)
         frontier = nxt
-    graph = CrystalGraph(rs, vertices, edges)
-    if graph.highest_weight_vertices != (start,):
+    crystal = CompiledCrystal(rs, vertices, edges, start)
+    if crystal.highest_weight_vertices != (start,):
         raise AssertionError("B(%r) has a top other than the straight path" % (lam,))
-    return graph
+    return crystal
 
 
 def tensor_product_elements(left_elements, right_elements):
@@ -390,36 +637,49 @@ def graph_on(rs, elements):
     return CrystalGraph(rs, members, edges)
 
 
-def induced_component(rs, seed, members):
-    """Connected component of the induced graph through the seed.
-
-    `members` is any container whose `in` is the membership predicate.
-    """
-    if seed not in members:
-        raise ValueError("seed does not satisfy the membership predicate")
+def _search(space, seed, member):
+    """The ids reachable from the seed by f and e steps through members."""
+    steps = space._steps
     seen = {seed}
     stack = [seed]
     while stack:
-        x = stack.pop()
-        for i in range(1, rs.rank + 1):
-            for y in (f_op(x, i), e_op(x, i)):
-                if y is not None and y in members and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+        for y in steps(stack.pop()):
+            if y >= 0 and y not in seen and member(y):
+                seen.add(y)
+                stack.append(y)
     return frozenset(seen)
+
+
+def induced_component(rs, seed, members):
+    """Connected component of the induced graph through the seed.
+
+    On a `Subset` the seed is an id (or pair code) of its space and so is
+    the result.  Any other `members` is a container of crystal elements
+    whose `in` is the membership predicate; the same integer search then
+    runs on the codes of the seed's compiled space and the result is
+    decoded.
+    """
+    if seed not in members:
+        raise ValueError("seed does not satisfy the membership predicate")
+    if isinstance(members, Subset):
+        return _search(members.space, seed, members.ids.__contains__)
+    space = space_of(seed)
+    decode = space._decode
+    found = _search(space, space._encode(seed), lambda c: decode(c) in members)
+    return space._decoded(found)
 
 
 def components_of(rs, members):
     """All connected components of the induced graph, deterministically ordered."""
-    members = frozenset(members)
-    remaining = set(members)
+    subset = compiled_subset(members)
+    remaining = set(subset.ids)
     out = []
-    for x in sorted(members, key=element_sort_key):
+    for x in sorted(subset.ids):
         if x not in remaining:
             continue
-        comp = induced_component(rs, x, members)
+        comp = induced_component(rs, x, subset)
         remaining -= comp
-        out.append(comp)
+        out.append(subset.space._decoded(comp))
     return out
 
 
@@ -500,71 +760,59 @@ def character(elements):
 # -- isomorphism -------------------------------------------------------------------
 
 
-def _tops(rs, members):
-    return [
-        x
-        for x in members
-        if all(e_op(x, i) not in members for i in range(1, rs.rank + 1))
-    ]
-
-
 def unique_top(rs, elements):
     """The single element of the set that no raising operator stays inside."""
-    tops = _tops(rs, frozenset(elements))
+    subset = compiled_subset(elements)
+    tops = subset.tops()
     if len(tops) != 1:
         raise MultipleHighestWeights(
             "expected a unique highest weight vertex, got %d" % len(tops)
         )
-    return tops[0]
+    return subset.space._decode(tops[0])
 
 
 def is_isomorphic(rs, a_elements, b_elements):
     """Colored, weight-preserving isomorphism of two anchored subcrystals.
 
-    Both inputs must be connected with a unique source; the map is forced by
-    matching sources and propagating along the induced edges in both
-    directions, so existence is decided by a single sweep.
+    Each input is a `Subset` or a set of crystal elements.  Both must be
+    connected with a unique source; the map is forced by matching sources
+    and propagating along the induced edges in both directions, so
+    existence is decided by a single sweep over ids.  Weights need only be
+    compared at the sources: every edge of colour i lowers the weight by
+    the i-th simple root on both sides.
     """
-    a_members = frozenset(a_elements)
-    b_members = frozenset(b_elements)
-    tops_a = _tops(rs, a_members)
-    tops_b = _tops(rs, b_members)
+    a = compiled_subset(a_elements)
+    b = compiled_subset(b_elements)
+    tops_a = a.tops()
+    tops_b = b.tops()
     if len(tops_a) != 1 or len(tops_b) != 1:
         raise MultipleHighestWeights(
             "inputs must have a unique highest weight vertex (got %d and %d)"
             % (len(tops_a), len(tops_b))
         )
-    if len(a_members) != len(b_members):
+    if len(a) != len(b):
         return False
-
-    def step(members, x, i, lower):
-        y = f_op(x, i) if lower else e_op(x, i)
-        return y if (y is not None and y in members) else None
-
+    if a.space._weight(tops_a[0]) != b.space._weight(tops_b[0]):
+        return False
+    a_ids, b_ids = a.ids, b.ids
+    steps_a, steps_b = a.space._steps, b.space._steps
     mapping = {tops_a[0]: tops_b[0]}
     stack = [tops_a[0]]
     while stack:
-        a = stack.pop()
-        b = mapping[a]
-        if weight_of(a) != weight_of(b):
-            return False
-        for i in range(1, rs.rank + 1):
-            for lower in (True, False):
-                ya = step(a_members, a, i, lower)
-                yb = step(b_members, b, i, lower)
-                if (ya is None) != (yb is None):
-                    return False
-                if ya is None:
-                    continue
-                known = mapping.get(ya)
-                if known is None:
-                    mapping[ya] = yb
-                    stack.append(ya)
-                elif known != yb:
-                    return False
-    if len(mapping) != len(a_members) or len(set(mapping.values())) != len(b_members):
-        return False
-    return True
+        x = stack.pop()
+        for xa, yb in zip(steps_a(x), steps_b(mapping[x])):
+            inside_a = xa >= 0 and xa in a_ids
+            if inside_a != (yb >= 0 and yb in b_ids):
+                return False
+            if not inside_a:
+                continue
+            known = mapping.get(xa)
+            if known is None:
+                mapping[xa] = yb
+                stack.append(xa)
+            elif known != yb:
+                return False
+    return len(mapping) == len(a_ids) and len(set(mapping.values())) == len(b_ids)
 
 
 # -- DOT export ---------------------------------------------------------------------

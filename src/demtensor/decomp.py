@@ -10,6 +10,12 @@ obtained by folding a reduced word over the base witness w(pi) with the
 the stabilizer intervals of lam + pi(t) (`path_witness`).  An isomorphism
 search (`path_witness_by_search`) provides an independent oracle for the
 same element, and `decompose` certifies every verdict structurally.
+
+The product B_v(lam) (x) B_w(mu) is never built: a pair is the integer code
+a * |B(mu)| + b of its ids in the compiled crystals, and membership is
+tested factor by factor against the two Demazure id sets.  Components,
+isomorphism certificates, the recursion and the product rule run on these
+codes; `TensorElement`s are decoded only for the values returned.
 """
 
 from functools import lru_cache
@@ -17,24 +23,20 @@ from math import lcm
 
 from .cartan import vadd
 from .crystal import (
-    TensorElement,
+    PairBox,
+    Subset,
+    compiled_subset,
     generate_crystal,
-    element_sort_key,
-    emax,
-    eps,
-    f_op,
-    f_power,
-    f_string_closure,
-    graph_on,
     induced_component,
     is_isomorphic,
-    reflection_lift,
+    lower_closure,
     tensor_product_elements,
+    tensor_space,
     unique_top,
     weight_of,
 )
 from .demazure import check_string_property, generate_demazure
-from .lspath import straight_path
+from .lspath import dominant_walk
 
 
 class TheoremViolation(Exception):
@@ -64,23 +66,24 @@ def dominant_paths(group, w, mu, lam):
 
     These index the connected components; the order is the canonical one.
     """
-    right = generate_demazure(group, w, mu)
-    out = [pi for pi in right if pi.is_dominant_for(lam)]
-    out.sort(key=element_sort_key)
-    return out
+    return [pi for pi in generate_demazure(group, w, mu) if pi.is_dominant_for(lam)]
 
 
-class _ProductMembers:
-    """Membership in B_v(lam) (x) B_w(mu), tested factor by factor."""
+def _product(group, v, w, lam, mu):
+    """B_v(lam) (x) B_w(mu) as a Subset of pair codes, tested factor by factor."""
+    left = generate_demazure(group, v, lam).subset
+    right = generate_demazure(group, w, mu).subset
+    space = tensor_space(left.space, right.space)
+    return Subset(space, PairBox(left.ids, right.ids, space.n))
 
-    __slots__ = ("left", "right")
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def __contains__(self, pair):
-        return pair.left in self.left and pair.right in self.right
+def _component_codes(product, pi):
+    """Pair codes of the component of (top path, pi) inside the product."""
+    space = product.space
+    b = space.right.index.get(pi, -1)
+    if b < 0 or b not in product.ids.right:
+        raise AssertionError("pi is not an element of the right Demazure factor")
+    return induced_component(space.rs, space.left.top * space.n + b, product)
 
 
 def component(group, pi, v, w, lam, mu):
@@ -89,21 +92,8 @@ def component(group, pi, v, w, lam, mu):
     Membership in the product is tested on the two cached Demazure
     crystals, so the product set itself is never built.
     """
-    members = _ProductMembers(
-        generate_demazure(group, v, lam).elements, generate_demazure(group, w, mu).elements
-    )
-    seed = TensorElement(straight_path(group.rs, lam), pi)
-    if seed not in members:
-        raise ValueError("pi is not an element of the right Demazure factor")
-    return induced_component(group.rs, seed, members)
-
-
-@lru_cache(maxsize=None)
-def full_tensor_graph(rs, lam, mu):
-    """The product of the two full crystals with its induced (complete) graph."""
-    left = generate_crystal(rs, lam)
-    right = generate_crystal(rs, mu)
-    return graph_on(rs, tensor_product_elements(left.vertices, right.vertices))
+    product = _product(group, v, w, lam, mu)
+    return product.space._decoded(_component_codes(product, pi))
 
 
 # -- the decomposition condition ---------------------------------------------------
@@ -171,11 +161,15 @@ def stabilizer_intervals(group, pi, lam):
 
 
 def _orbit_transport(group, mu, target):
-    """Some group element sending mu to the orbit point target."""
-    for u in group.elements:
-        if group.apply(u, mu) == target:
-            return u
-    raise ValueError("%r is not in the orbit of %r" % (target, mu))
+    """The minimal group element sending mu to the orbit point target.
+
+    `dominant_walk` walks target up to its dominant form, which must be mu;
+    its word is a reduced word of the minimal coset representative.
+    """
+    shape, word = dominant_walk(group, target)
+    if shape != tuple(mu):
+        raise AssertionError("%r is not in the orbit of %r" % (target, mu))
+    return group.from_word(word)
 
 
 def path_witness(group, pi, w, mu, lam):
@@ -194,9 +188,7 @@ def path_witness(group, pi, w, mu, lam):
     for k in range(q, 1, -1):
         wj = group.coset_bruhat_max(group.parabolic(Js[k - 1]), wj)
     first = group.parabolic(Js[0])
-    tau1 = group.coset_min_weight(
-        _orbit_transport(group, mu, pi.initial_direction()), mu
-    )
+    tau1 = _orbit_transport(group, mu, pi.initial_direction())
     wfloor = group.coset_min_weight(w, mu)
     admissible = [
         u
@@ -208,6 +200,14 @@ def path_witness(group, pi, w, mu, lam):
     return group.bruhat_max(final)
 
 
+@lru_cache(maxsize=None)
+def _demazure_crystals(group, nu):
+    """(x, B_x(nu)) for every minimal coset representative x modulo the
+    stabilizer of nu."""
+    reps = group.minimal_coset_reps(group.stabilizer_indices(nu))
+    return tuple((x, generate_demazure(group, x, nu)) for x in reps)
+
+
 def demazure_matches(group, comp, nu):
     """The minimal coset representatives x whose Demazure crystal B_x(nu) is
     isomorphic to the component.
@@ -215,21 +215,23 @@ def demazure_matches(group, comp, nu):
     Isomorphic crystals have the same size, so only the crystals with the
     component's size go to `is_isomorphic`, which checks the unique top of
     both sides.  When no crystal has that size, the component's unique top
-    is checked here instead.
+    is checked here instead.  The component is a `Subset` of pair codes or
+    a set of crystal elements.
     """
     rs = group.rs
-    reps = group.minimal_coset_reps(group.stabilizer_indices(nu))
-    crystals = [(x, generate_demazure(group, x, nu)) for x in reps]
-    candidates = [(x, crystal) for x, crystal in crystals if len(crystal) == len(comp)]
+    comp = compiled_subset(comp)
+    candidates = [(x, crystal) for x, crystal in _demazure_crystals(group, nu)
+                  if len(crystal) == len(comp)]
     if not candidates:
         unique_top(rs, comp)
-    return [x for x, crystal in candidates if is_isomorphic(rs, comp, crystal.elements)]
+    return [x for x, crystal in candidates if is_isomorphic(rs, comp, crystal.subset)]
 
 
 def path_witness_by_search(group, pi, w, mu, lam):
     """Independent oracle: identify the component of (top, pi) by direct
     isomorphism search over the minimal coset representatives."""
-    comp = component(group, pi, group.identity, w, lam, mu)
+    product = _product(group, group.identity, w, lam, mu)
+    comp = Subset(product.space, _component_codes(product, pi))
     matches = demazure_matches(group, comp, vadd(lam, weight_of(pi)))
     if len(matches) != 1:
         raise NoDemazureMatch(
@@ -291,27 +293,39 @@ def lifted_witness(group, pi, v, w, lam, mu, word=None, oracle=False):
 
 
 class DecompositionEntry:
-    """One component: its indexing path, elements, and certified verdict."""
+    """One component: its indexing path, elements, and certified verdict.
+
+    `component` is the Subset of pair codes; `elements` decodes it to
+    `TensorElement`s on first use.
+    """
 
     __slots__ = (
         "pi",
-        "elements",
+        "component",
         "shifted_shape",
         "demazure",
         "witness",
         "expected_witness",
         "string_violation",
+        "_elements",
     )
 
-    def __init__(self, pi, elements, shifted_shape, demazure, witness,
+    def __init__(self, pi, component, shifted_shape, demazure, witness,
                  expected_witness, string_violation):
         self.pi = pi
-        self.elements = elements
+        self.component = component
+        self._elements = None
         self.shifted_shape = shifted_shape
         self.demazure = demazure
         self.witness = witness
         self.expected_witness = expected_witness
         self.string_violation = string_violation
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = self.component.elements()
+        return self._elements
 
 
 class DecompositionReport:
@@ -341,9 +355,10 @@ def decompose(group, v, w, lam, mu, oracle=False):
     """Split the product into components and certify each verdict.
 
     Every component is tested for isomorphism with the Demazure crystals of
-    the matching highest weight; a failed search is certified by a string
-    property violation in the ambient full product, which is built only
-    then.  The components must be disjoint with sizes adding up to
+    the matching highest weight; a failed search is certified by an i-string
+    through the component that meets it in more than its top but not in
+    full.  Components are searched on pair codes and decoded for the
+    report.  They must be disjoint with sizes adding up to
     |B_v(lam)| * |B_w(mu)|, so they cover the product without the product
     set being built.  The biconditional between the group condition and
     all-verdicts-positive is enforced, and under the condition the verdict
@@ -353,13 +368,14 @@ def decompose(group, v, w, lam, mu, oracle=False):
     if not (rs.is_dominant(lam) and rs.is_dominant(mu)):
         raise ValueError("shapes must be dominant")
     cond = condition_check(group, v, w, lam, mu)
+    product = _product(group, v, w, lam, mu)
     entries = []
     covered = set()
     for pi in dominant_paths(group, w, mu, lam):
-        comp = component(group, pi, v, w, lam, mu)
-        if not covered.isdisjoint(comp):
+        comp = Subset(product.space, _component_codes(product, pi))
+        if not covered.isdisjoint(comp.ids):
             raise TheoremViolation("components indexed by dominant paths overlap")
-        covered |= comp
+        covered |= comp.ids
         nu = vadd(lam, weight_of(pi))
         matches = demazure_matches(group, comp, nu)
         if len(matches) > 1:
@@ -383,13 +399,12 @@ def decompose(group, v, w, lam, mu, oracle=False):
                 raise TheoremViolation(
                     "condition holds but the component of %r is not Demazure" % (pi,)
                 )
-            violation = check_string_property(comp, full_tensor_graph(rs, lam, mu))
+            violation = check_string_property(comp)
             entries.append(
                 DecompositionEntry(pi, comp, nu, False, None, expected, violation)
             )
     # disjoint components inside the product cover it when their sizes add up
-    product_size = len(generate_demazure(group, v, lam)) * len(generate_demazure(group, w, mu))
-    if len(covered) != product_size:
+    if len(covered) != len(product):
         raise TheoremViolation("dominant-path components do not cover the product")
     if cond != all(entry.demazure for entry in entries):
         raise TheoremViolation(
@@ -403,15 +418,25 @@ def decompose(group, v, w, lam, mu, oracle=False):
 
 def closure_product(group, word, w, lam, mu):
     """Close (top of lam) x (crystal of w, mu) under lowering strings of a word."""
-    right = generate_demazure(group, w, mu)
-    top = straight_path(group.rs, lam)
-    current = {TensorElement(top, b) for b in right.elements}
+    right = generate_demazure(group, w, mu).subset
+    left = generate_crystal(group.rs, tuple(lam))
+    space = tensor_space(left, right.space)
+    current = space.pairs((left.top,), right.ids)
     for i in reversed(word):
-        current = f_string_closure(current, i)
-    return frozenset(current)
+        current = lower_closure(space, current, i)
+    return space._decoded(current)
 
 
 # -- the recursion formula -------------------------------------------------------------
+
+
+def _f_power(table, x, m):
+    """m steps down a string in an f array; -1 once it runs off the end."""
+    for _ in range(m):
+        if x < 0:
+            break
+        x = table[x]
+    return x
 
 
 def recursive_component(group, pi, v, i, w, lam, mu):
@@ -421,51 +446,80 @@ def recursive_component(group, pi, v, i, w, lam, mu):
     whose right factor has been lowered out of the right Demazure crystal;
     those are exactly the fully lowered left factors against the escaped
     lowerings of the right factors.  The result is asserted against the
-    directly computed component.
+    directly computed component.  All of it runs on pair codes.
     """
     rs = group.rs
     si = group.simple(i)
     if group.length(group.multiply(si, v)) <= group.length(v):
         raise ValueError("the color must increase the length of v")
-    comp = component(group, pi, v, w, lam, mu)
-    grown = f_string_closure(comp, i)
-    right = generate_demazure(group, w, mu)
+    product = _product(group, v, w, lam, mu)
+    space, right_ids = product.space, product.ids.right
+    left, right, n = space.left, space.right, space.n
+    fl, fr = left.f_table[i - 1], right.f_table[i - 1]
+    comp = _component_codes(product, pi)
+    grown = lower_closure(space, comp, i)
     removed = set()
-    for pair in comp:
-        p1, p2 = pair.left, pair.right
-        if eps(p1, i) != 0:
+    for c in comp:
+        a, b = divmod(c, n)
+        if left.eps_table[i - 1][a] != 0:
             continue
-        fp2 = f_op(p2, i)
-        if fp2 is None or fp2 in right:
+        fb = fr[b]
+        if fb < 0 or fb in right_ids:
             continue
-        left = f_power(p1, i, rs.pairing(weight_of(p1), i))
-        bound = rs.pairing(weight_of(p2), i)
-        for b in range(1, bound + 1):
-            lowered = f_power(p2, i, b)
-            if lowered is None:
-                raise AssertionError("f_%d^%d vanishes on %r within its string" % (i, b, p2))
-            removed.add(TensorElement(left, lowered))
-    result = frozenset(grown - removed)
-    expected = component(group, pi, group.multiply(si, v), w, lam, mu)
+        lowered_left = _f_power(fl, a, rs.pairing(left.weights[a], i))
+        if lowered_left < 0:
+            raise AssertionError("f_%d vanishes on %r within its string" % (i, left.vertices[a]))
+        for k in range(1, rs.pairing(right.weights[b], i) + 1):
+            lowered = _f_power(fr, b, k)
+            if lowered < 0:
+                raise AssertionError(
+                    "f_%d^%d vanishes on %r within its string" % (i, k, right.vertices[b])
+                )
+            removed.add(lowered_left * n + lowered)
+    result = grown - removed
+    expected = _component_codes(_product(group, group.multiply(si, v), w, lam, mu), pi)
     if result != expected:
         raise TheoremViolation(
             "recursion formula disagrees with the direct component on %r" % (pi,)
         )
-    return result
+    return space._decoded(result)
 
 
 # -- the product rule for lowering closures ----------------------------------------------
 
 
 class LeibnizResult:
-    __slots__ = ("lhs", "first", "second", "equal", "disjoint")
+    """Both sides of the product rule with their two verdicts.
 
-    def __init__(self, lhs, first, second):
-        self.lhs = lhs
-        self.first = first
-        self.second = second
+    The sides are pair codes of `space`, compared there; `lhs`, `first`
+    and `second` decode them on first use.
+    """
+
+    __slots__ = ("space", "codes", "equal", "disjoint", "_decoded")
+
+    def __init__(self, space, lhs, first, second):
+        self.space = space
+        self.codes = (lhs, first, second)
         self.disjoint = not (first & second)
         self.equal = lhs == (first | second)
+        self._decoded = None
+
+    def _sides(self):
+        if self._decoded is None:
+            self._decoded = tuple(self.space._decoded(side) for side in self.codes)
+        return self._decoded
+
+    @property
+    def lhs(self):
+        return self._sides()[0]
+
+    @property
+    def first(self):
+        return self._sides()[1]
+
+    @property
+    def second(self):
+        return self._sides()[2]
 
 
 def leibniz_check(group, v, w, lam, mu, i):
@@ -476,17 +530,24 @@ def leibniz_check(group, v, w, lam, mu, i):
     against the freshly grown part of the right factor; the two parts are
     disjoint.
     """
+    rs = group.rs
     si = group.simple(i)
     if group.length(group.multiply(si, v)) <= group.length(v):
         raise ValueError("the color must increase the length of v")
-    left = generate_demazure(group, v, lam)
-    right = generate_demazure(group, w, mu)
-    prod = tensor_product_elements(left.elements, right.elements)
-    lhs = frozenset(f_string_closure(prod, i))
-    grown_left = generate_demazure(group, group.multiply(si, v), lam)
-    first = tensor_product_elements(grown_left.elements, right.elements)
-    lifted_tops = {reflection_lift(emax(b, i), i) for b in left.elements}
-    grown_right = generate_demazure(group, group.multiply(si, w), mu)
-    fresh_right = grown_right.elements - right.elements
-    second = tensor_product_elements(lifted_tops, fresh_right)
-    return LeibnizResult(lhs, first, second)
+    left = generate_demazure(group, v, lam).subset
+    right = generate_demazure(group, w, mu).subset
+    space = tensor_space(left.space, right.space)
+    lhs = lower_closure(space, space.pairs(left.ids, right.ids), i)
+    grown_left = generate_demazure(group, group.multiply(si, v), lam).subset
+    first = space.pairs(grown_left.ids, right.ids)
+    crystal = left.space
+    e, f = crystal.e_table[i - 1], crystal.f_table[i - 1]
+    lifted_tops = set()
+    for b in left.ids:
+        while e[b] >= 0:
+            b = e[b]
+        # at the top of its string the pairing is phi, so the lift is f^phi
+        lifted_tops.add(_f_power(f, b, rs.pairing(crystal.weights[b], i)))
+    grown_right = generate_demazure(group, group.multiply(si, w), mu).subset
+    second = space.pairs(lifted_tops, grown_right.ids - right.ids)
+    return LeibnizResult(space, lhs, first, second)

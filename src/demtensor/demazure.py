@@ -2,39 +2,56 @@
 
 A Demazure crystal is generated from the straight dominant path by closing
 under one lowering operator at a time along a reduced word, processed right
-to left.  Its element set only depends on the coset of the word's element
-modulo the shape stabilizer, so the stored witness is always the minimal
-coset representative, making equality of generated crystals decidable by
-(shape, witness).  Membership is equivalently the initial-direction test
-against the orbit order, which is what `contains` uses.
+to left.  The closure runs on the ids of the compiled crystal B(lam): a
+Demazure crystal is a frozenset of ids, closed along its witness word on
+the f arrays, and its paths are decoded only when `elements` is read.  Its
+element set only depends on the coset of the word's element modulo the
+shape stabilizer, so the stored witness is always the minimal coset
+representative, making equality of generated crystals decidable by
+(shape, witness).  Crystals are cached by witness and looked up by group
+element, so the coset query runs once per (element, shape).  Membership is
+equivalently the initial-direction test against the orbit order, which is
+what `contains` uses.
 """
 
 from functools import lru_cache
 
 from .crystal import (
-    element_sort_key,
+    Subset,
+    compiled_subset,
     emax,
     eps,
     f_op,
     f_string_closure,
-    refuse_oversized,
-    unique_top,
+    generate_crystal,
+    lower_closure,
 )
 from .lspath import straight_path
 from .weyl import weyl_group
 
 
 class DemazureCrystal:
-    """A generated Demazure crystal with its canonical witness."""
+    """A generated Demazure crystal with its canonical witness.
 
-    __slots__ = ("rs", "shape", "witness", "elements", "reduced_word_used")
+    `subset` holds its ids in the compiled B(shape); `elements` decodes them
+    to paths on first use.
+    """
 
-    def __init__(self, rs, shape, witness, elements, reduced_word_used):
+    __slots__ = ("rs", "shape", "witness", "subset", "reduced_word_used", "_elements")
+
+    def __init__(self, rs, shape, witness, subset, reduced_word_used):
         self.rs = rs
         self.shape = shape
         self.witness = witness
-        self.elements = frozenset(elements)
+        self.subset = subset
         self.reduced_word_used = reduced_word_used
+        self._elements = None
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = self.subset.elements()
+        return self._elements
 
     def __eq__(self, other):
         return (
@@ -47,10 +64,11 @@ class DemazureCrystal:
         return hash((self.shape, self.witness))
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.subset)
 
     def __iter__(self):
-        return iter(sorted(self.elements, key=element_sort_key))
+        vertices = self.subset.space.vertices
+        return iter([vertices[k] for k in sorted(self.subset.ids)])
 
     def __contains__(self, x):
         return x in self.elements
@@ -59,35 +77,45 @@ class DemazureCrystal:
         return "DemazureCrystal(shape=%r, witness=%r, size=%d)" % (
             self.shape,
             self.witness,
-            len(self.elements),
+            len(self.subset),
         )
+
+
+def _word_closure(crystal, word):
+    """The ids of the Demazure crystal of a word, closed right to left."""
+    ids = frozenset([crystal.top])
+    for i in reversed(word):
+        ids = lower_closure(crystal, ids, i)
+    return ids
 
 
 def demazure_elements_for_word(rs, word, lam):
     """Close the straight path under lowering strings along the word, right to left."""
-    current = {straight_path(rs, lam)}
-    for i in reversed(word):
-        current = f_string_closure(current, i)
-    return frozenset(current)
+    crystal = generate_crystal(rs, tuple(lam))
+    return crystal._decoded(_word_closure(crystal, word))
 
 
 @lru_cache(maxsize=None)
 def _generate_demazure_cached(group, witness, lam):
-    refuse_oversized(group.rs, lam)
-    elements = demazure_elements_for_word(group.rs, witness.word, lam)
-    if unique_top(group.rs, elements) != straight_path(group.rs, lam):
+    crystal = generate_crystal(group.rs, lam)
+    subset = Subset(crystal, _word_closure(crystal, witness.word))
+    if subset.tops() != [crystal.top]:
         raise AssertionError(
             "the Demazure crystal of %r has a top other than the straight path" % (witness,)
         )
-    return DemazureCrystal(group.rs, lam, witness, elements, witness.word)
+    return DemazureCrystal(group.rs, lam, witness, subset, witness.word)
+
+
+@lru_cache(maxsize=None)
+def _demazure_of_element(group, w, lam):
+    if not group.rs.is_dominant(lam):
+        raise ValueError("Demazure crystals need a dominant shape")
+    return _generate_demazure_cached(group, group.coset_min_weight(w, lam), lam)
 
 
 def generate_demazure(group, w, lam):
     """The Demazure crystal of w and a dominant shape, canonically witnessed."""
-    if not group.rs.is_dominant(lam):
-        raise ValueError("Demazure crystals need a dominant shape")
-    witness = group.coset_min_weight(w, lam)
-    return _generate_demazure_cached(group, witness, lam)
+    return _demazure_of_element(group, w, tuple(lam))
 
 
 def contains(pi, w, lam):
@@ -142,19 +170,44 @@ def f_closure(group, demazure, k):
     return expected
 
 
-def check_string_property(demazure, ambient):
+def check_string_property(subset):
     """Every i-string of the ambient crystal meets the subset in nothing,
     its top element, or the whole string; returns None or a counterexample.
+
+    The subset is a DemazureCrystal, a `Subset` or a set of crystal
+    elements.  Only a string through a member can break the property, and
+    it does exactly when one of its members other than the top has a
+    neighbour on the string outside the subset.  So each colour, in
+    increasing order, is one pass over the members; the strings through
+    the members found there are walked (up to the top, then down by f),
+    and the one whose least element comes first in `element_sort_key`
+    order (the least id or pair code) is returned as (colour, string from
+    the top down), decoded.
     """
-    members = demazure.elements if isinstance(demazure, DemazureCrystal) else frozenset(demazure)
-    for i in range(1, ambient.rs.rank + 1):
-        for string in ambient.i_strings(i):
-            got = [x for x in string if x in members]
-            if not got:
+    if isinstance(subset, DemazureCrystal):
+        subset = subset.subset
+    subset = compiled_subset(subset)
+    ids, space = subset.ids, subset.space
+    if not ids:
+        return None
+    steps = space._steps
+    for i in range(1, space.rank + 1):
+        down, up = 2 * i - 2, 2 * i - 1
+        strings = {}
+        for x in ids:
+            near = steps(x)
+            # a top, or a member with both string neighbours inside
+            if near[up] < 0 or (near[up] in ids and (near[down] < 0 or near[down] in ids)):
                 continue
-            if len(got) == len(string):
-                continue
-            if len(got) == 1 and got[0] == string[0]:
-                continue
-            return (i, string)
+            while near[up] >= 0:
+                x = near[up]
+                near = steps(x)
+            if x not in strings:
+                string = strings[x] = [x]
+                while near[down] >= 0:
+                    string.append(near[down])
+                    near = steps(near[down])
+        if strings:
+            worst = min(strings.values(), key=min)
+            return (i, tuple(space._decode(y) for y in worst))
     return None

@@ -10,6 +10,7 @@ import itertools
 
 from .cartan import root_system, vadd, weyl_dimension
 from .crystal import (
+    Subset,
     TensorElement,
     character,
     e_op,
@@ -18,6 +19,7 @@ from .crystal import (
     induced_component,
     is_isomorphic,
     tensor_product_elements,
+    tensor_space,
     weight_of,
 )
 from .decomp import (
@@ -43,7 +45,7 @@ from .keypoly import (
     demazure_operator_word,
     product_report,
 )
-from .lspath import concatenate, straight_path
+from .lspath import concatenate
 from .weyl import weyl_group
 
 
@@ -106,9 +108,8 @@ def _ascent_pairs(group):
 def suite_string_property(grid):
     """Every Demazure crystal of the grid meets every string correctly."""
     for lam in grid.shapes:
-        ambient = generate_crystal(grid.rs, lam)
         for w in grid.group:
-            hit = check_string_property(generate_demazure(grid.group, w, lam), ambient)
+            hit = check_string_property(generate_demazure(grid.group, w, lam))
             if hit is not None:
                 return "string property fails for w=%r lam=%r color=%d" % (w, lam, hit[0])
     return None
@@ -187,20 +188,21 @@ def suite_full_tensor_partition(grid):
         for mu in grid.shapes:
             left = generate_crystal(grid.rs, lam)
             right = generate_crystal(grid.rs, mu)
-            members = tensor_product_elements(left.vertices, right.vertices)
-            top = straight_path(grid.rs, lam)
+            space = tensor_space(left, right)
+            members = Subset(space, range(len(space)))
             covered = set()
-            for pi in right:
+            for b, pi in enumerate(right):
                 if not pi.is_dominant_for(lam):
                     continue
-                comp = induced_component(grid.rs, TensorElement(top, pi), members)
+                comp = induced_component(grid.rs, left.top * space.n + b, members)
                 if covered & comp:
                     return "components overlap at %r" % (pi,)
                 covered |= comp
                 target = generate_crystal(grid.rs, vadd(lam, weight_of(pi)))
-                if not is_isomorphic(grid.rs, comp, frozenset(target.vertices)):
+                whole = Subset(target, range(len(target)))
+                if not is_isomorphic(grid.rs, Subset(space, comp), whole):
                     return "component of %r is not the full crystal of its weight" % (pi,)
-            if covered != members:
+            if len(covered) != len(members):
                 return "dominant paths miss part of the product at %r,%r" % (lam, mu)
     return None
 

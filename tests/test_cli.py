@@ -203,13 +203,16 @@ def test_decompose_output_unchanged_under_optimize():
     ids=lambda failure: failure.__name__,
 )
 def test_structural_failures_exit_two(monkeypatch, capsys, failure):
-    from demtensor import crystal
+    from demtensor import crystal, demazure
 
     def broken(path, i):
         raise failure("injected at color %d" % i)
 
     monkeypatch.setattr(crystal, "_path_f", broken)
-    crystal.f_op.cache_clear()
+    # path operators run only while a crystal is generated and compiled
+    for cached in (crystal.f_op, crystal.generate_crystal,
+                   demazure._generate_demazure_cached, demazure._demazure_of_element):
+        cached.cache_clear()
     code = main(["decompose", *EX1])
     captured = capsys.readouterr()
     assert code == 2
@@ -230,3 +233,40 @@ def test_oversized_crystal_exits_one_quickly(capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "too large" in captured.err
     assert elapsed < 1.0
+
+
+def test_orbit_miss_is_structural(monkeypatch, capsys):
+    import demtensor.decomp as decomp
+    from demtensor.cartan import root_system
+    from demtensor.weyl import weyl_group
+
+    group = weyl_group(root_system("A", 2))
+    with pytest.raises(AssertionError, match="not in the orbit"):
+        decomp._orbit_transport(group, (1, 0), (0, 1))
+    # a walk that ends anywhere but mu is an internal fault: exit 2
+    monkeypatch.setattr(decomp, "dominant_walk", lambda group, x: ((9, 9), ()))
+    code = main(["decompose", *EX1])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("structural failure: ") and "not in the orbit" in captured.err
+
+
+def test_dominant_path_outside_the_right_factor_is_structural(monkeypatch, capsys):
+    import demtensor.decomp as decomp
+    from demtensor.cartan import root_system
+    from demtensor.crystal import f_op
+    from demtensor.lspath import straight_path
+    from demtensor.weyl import weyl_group
+
+    A2 = root_system("A", 2)
+    group = weyl_group(A2)
+    lowered = f_op(straight_path(A2, (1, 0)), 1)  # in B(1,0), not in B_e(1,0)
+    with pytest.raises(AssertionError, match="right Demazure factor"):
+        decomp.component(group, lowered, group.identity, group.identity, (1, 1), (1, 0))
+    # a dominant path of another shape is not in the right factor either: exit 2
+    monkeypatch.setattr(decomp, "dominant_paths", lambda *args: [straight_path(A2, (0, 1))])
+    code = main(["decompose", *EX1])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("structural failure: pi is not an element of the right")
+    assert captured.err.count("\n") == 1

@@ -1,5 +1,6 @@
 """Root operators, tensor rule, crystal generation, characters, isomorphism."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from demtensor.crystal import (
     character,
     components_of,
     e_op,
+    element_sort_key,
     emax,
     eps,
     f_op,
@@ -291,18 +293,6 @@ def test_graph_on_and_dot_determinism():
     assert "label=1" in dot1 and "label=2" in dot1
 
 
-def test_i_strings_partition():
-    crystal = generate_crystal(A2, (1, 1))
-    for i in (1, 2):
-        strings = crystal.i_strings(i)
-        seen = [x for s in strings for x in s]
-        assert len(seen) == len(set(seen)) == len(crystal)
-        for s in strings:
-            assert e_op(s[0], i) is None
-            for a, b in zip(s, s[1:]):
-                assert f_op(a, i) == b
-
-
 def enumerate_valid_paths(rs, lam):
     """Brute-force oracle: every normal-form path satisfying the validity
     clauses, built from explicit direction chains and candidate breakpoints."""
@@ -440,3 +430,141 @@ def test_non_integral_height_minimum_is_refused():
     for op in (f_op, e_op):
         with pytest.raises(AssertionError, match="non-integral minimum"):
             op(dip, 1)
+
+
+# -- compiled crystals -------------------------------------------------------------
+
+C3 = root_system("C", 3)
+
+
+def bound_one_shapes(rs):
+    return [lam for lam in itertools.product((0, 1), repeat=rs.rank) if any(lam)]
+
+
+@pytest.mark.parametrize("rs", [A2, B2, C3, G2], ids=["A2", "B2", "C3", "G2"])
+def test_compiled_tables_match_the_path_model(rs):
+    for lam in bound_one_shapes(rs):
+        crystal = generate_crystal(rs, lam)
+        assert list(crystal.vertices) == sorted(crystal.vertices, key=element_sort_key)
+        assert crystal.vertices[crystal.top] == straight_path(rs, lam)
+        for k, x in enumerate(crystal.vertices):
+            assert crystal.index[x] == k
+            assert crystal.weights[k] == weight_of(x)
+            for i in range(1, rs.rank + 1):
+                for table, op in ((crystal.f_table, f_op), (crystal.e_table, e_op)):
+                    y = op(x, i)
+                    assert table[i - 1][k] == (-1 if y is None else crystal.index[y])
+                assert crystal.eps_table[i - 1][k] == eps(x, i)
+                assert crystal.phi_table[i - 1][k] == phi(x, i)
+
+
+@pytest.mark.parametrize("rs", [A2, B2], ids=["A2", "B2"])
+def test_pair_codes_follow_the_tensor_rule(rs):
+    from demtensor.crystal import tensor_space
+
+    fundamentals = [tuple(int(c == k) for c in range(rs.rank)) for k in range(rs.rank)]
+    for lam, mu in itertools.product(fundamentals, repeat=2):
+        left, right = generate_crystal(rs, lam), generate_crystal(rs, mu)
+        space = tensor_space(left, right)
+        codes = range(len(left) * len(right))
+        for c in codes:
+            pair = TensorElement(left.vertices[c // space.n], right.vertices[c % space.n])
+            assert space._decode(c) == pair and space._encode(pair) == c
+            steps = space._steps(c)
+            for i in range(1, rs.rank + 1):
+                for k, op in enumerate((f_op, e_op)):
+                    y = op(pair, i)
+                    assert steps[2 * i - 2 + k] == (-1 if y is None else space._encode(y))
+                assert space._f(c, i) == steps[2 * i - 2]
+        # ids follow the sort order, so codes do too
+        assert sorted(codes, key=lambda c: element_sort_key(space._decode(c))) == list(codes)
+
+
+def stembridge_check(rs, E, F, EPS, PHI):
+    """Stembridge's local axioms for simply-laced crystals (Trans. AMS 355,
+    2003, axioms P3-P6 and P5'-P6'), read off the compiled tables.
+
+    For an edge y = e_i(x), Delta_i delta_j(x) = eps_j(x) - eps_j(y) and
+    Delta_i phi_j(x) = phi_j(y) - phi_j(x); for an edge x = f_i(y),
+    nabla_i phi_j(y) = phi_j(y) - phi_j(x) and nabla_i delta_j(y) =
+    eps_j(x) - eps_j(y).  The arguments are the root system and the e, f,
+    eps and phi tables, one per colour.  Returns the violations found and
+    how often each axiom's hypothesis held, so that no axiom passes
+    vacuously.
+    """
+    n = len(E[0])
+    violations, fired = [], dict.fromkeys(("P3", "P4", "P5", "P6", "P5'", "P6'"), 0)
+
+    def e(x, *colours):
+        for i in reversed(colours):
+            x = E[i][x] if x >= 0 else -1
+        return x
+
+    def f(x, *colours):
+        for i in reversed(colours):
+            x = F[i][x] if x >= 0 else -1
+        return x
+
+    def delta(x, i, j):
+        """Delta_i delta_j(x), for e_i(x) defined."""
+        return EPS[j][x] - EPS[j][E[i][x]]
+
+    def nabla(y, i, j):
+        """nabla_i phi_j(y), for f_i(y) defined."""
+        return PHI[j][y] - PHI[j][F[i][y]]
+
+    def check(axiom, x, i, j, holds):
+        fired[axiom] += 1
+        if not holds:
+            violations.append("%s at %d, colours %d, %d" % (axiom, x, i + 1, j + 1))
+
+    for x in range(n):
+        for i, j in itertools.permutations(range(rs.rank), 2):
+            if E[i][x] >= 0:
+                d_delta, d_phi = delta(x, i, j), PHI[j][E[i][x]] - PHI[j][x]
+                check("P3", x, i, j, d_delta + d_phi == rs.cartan[i][j])
+                check("P4", x, i, j, d_delta <= 0 and d_phi <= 0)
+            if E[i][x] >= 0 and E[j][x] >= 0:
+                if delta(x, i, j) == 0:
+                    y = e(x, i, j)
+                    check("P5", x, i, j, y >= 0 and y == e(x, j, i) and nabla(y, j, i) == 0)
+                if delta(x, i, j) == delta(x, j, i) == -1:
+                    y = e(x, i, j, j, i)
+                    check("P6", x, i, j, y >= 0 and y == e(x, j, i, i, j)
+                          and nabla(y, i, j) == nabla(y, j, i) == -1)
+            if F[i][x] >= 0 and F[j][x] >= 0:
+                if nabla(x, i, j) == 0:
+                    y = f(x, i, j)
+                    check("P5'", x, i, j, y >= 0 and y == f(x, j, i) and delta(y, j, i) == 0)
+                if nabla(x, i, j) == nabla(x, j, i) == -1:
+                    y = f(x, i, j, j, i)
+                    check("P6'", x, i, j, y >= 0 and y == f(x, j, i, i, j)
+                          and delta(y, i, j) == delta(y, j, i) == -1)
+    return violations, fired
+
+
+def tables(crystal):
+    return crystal.rs, crystal.e_table, crystal.f_table, crystal.eps_table, crystal.phi_table
+
+
+def test_compiled_tables_satisfy_stembridge_axioms():
+    fired = {}
+    for letter, rank in [("A", 2), ("A", 3), ("D", 4)]:
+        rs = root_system(letter, rank)
+        for k in range(rank):
+            lam = tuple(int(c == k) for c in range(rank))
+            violations, counts = stembridge_check(*tables(generate_crystal(rs, lam)))
+            assert violations == [], (rs, lam)
+            for axiom, count in counts.items():
+                fired[axiom] = fired.get(axiom, 0) + count
+    # the adjoint crystal of D4 has strings of length two, so P6 fires too
+    assert all(fired.values()), fired
+
+
+def test_stembridge_check_sees_a_broken_table():
+    crystal = generate_crystal(A2, (1, 1))
+    rs, E, F, EPS, PHI = tables(crystal)
+    assert stembridge_check(rs, E, F, EPS, PHI)[0] == []
+    eps_1 = list(EPS[0])
+    eps_1[crystal.top] += 1
+    assert stembridge_check(rs, E, F, (tuple(eps_1),) + EPS[1:], PHI)[0] != []

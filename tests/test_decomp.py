@@ -321,15 +321,18 @@ def test_size_filtered_search_matches_exhaustive_sweep():
     assert compared > non_demazure > 0
 
 
-def test_decompose_builds_the_ambient_product_only_when_needed():
-    from demtensor.decomp import full_tensor_graph
+def test_decompose_builds_the_ambient_product_only_when_needed(monkeypatch):
+    import demtensor.decomp as decomp
 
-    before = full_tensor_graph.cache_info()
     report = decompose(WA2, **EX1)
     assert report.condition_holds and all(entry.demazure for entry in report.entries)
-    # not even looked up: no hit, no miss, no new entry
-    assert full_tensor_graph.cache_info() == before
 
+    # the string certificate walks strings through the component alone
+    def refuse(*args):
+        raise AssertionError("a product set was built")
+
+    monkeypatch.setattr(decomp, "tensor_demazure", refuse)
+    monkeypatch.setattr(decomp, "tensor_product_elements", refuse)
     report = decompose(WA2, **EX3)
     bad = [entry for entry in report.entries if not entry.demazure]
     assert len(bad) == 1
@@ -378,3 +381,22 @@ def test_decompose_checks_disjoint_cover(monkeypatch):
         monkeypatch.setattr(decomp, "dominant_paths", lambda *args, got=broken: got)
         with pytest.raises(decomp.TheoremViolation, match=message):
             decompose(WA2, **EX1)
+
+
+def test_orbit_transport_is_the_minimal_scanned_element():
+    from demtensor.crystal import generate_crystal
+    from demtensor.decomp import _orbit_transport
+    from demtensor.verify import default_grids, parse_grid
+
+    checked = 0
+    for grid in default_grids() + [parse_grid("G2:1")]:
+        group = grid.group
+        for mu in grid.shapes:
+            for pi in generate_crystal(grid.rs, mu):
+                target = pi.initial_direction()
+                scanned = next(u for u in group.elements if group.apply(u, mu) == target)
+                moved = _orbit_transport(group, mu, target)
+                assert moved is group.coset_min_weight(scanned, mu), (mu, target)
+                assert group.apply(moved, mu) == target
+                checked += 1
+    assert checked > 100
