@@ -11,6 +11,13 @@ the stabilizer intervals of lam + pi(t) (`path_witness`).  An isomorphism
 search (`path_witness_by_search`) provides an independent oracle for the
 same element, and `decompose` certifies every verdict structurally.
 
+The witness work is memoized by what it depends on.  The recursion sees w
+only through its minimal representative modulo the stabilizer of mu, so
+`path_witness` is cached by (pi, that representative, mu, lam).  The
+condition check and the word that lifts a base witness to u(pi, v)
+depend only on (v, w, lam, mu) and are computed once per product
+(`lift_word`), then applied to each dominant path (`lift`).
+
 The product B_v(lam) (x) B_w(mu) is never built: a pair is the integer code
 a * |B(mu)| + b of its ids in the compiled crystals, and membership is
 tested factor by factor against the two Demazure id sets.  Components,
@@ -176,11 +183,24 @@ def path_witness(group, pi, w, mu, lam):
     """The Weyl element whose Demazure crystal matches the component of
     (top path of shape lam, pi) inside the product with the crystal of w.
 
-    Recursion over the stabilizer intervals: seed with the identity, fold in
-    the Bruhat-maximal coset representative interval by interval from the
+    Only the minimal representative of w modulo the stabilizer of mu enters
+    the recursion, so it is memoized by (pi, that representative, mu, lam)
+    and shared by every w of the coset and every v of the left factor.
+    """
+    mu, lam = tuple(mu), tuple(lam)
+    return _interval_recursion(group, pi, group.coset_min_weight(w, mu), mu, lam)
+
+
+@lru_cache(maxsize=None)
+def _interval_recursion(group, pi, wfloor, mu, lam):
+    """Recursion over the stabilizer intervals: seed with the identity, fold
+    in the Bruhat-maximal coset representative interval by interval from the
     right, and finish with the two-step maximization over the first interval
-    that keeps the initial direction of pi below w modulo the stabilizer
-    of mu.
+    that keeps the initial direction of pi below wfloor modulo the
+    stabilizer of mu.
+
+    The identity is admissible whenever pi lies in B_w(mu), so an empty
+    admissible set is an internal fault, not malformed input.
     """
     Js = stabilizer_intervals(group, pi, lam)
     q = len(Js)
@@ -189,12 +209,13 @@ def path_witness(group, pi, w, mu, lam):
         wj = group.coset_bruhat_max(group.parabolic(Js[k - 1]), wj)
     first = group.parabolic(Js[0])
     tau1 = _orbit_transport(group, mu, pi.initial_direction())
-    wfloor = group.coset_min_weight(w, mu)
     admissible = [
         u
         for u in first
         if group.bruhat_leq(group.coset_min_weight(group.multiply(u, tau1), mu), wfloor)
     ]
+    if not admissible:
+        raise AssertionError("no admissible element below %r for %r" % (wfloor, pi))
     u1 = group.bruhat_max(admissible)
     final = {group.multiply(u, wj) for u in first if group.bruhat_leq(u, u1)}
     return group.bruhat_max(final)
@@ -267,26 +288,41 @@ def demazure_product(group, word, start):
     return u
 
 
+def lift_word(group, v, w, lam, mu, word=None):
+    """The word that lifts every base witness of the product to u(pi, v).
+
+    It is a reduced word of the minimal representative of v modulo the
+    stabilizer of lam, `word` if given; it depends on the product alone, so
+    callers that lift many paths compute it once.  Raises ValueError when
+    the decomposition condition fails or `word` is not such a reduced word.
+    """
+    vfloor = group.coset_min_weight(v, lam)
+    if vfloor not in group.descent_subgroup(group.coset_max_weight(w, mu)):
+        raise ValueError("decomposition condition fails; the witness is undefined")
+    if word is None:
+        return vfloor.word
+    word = tuple(word)
+    if group.from_word(word) != vfloor or len(word) != group.length(vfloor):
+        raise ValueError("word %r is not a reduced word of %r" % (word, vfloor))
+    return word
+
+
+def lift(group, word, pi, w, mu, lam, oracle=False):
+    """The Demazure product of a `lift_word` over the base witness of pi."""
+    if oracle:
+        base = checked_path_witness(group, pi, w, mu, lam)
+    else:
+        base = path_witness(group, pi, w, mu, lam)
+    return demazure_product(group, word, base)
+
+
 def lifted_witness(group, pi, v, w, lam, mu, word=None, oracle=False):
     """The witness u(pi, v) of the component of (top, pi) in the product.
 
     Defined when the decomposition condition holds; `word` may fix a
     particular reduced word of the minimal representative of v.
     """
-    vfloor = group.coset_min_weight(v, lam)
-    if vfloor not in group.descent_subgroup(group.coset_max_weight(w, mu)):
-        raise ValueError("decomposition condition fails; the witness is undefined")
-    if word is None:
-        word = vfloor.word
-    else:
-        word = tuple(word)
-        if group.from_word(word) != vfloor or len(word) != group.length(vfloor):
-            raise ValueError("word %r is not a reduced word of %r" % (word, vfloor))
-    if oracle:
-        base = checked_path_witness(group, pi, w, mu, lam)
-    else:
-        base = path_witness(group, pi, w, mu, lam)
-    return demazure_product(group, word, base)
+    return lift(group, lift_word(group, v, w, lam, mu, word), pi, w, mu, lam, oracle)
 
 
 # -- full decomposition reports -----------------------------------------------------
@@ -368,6 +404,7 @@ def decompose(group, v, w, lam, mu, oracle=False):
     if not (rs.is_dominant(lam) and rs.is_dominant(mu)):
         raise ValueError("shapes must be dominant")
     cond = condition_check(group, v, w, lam, mu)
+    word = lift_word(group, v, w, lam, mu) if cond else None
     product = _product(group, v, w, lam, mu)
     entries = []
     covered = set()
@@ -382,7 +419,7 @@ def decompose(group, v, w, lam, mu, oracle=False):
             raise AssertionError("distinct Demazure crystals cannot both match")
         expected = None
         if cond:
-            u = lifted_witness(group, pi, v, w, lam, mu, oracle=oracle)
+            u = lift(group, word, pi, w, mu, lam, oracle)
             expected = group.coset_min_weight(u, nu)
         if matches:
             witness = matches[0]

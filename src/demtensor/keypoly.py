@@ -14,15 +14,20 @@ So products expand in the key basis by an exact integer peel: take a weight
 of maximal rank from the residual, record its coefficient for its key,
 subtract that multiple of the key, and repeat until the residual is zero.
 Every key is checked to be unitriangular when it is built.
+
+Key indices and ranks are memoized by (group, weight), key polynomials by
+their index and the dominant walks of `lspath` by weight, so the peel
+ranks and normalizes each weight once per process.  The reconciliation
+with the decomposition computes the lifting word once per product.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cartan import vadd, vsub
+from .cartan import normalize_coords, vadd, vsub
 from .crystal import CharPoly, character, weight_of
-from .decomp import TheoremViolation, condition_check, dominant_paths, lifted_witness
+from .decomp import TheoremViolation, condition_check, dominant_paths, lift, lift_word
 from .demazure import generate_demazure
 from .lspath import dominant_walk
 
@@ -95,6 +100,11 @@ class KeyIndex:
 
 def key_index(group, nu):
     """Normalize an arbitrary weight to its key index."""
+    return _key_index(group, normalize_coords(nu))
+
+
+@lru_cache(maxsize=None)
+def _key_index(group, nu):
     shape, word = dominant_walk(group, nu)
     return KeyIndex(shape, group.coset_min_weight(group.from_word(word), shape))
 
@@ -114,6 +124,7 @@ def _height(rs, shape):
     return sum(h * x for h, x in zip(_height_form(rs), shape))
 
 
+@lru_cache(maxsize=None)
 def _rank(group, nu):
     """(height of the dominant form of nu, length of the walk to it).
 
@@ -275,10 +286,11 @@ def product_report(group, v, w, lam, mu):
 
 def _reconcile_with_decomposition(group, v, w, lam, mu, coeffs):
     """Coefficients must equal the counting formula over dominant paths."""
+    word = lift_word(group, v, w, lam, mu)
     counted = {}
     for pi in dominant_paths(group, w, mu, lam):
         nu = vadd(lam, weight_of(pi))
-        u = lifted_witness(group, pi, v, w, lam, mu)
+        u = lift(group, word, pi, w, mu, lam)
         idx = KeyIndex(nu, group.coset_min_weight(u, nu))
         counted[idx] = counted.get(idx, 0) + 1
     if counted != coeffs:

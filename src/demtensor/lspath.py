@@ -29,9 +29,14 @@ early on identity; the structural comparison stays as the fallback for
 paths built directly.  An interned path also carries `checked`, set by the
 root operators once the path has passed `validate`, so each distinct path
 an operator produces is validated exactly once.
+
+`dominant_walk` depends only on the weight and is memoized by
+(group, weight); key ranks, key indices and the orbit transport of the
+witness recursion all read it.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .cartan import normalize_coords, vscale
@@ -370,8 +375,13 @@ def dominant_walk(group, x):
 
     Each step reflects x in the first simple root it pairs negatively with;
     for the word (i_1, ..., i_k) of those steps, x = s_{i_1} ... s_{i_k} (dominant).
+    Memoized by (group, x).
     """
-    x = normalize_coords(x)
+    return _dominant_walk(group, normalize_coords(x))
+
+
+@lru_cache(maxsize=None)
+def _dominant_walk(group, x):
     word = []
     while True:
         neg = [i for i in range(group.rs.rank) if x[i] < 0]

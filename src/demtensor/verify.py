@@ -232,7 +232,7 @@ def suite_witness_oracle(grid):
                     try:
                         checked_path_witness(grid.group, pi, w, mu, lam)
                     except OracleMismatch as caught:
-                        return str(caught)
+                        return "w=%r lam=%r mu=%r: %s" % (w, lam, mu, caught)
     return None
 
 
@@ -265,7 +265,7 @@ def suite_recursion(grid):
                         try:
                             recursive_component(grid.group, pi, v, i, w, lam, mu)
                         except TheoremViolation as caught:
-                            return str(caught)
+                            return "v=%r i=%d w=%r lam=%r mu=%r: %s" % (v, i, w, lam, mu, caught)
     return None
 
 

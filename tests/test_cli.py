@@ -202,17 +202,15 @@ def test_decompose_output_unchanged_under_optimize():
      OracleMismatch, TheoremViolation],
     ids=lambda failure: failure.__name__,
 )
-def test_structural_failures_exit_two(monkeypatch, capsys, failure):
-    from demtensor import crystal, demazure
+def test_structural_failures_exit_two(monkeypatch, capsys, failure, cold_caches):
+    from demtensor import crystal
 
     def broken(path, i):
         raise failure("injected at color %d" % i)
 
+    # path operators run only while a crystal is generated and compiled,
+    # which cold_caches forces
     monkeypatch.setattr(crystal, "_path_f", broken)
-    # path operators run only while a crystal is generated and compiled
-    for cached in (crystal.f_op, crystal.generate_crystal,
-                   demazure._generate_demazure_cached, demazure._demazure_of_element):
-        cached.cache_clear()
     code = main(["decompose", *EX1])
     captured = capsys.readouterr()
     assert code == 2
@@ -235,7 +233,7 @@ def test_oversized_crystal_exits_one_quickly(capsys):
     assert elapsed < 1.0
 
 
-def test_orbit_miss_is_structural(monkeypatch, capsys):
+def test_orbit_miss_is_structural(monkeypatch, capsys, cold_caches):
     import demtensor.decomp as decomp
     from demtensor.cartan import root_system
     from demtensor.weyl import weyl_group
@@ -270,3 +268,52 @@ def test_dominant_path_outside_the_right_factor_is_structural(monkeypatch, capsy
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("structural failure: pi is not an element of the right")
     assert captured.err.count("\n") == 1
+
+
+def test_empty_admissible_set_is_structural(monkeypatch, capsys, cold_caches):
+    import demtensor.decomp as decomp
+
+    # the identity is admissible for every pi in B_w(mu); a transport above
+    # w's coset leaves nothing admissible, which is an internal fault: exit 2
+    monkeypatch.setattr(decomp, "_orbit_transport", lambda group, mu, target: group.from_word((2, 1)))
+    code = main(["decompose", "--type", "A2", "--v", "1", "--w", "1",
+                 "--lambda", "1,1", "--mu", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("structural failure: no admissible element below s1 for ")
+    assert captured.err.count("\n") == 1
+
+
+def _first_call_fails(failure, seen):
+    def broken(group, *args):
+        seen.append(args)
+        raise failure("injected")
+
+    return broken
+
+
+def test_witness_oracle_failure_names_its_instance(monkeypatch, capsys):
+    from demtensor import verify
+
+    seen = []
+    monkeypatch.setattr(verify, "checked_path_witness", _first_call_fails(OracleMismatch, seen))
+    code = main(["verify", "--grid", "A2:1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    _, w, mu, lam = seen[0]
+    expected = "FAIL %-28s A2: w=%r lam=%r mu=%r: injected" % ("witness-oracle", w, lam, mu)
+    assert [line for line in lines if line.startswith("FAIL")] == [expected]
+
+
+def test_recursion_failure_names_its_instance(monkeypatch, capsys):
+    from demtensor import verify
+
+    seen = []
+    monkeypatch.setattr(verify, "recursive_component", _first_call_fails(TheoremViolation, seen))
+    code = main(["verify", "--grid", "A2:1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    _, v, i, w, lam, mu = seen[0]
+    expected = "FAIL %-28s A2: v=%r i=%d w=%r lam=%r mu=%r: injected" % (
+        "component-recursion", v, i, w, lam, mu)
+    assert [line for line in lines if line.startswith("FAIL")] == [expected]

@@ -400,3 +400,51 @@ def test_orbit_transport_is_the_minimal_scanned_element():
                 assert group.apply(moved, mu) == target
                 checked += 1
     assert checked > 100
+
+
+def test_path_witness_memo_matches_a_fresh_recursion():
+    """The memoized witness equals the uncached interval recursion, and w
+    enters it only through its coset modulo the stabilizer of mu."""
+    from demtensor.decomp import _interval_recursion
+    from demtensor.verify import default_grids, parse_grid
+
+    fresh = _interval_recursion.__wrapped__
+    checked = 0
+    for grid in default_grids() + [parse_grid("G2:1")]:
+        group = grid.group
+        for lam, mu in itertools.product(grid.shapes, repeat=2):
+            stabilizer = group.stabilizer_indices(mu)
+            for w in group:
+                paths = dominant_paths(group, w, mu, lam)
+                wfloor = group.coset_min_weight(w, mu)
+                expected = [fresh(group, pi, wfloor, mu, lam) for pi in paths]
+                assert [path_witness(group, pi, w, mu, lam) for pi in paths] == expected
+                for x in group.coset(w, stabilizer):
+                    assert dominant_paths(group, x, mu, lam) == paths
+                    assert [path_witness(group, pi, x, mu, lam) for pi in paths] == expected
+                checked += len(paths)
+    assert checked > 500
+
+
+def test_path_witness_memo_misses_once_per_key(monkeypatch, cold_caches):
+    """Over the W(B2)^2 fundamental-shape sweep of product_report, the
+    recursion runs once per distinct (pi, wfloor, mu, lam)."""
+    import demtensor.decomp as decomp
+    from demtensor.keypoly import product_report
+
+    group = weyl_group(root_system("B", 2))
+    original = decomp.path_witness
+    keys, calls = set(), []
+
+    def spy(group, pi, w, mu, lam):
+        keys.add((pi, group.coset_min_weight(w, mu), tuple(mu), tuple(lam)))
+        calls.append(pi)
+        return original(group, pi, w, mu, lam)
+
+    monkeypatch.setattr(decomp, "path_witness", spy)
+    shapes = [(1, 0), (0, 1)]
+    for v, w in itertools.product(group, repeat=2):
+        for lam, mu in itertools.product(shapes, repeat=2):
+            product_report(group, v, w, lam, mu)
+    assert len(calls) > len(keys) > 0
+    assert decomp._interval_recursion.cache_info().misses == len(keys)
