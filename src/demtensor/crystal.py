@@ -499,13 +499,15 @@ class Subset:
 
     `ids` is any container of ids whose `in` is membership; searches that
     enumerate it need a finite iterable such as a frozenset or a range.
+    It is not changed after construction: `tops` is scanned once and kept.
     """
 
-    __slots__ = ("space", "ids")
+    __slots__ = ("space", "ids", "_tops")
 
     def __init__(self, space, ids):
         self.space = space
         self.ids = ids
+        self._tops = None
 
     def __len__(self):
         return len(self.ids)
@@ -520,12 +522,20 @@ class Subset:
         return self.space._decoded(self.ids)
 
     def tops(self):
-        """The members that no raising operator keeps inside, in id order."""
-        ids = self.ids
-        if not ids:
-            return []
-        steps = self.space._steps
-        return sorted(x for x in ids if all(y not in ids for y in steps(x)[1::2]))
+        """The members that no raising operator keeps inside, in id order.
+
+        The scan runs on the first call; later calls copy its result.
+        """
+        if self._tops is None:
+            ids = self.ids
+            if not ids:
+                self._tops = ()
+            else:
+                steps = self.space._steps
+                self._tops = tuple(
+                    sorted(x for x in ids if all(y not in ids for y in steps(x)[1::2]))
+                )
+        return list(self._tops)
 
 
 def space_of(x):

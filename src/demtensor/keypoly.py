@@ -19,6 +19,14 @@ Key indices and ranks are memoized by (group, weight), key polynomials by
 their index and the dominant walks of `lspath` by weight, so the peel
 ranks and normalizes each weight once per process.  The reconciliation
 with the decomposition computes the lifting word once per product.
+
+`product_report` is memoized by `decomp.product_key`, the pair of cosets
+(v mod W_lam, w mod W_mu) with the two shapes: both key indices, the
+expansion, both orientations of the condition and the reconciliation
+depend on v and w only through those cosets, so a sweep over W x W
+expands and reconciles each distinct product once.  Each call returns a
+new report with its own coefficient dict; the key indices are shared.
+The memo keeps every expansion it computed for the life of the process.
 """
 
 from fractions import Fraction
@@ -27,7 +35,14 @@ from math import lcm
 
 from .cartan import normalize_coords, vadd, vsub
 from .crystal import CharPoly, character, weight_of
-from .decomp import TheoremViolation, condition_check, dominant_paths, lift, lift_word
+from .decomp import (
+    TheoremViolation,
+    condition_check,
+    dominant_paths,
+    lift,
+    lift_word,
+    product_key,
+)
 from .demazure import generate_demazure
 from .lspath import dominant_walk
 
@@ -265,15 +280,27 @@ def product_report(group, v, w, lam, mu):
     coefficients must be nonnegative, and for the orientation that holds
     they must count the dominant paths with the matching shifted shape and
     normalized lifted witness.
+
+    The work runs once per `product_key`; the report and its coefficient
+    dict are new on every call.
     """
-    lam, mu = tuple(lam), tuple(mu)
+    left_idx, right_idx, coeffs, forward, swapped = _product_report(
+        *product_key(group, v, w, lam, mu)
+    )
+    return ProductReport(left_idx, right_idx, dict(coeffs), forward, swapped)
+
+
+@lru_cache(maxsize=None)
+def _product_report(group, v, w, lam, mu):
+    """(left index, right index, coefficients, forward, swapped) of the
+    product; v and w are the minimal coset representatives of
+    `product_key`.  A failed check raises, so no failure is ever cached."""
     left_idx, left = key_of_pair(group, v, lam)
     right_idx, right = key_of_pair(group, w, mu)
     coeffs = expand_in_keys(group, left * right)
     forward = condition_check(group, v, w, lam, mu)
     swapped = condition_check(group, w, v, mu, lam)
-    report = ProductReport(left_idx, right_idx, coeffs, forward, swapped)
-    if (forward or swapped) and not report.all_nonnegative:
+    if (forward or swapped) and any(c < 0 for c in coeffs.values()):
         raise TheoremViolation(
             "negative key coefficient under the decomposition condition"
         )
@@ -281,7 +308,7 @@ def product_report(group, v, w, lam, mu):
         _reconcile_with_decomposition(group, v, w, lam, mu, coeffs)
     elif swapped:
         _reconcile_with_decomposition(group, w, v, mu, lam, coeffs)
-    return report
+    return left_idx, right_idx, coeffs, forward, swapped
 
 
 def _reconcile_with_decomposition(group, v, w, lam, mu, coeffs):

@@ -249,7 +249,7 @@ def test_orbit_miss_is_structural(monkeypatch, capsys, cold_caches):
     assert captured.err.startswith("structural failure: ") and "not in the orbit" in captured.err
 
 
-def test_dominant_path_outside_the_right_factor_is_structural(monkeypatch, capsys):
+def test_dominant_path_outside_the_right_factor_is_structural(monkeypatch, capsys, cold_caches):
     import demtensor.decomp as decomp
     from demtensor.cartan import root_system
     from demtensor.crystal import f_op
@@ -262,9 +262,13 @@ def test_dominant_path_outside_the_right_factor_is_structural(monkeypatch, capsy
     with pytest.raises(AssertionError, match="right Demazure factor"):
         decomp.component(group, lowered, group.identity, group.identity, (1, 1), (1, 0))
     # a dominant path of another shape is not in the right factor either: exit 2
-    monkeypatch.setattr(decomp, "dominant_paths", lambda *args: [straight_path(A2, (0, 1))])
+    reached = []
+    monkeypatch.setattr(
+        decomp, "dominant_paths", lambda *args: reached.append(args) or [straight_path(A2, (0, 1))]
+    )
     code = main(["decompose", *EX1])
     captured = capsys.readouterr()
+    assert reached
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("structural failure: pi is not an element of the right")
     assert captured.err.count("\n") == 1
@@ -317,3 +321,24 @@ def test_recursion_failure_names_its_instance(monkeypatch, capsys):
     expected = "FAIL %-28s A2: v=%r i=%d w=%r lam=%r mu=%r: injected" % (
         "component-recursion", v, i, w, lam, mu)
     assert [line for line in lines if line.startswith("FAIL")] == [expected]
+
+
+def test_output_matches_the_benchmark_reference_digests(capsys):
+    """`verify` and the G2 decompose at w0 print exactly the bytes whose
+    sha256 the benchmark records as its reference payloads, so output drift
+    fails here and not only in a benchmark run."""
+    import hashlib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "reference.json")) as handle:
+        reference = json.load(handle)
+    w0 = "1,2,1,2,1,2"
+    commands = {
+        "verify-default": ["verify"],
+        "g2-decompose": ["decompose", "--type", "G2", "--v", w0, "--w", w0,
+                         "--lambda", "1,1", "--mu", "1,1"],
+    }
+    for name, argv in commands.items():
+        code, out = run(capsys, *argv)
+        assert code == 0, name
+        assert hashlib.sha256(out.encode()).hexdigest() == reference[name]["full"], name

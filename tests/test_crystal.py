@@ -9,6 +9,7 @@ from demtensor.cartan import root_system, vadd, vsub
 from demtensor.crystal import (
     CharPoly,
     MultipleHighestWeights,
+    Subset,
     TensorElement,
     character,
     components_of,
@@ -568,3 +569,20 @@ def test_stembridge_check_sees_a_broken_table():
     eps_1 = list(EPS[0])
     eps_1[crystal.top] += 1
     assert stembridge_check(rs, E, F, (tuple(eps_1),) + EPS[1:], PHI)[0] != []
+
+
+def test_subset_scans_its_tops_once():
+    crystal = generate_crystal(A2, (1, 1))
+    scanned = []
+
+    class Counting:
+        def _steps(self, k):
+            scanned.append(k)
+            return crystal._steps(k)
+
+    subset = Subset(Counting(), frozenset(range(len(crystal))))
+    first = subset.tops()
+    assert first == [crystal.top] and len(scanned) == len(crystal)
+    again = subset.tops()
+    assert again == first and again is not first and len(scanned) == len(crystal)
+    assert Subset(crystal, frozenset()).tops() == []

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from demtensor import decomp, keypoly
 from demtensor.cartan import root_system, vadd
 from demtensor.crystal import TensorElement, f_op, weight_of
 from demtensor.decomp import (
@@ -321,7 +322,7 @@ def test_size_filtered_search_matches_exhaustive_sweep():
     assert compared > non_demazure > 0
 
 
-def test_decompose_builds_the_ambient_product_only_when_needed(monkeypatch):
+def test_decompose_builds_the_ambient_product_only_when_needed(monkeypatch, cold_caches):
     import demtensor.decomp as decomp
 
     report = decompose(WA2, **EX1)
@@ -334,6 +335,8 @@ def test_decompose_builds_the_ambient_product_only_when_needed(monkeypatch):
     monkeypatch.setattr(decomp, "tensor_demazure", refuse)
     monkeypatch.setattr(decomp, "tensor_product_elements", refuse)
     report = decompose(WA2, **EX3)
+    # the product was decomposed here, not read from the memo
+    assert decomp._decompose_product.cache_info().misses == 2
     bad = [entry for entry in report.entries if not entry.demazure]
     assert len(bad) == 1
     color, string = bad[0].string_violation
@@ -358,7 +361,7 @@ def test_stabilizer_intervals_match_fraction_oracle():
     assert dominant > 100
 
 
-def test_components_never_build_the_product(monkeypatch):
+def test_components_never_build_the_product(monkeypatch, cold_caches):
     import demtensor.decomp as decomp
 
     def refuse(*args):
@@ -367,20 +370,26 @@ def test_components_never_build_the_product(monkeypatch):
     monkeypatch.setattr(decomp, "tensor_demazure", refuse)
     monkeypatch.setattr(decomp, "tensor_product_elements", refuse)
     report = decompose(WA2, oracle=True, **EX1)
+    # the product was decomposed here, not read from the memo
+    assert decomp._decompose_product.cache_info().misses == 1
     assert sorted(len(e.elements) for e in report.entries) == [2, 6, 7]
     pi = report.entries[0].pi
     assert path_witness_by_search(WA2, pi, EX1["w"], EX1["mu"], EX1["lam"])
     assert recursive_component(WA2, pi, el(), 1, EX1["w"], EX1["lam"], EX1["mu"])
 
 
-def test_decompose_checks_disjoint_cover(monkeypatch):
+def test_decompose_checks_disjoint_cover(monkeypatch, cold_caches):
     import demtensor.decomp as decomp
 
     paths = dominant_paths(WA2, EX1["w"], EX1["mu"], EX1["lam"])
     for broken, message in [(paths[:-1], "do not cover"), (paths + paths[:1], "overlap")]:
-        monkeypatch.setattr(decomp, "dominant_paths", lambda *args, got=broken: got)
+        reached = []
+        monkeypatch.setattr(
+            decomp, "dominant_paths", lambda *args, got=broken: reached.append(args) or got
+        )
         with pytest.raises(decomp.TheoremViolation, match=message):
             decompose(WA2, **EX1)
+        assert reached
 
 
 def test_orbit_transport_is_the_minimal_scanned_element():
@@ -448,3 +457,76 @@ def test_path_witness_memo_misses_once_per_key(monkeypatch, cold_caches):
             product_report(group, v, w, lam, mu)
     assert len(calls) > len(keys) > 0
     assert decomp._interval_recursion.cache_info().misses == len(keys)
+
+
+def _entry_facts(entry):
+    return (entry.pi, len(entry.component), entry.shifted_shape, entry.demazure,
+            entry.witness, entry.expected_witness, entry.string_violation)
+
+
+def test_decompose_memo_matches_a_fresh_decomposition():
+    """For every (v, w, lam, mu) of the default grids and G2:1, the report
+    read through the coset-pair memo equals the uncached body run on the
+    caller's own v and w, and carries that v and w."""
+    from demtensor.verify import default_grids, parse_grid
+
+    cached = decomp._decompose_product
+    fresh = cached.__wrapped__
+    before = cached.cache_info()
+    checked, verdicts = 0, set()
+    for grid in default_grids() + [parse_grid("G2:1")]:
+        group = grid.group
+        for lam, mu in itertools.product(grid.shapes, repeat=2):
+            for v, w in itertools.product(group, repeat=2):
+                report = decompose(group, v, w, lam, mu)
+                cond, entries = fresh(group, v, w, lam, mu, False)
+                assert (report.v, report.w, report.lam, report.mu) == (v, w, lam, mu)
+                assert report.condition_holds == cond, (v, w, lam, mu)
+                facts = [_entry_facts(entry) for entry in report.entries]
+                assert facts == [_entry_facts(entry) for entry in entries], (v, w, lam, mu)
+                verdicts.update(entry.demazure for entry in entries)
+                checked += 1
+    after = cached.cache_info()
+    assert checked == 324 + 256 + 1296 and verdicts == {True, False}
+    # most reports were read from the memo, so the comparison is not vacuous
+    assert after.hits - before.hits > checked // 2
+
+
+def _misses_once_per_coset_pair(memo, public):
+    """Sweep W(B2)^2 on its default shapes with an empty memo: does the
+    memo miss exactly once per distinct (v mod W_lam, w mod W_mu, lam, mu)?"""
+    group = weyl_group(root_system("B", 2))
+    memo.cache_clear()
+    keys = set()
+    for lam, mu in itertools.product([(1, 0), (0, 1)], repeat=2):
+        for v, w in itertools.product(group, repeat=2):
+            public(group, v, w, lam, mu)
+            keys.add((group.coset_min_weight(v, lam), group.coset_min_weight(w, mu), lam, mu))
+    return memo.cache_info().misses == len(keys)
+
+
+@pytest.mark.parametrize(
+    "module, memo, public",
+    [(decomp, decomp._decompose_product, decompose),
+     (keypoly, keypoly._product_report, keypoly.product_report)],
+    ids=["decomp", "keypoly"],
+)
+def test_product_memo_misses_once_per_coset_pair(monkeypatch, cold_caches, module, memo, public):
+    assert _misses_once_per_coset_pair(memo, public)
+    # the same sweep refuses a memo keyed on v and w themselves
+    monkeypatch.setattr(
+        module, "product_key", lambda group, v, w, lam, mu: (group, v, w, tuple(lam), tuple(mu))
+    )
+    assert not _misses_once_per_coset_pair(memo, public)
+
+
+def test_decompose_reports_do_not_share_their_containers():
+    w2 = WA2.multiply(EX1["w"], el(2))  # the other element of w's coset mod W_mu
+    first = decompose(WA2, **EX1)
+    expected = [_entry_facts(entry) for entry in first.entries]
+    first.entries.pop()
+    first.entries.reverse()
+    again = decompose(WA2, **EX1)
+    assert again is not first and [_entry_facts(entry) for entry in again.entries] == expected
+    other = decompose(WA2, EX1["v"], w2, EX1["lam"], EX1["mu"])
+    assert other.w is w2 and [_entry_facts(entry) for entry in other.entries] == expected

@@ -194,3 +194,25 @@ def test_local_string_certificate_matches_the_ambient_scan():
                     compared += 1
     # non-Demazure components: 173 on A2, 128 on the default B2 shapes, 471 on B2:1
     assert compared == 173 + 128 + 471
+
+
+def test_cached_tops_match_a_fresh_scan():
+    """The tops a generated Demazure crystal keeps are those a scan of its
+    paths finds: the elements whose raisings all leave the crystal."""
+    from demtensor.verify import default_grids, parse_grid
+
+    checked = 0
+    for grid in default_grids() + [parse_grid("G2:1")]:
+        colours = range(1, grid.rs.rank + 1)
+        for lam in grid.shapes:
+            for w in grid.group:
+                dem = generate_demazure(grid.group, w, lam)
+                subset, elements = dem.subset, dem.elements
+                scan = sorted(
+                    subset.space._encode(x)
+                    for x in elements
+                    if all(e_op(x, i) not in elements for i in colours)
+                )
+                assert subset.tops() == scan == [subset.space.top], (w, lam)
+                checked += 1
+    assert checked == 6 * 3 + 8 * 2 + 12 * 3

@@ -1,5 +1,6 @@
 """Demazure operators, key polynomials, and product expansion."""
 
+import itertools
 import random
 
 import pytest
@@ -300,3 +301,46 @@ def test_peel_expansion_sums_back_to_the_product(data):
     for idx, c in expand_in_keys(group, product).items():
         total = total + c * key(idx)
     assert total == product
+
+
+def _report_facts(report):
+    return (report.left_index, report.right_index, list(report.coefficients.items()),
+            report.condition_forward, report.condition_swapped)
+
+
+def test_product_report_memo_matches_a_fresh_expansion():
+    """For every (v, w, lam, mu) of the default grids and G2:1, the report
+    read through the coset-pair memo equals the uncached body run on the
+    caller's own v and w."""
+    import demtensor.keypoly as keypoly
+    from demtensor.verify import default_grids, parse_grid
+
+    cached = keypoly._product_report
+    fresh = cached.__wrapped__
+    before = cached.cache_info()
+    checked, flags = 0, set()
+    for grid in default_grids() + [parse_grid("G2:1")]:
+        group = grid.group
+        for lam, mu in itertools.product(grid.shapes, repeat=2):
+            for v, w in itertools.product(group, repeat=2):
+                report = product_report(group, v, w, lam, mu)
+                left, right, coeffs, forward, swapped = fresh(group, v, w, lam, mu)
+                expected = (left, right, list(coeffs.items()), forward, swapped)
+                assert _report_facts(report) == expected, (v, w, lam, mu)
+                assert report.all_nonnegative == all(c >= 0 for c in coeffs.values())
+                flags.add((forward, swapped))
+                checked += 1
+    after = cached.cache_info()
+    assert checked == 324 + 256 + 1296 and len(flags) == 4
+    # most reports were read from the memo, so the comparison is not vacuous
+    assert after.hits - before.hits > checked // 2
+
+
+def test_product_reports_do_not_share_their_coefficients():
+    v, w = WA2.from_word((1, 2)), WA2.from_word((1, 2, 1))
+    first = product_report(WA2, v, w, (1, 1), (1, 0))
+    expected = _report_facts(first)
+    first.coefficients.clear()
+    first.coefficients[first.left_index] = -1
+    again = product_report(WA2, v, w, (1, 1), (1, 0))
+    assert again is not first and _report_facts(again) == expected

@@ -18,7 +18,7 @@ REPORTED_OUTSIDE = {
 }
 
 
-def test_tracer_reports_every_per_layer_metric(monkeypatch):
+def test_tracer_reports_every_per_layer_metric(monkeypatch, cold_caches):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     from spans import Tracer
 
