@@ -6,21 +6,24 @@ the adjacent time it attains minimum + 1, reflect the directions between the
 two times by the simple reflection, and leave the rest untouched.  All of it
 reads the paths' integer ticks and marks: heights are compared scaled by
 the path's denominator, and a cut time that falls between ticks rescales
-the result's ticks by the least factor that makes it whole.  On ordered
-pairs they act by the tensor rule, choosing the factor from the sign of
-phi(left) - eps(right).  Everything is exact and immutable; operator results
-are memoized since graph searches revisit elements constantly.
+the result's ticks by the least factor that makes it whole.  Everything is
+exact and immutable; operator results are memoized since graph searches
+revisit elements constantly.
 
 Each highest weight crystal B(lam) is generated once in the path model and
 then compiled (`CompiledCrystal`): its elements are numbered 0..n-1 in
 `element_sort_key` order, and per-colour f and e arrays (-1 for the formal
-zero), eps, phi and weight arrays hold the whole structure as integers.  A
+zero), eps, phi and weight arrays hold the whole structure as integers;
+eps and phi are checked against the height function of every element.  A
 pair (a, b) of B(lam) (x) B(mu) is the code a * |B(mu)| + b (`TensorCodes`),
 and the tensor rule reads phi of the left id against eps of the right one.
-Ids follow the sort order, so code order is the sort order of the pairs and
-the least element of a set is its minimum.  Components, isomorphism tests
-and closures run on these integers (`Subset`); paths and `TensorElement`s
-are decoded only for public return values and output.
+That is the one statement of the rule: `f_op`/`e_op` on a `TensorElement`
+decode its code's step, `eps`/`phi` count steps along the compiled rows,
+and `verify` checks the steps against the root operators on concatenated
+paths.  Ids follow the sort order, so code order is the sort order of the
+pairs and the least element of a set is its minimum.  Components,
+isomorphism tests and closures run on these integers (`Subset`); paths and
+`TensorElement`s are decoded only for public return values and output.
 """
 
 from functools import lru_cache
@@ -176,15 +179,21 @@ def weight_of(x):
     return x.endpoint()
 
 
+def _pair_step(x, k):
+    """Entry k of the compiled steps of a pair, decoded; None for the zero."""
+    space = space_of(x)
+    y = space._steps(space._encode(x))[k]
+    return None if y < 0 else space._decode(y)
+
+
 @lru_cache(maxsize=None)
 def f_op(x, i):
-    """Lowering operator; None plays the role of the formal zero."""
+    """Lowering operator; None plays the role of the formal zero.
+
+    On a path it is the cutting construction; on a pair it is the step of
+    the pair's code, so the tensor rule is the one of `TensorCodes`."""
     if isinstance(x, TensorElement):
-        if phi(x.left, i) > eps(x.right, i):
-            y = f_op(x.left, i)
-            return None if y is None else TensorElement(y, x.right)
-        y = f_op(x.right, i)
-        return None if y is None else TensorElement(x.left, y)
+        return _pair_step(x, 2 * i - 2)
     return _path_f(x, i)
 
 
@@ -192,81 +201,32 @@ def f_op(x, i):
 def e_op(x, i):
     """Raising operator; None plays the role of the formal zero."""
     if isinstance(x, TensorElement):
-        if phi(x.left, i) >= eps(x.right, i):
-            y = e_op(x.left, i)
-            return None if y is None else TensorElement(y, x.right)
-        y = e_op(x.right, i)
-        return None if y is None else TensorElement(x.left, y)
+        return _pair_step(x, 2 * i - 1)
     return _path_e(x, i)
+
+
+def _string_steps(x, k):
+    """How many times entry k of the compiled steps applies from x."""
+    space = space_of(x)
+    steps = space._steps
+    c = steps(space._encode(x))[k]
+    n = 0
+    while c >= 0:
+        n += 1
+        c = steps(c)[k]
+    return n
 
 
 @lru_cache(maxsize=None)
 def eps(x, i):
     """Number of raising steps to the top of the i-string through x."""
-    if isinstance(x, TensorElement):
-        return max(
-            eps(x.left, i),
-            eps(x.right, i) - x.rs.pairing(weight_of(x.left), i),
-        )
-    n = 0
-    y = e_op(x, i)
-    while y is not None:
-        n += 1
-        y = e_op(y, i)
-    if n * x.den != -min(x._heights(i)):
-        raise AssertionError("eps(%r, %d) = %d disagrees with the minimal height" % (x, i, n))
-    return n
+    return _string_steps(x, 2 * i - 1)
 
 
 @lru_cache(maxsize=None)
 def phi(x, i):
     """Number of lowering steps to the bottom of the i-string through x."""
-    if isinstance(x, TensorElement):
-        return max(
-            phi(x.right, i),
-            phi(x.left, i) + x.rs.pairing(weight_of(x.right), i),
-        )
-    n = 0
-    y = f_op(x, i)
-    while y is not None:
-        n += 1
-        y = f_op(y, i)
-    heights = x._heights(i)
-    if n * x.den != heights[-1] - min(heights):
-        raise AssertionError("phi(%r, %d) = %d disagrees with the final height" % (x, i, n))
-    return n
-
-
-def f_power(x, i, n):
-    for _ in range(n):
-        if x is None:
-            return None
-        x = f_op(x, i)
-    return x
-
-
-def e_power(x, i, n):
-    for _ in range(n):
-        if x is None:
-            return None
-        x = e_op(x, i)
-    return x
-
-
-def emax(x, i):
-    return e_power(x, i, eps(x, i))
-
-
-def fmax(x, i):
-    return f_power(x, i, phi(x, i))
-
-
-def reflection_lift(x, i):
-    """Move x along its i-string to the position with reflected weight."""
-    pairing = x.rs.pairing(weight_of(x), i)
-    if pairing >= 0:
-        return f_power(x, i, pairing)
-    return e_power(x, i, -pairing)
+    return _string_steps(x, 2 * i - 2)
 
 
 def f_string_closure(elements, i):
@@ -316,7 +276,8 @@ class CompiledCrystal(CrystalGraph):
     tuples `f_table` and `e_table` give the id of f_i / e_i of every id, -1
     for the formal zero, and `eps_table` / `phi_table` its string position;
     `weights[k]` is the weight of id k.  The tables are checked to be
-    mutually inverse partial maps.  Per-element methods are private, so
+    mutually inverse partial maps, and the string positions against the
+    height function of every element.  Per-element methods are private, so
     that the benchmark tracer (perfbench/spans.py), which wraps public
     callables, does not time each table lookup.
     """
@@ -340,19 +301,16 @@ class CompiledCrystal(CrystalGraph):
                 if j < 0 or f[i - 1][j] != k:
                     raise AssertionError("f_%d(e_%d(y)) != y at %r" % (i, i, y))
                 e[i - 1][k] = j
-        eps_t = [[0] * n for _ in range(rank)]
-        phi_t = [[0] * n for _ in range(rank)]
-        for fi, ei, ep, ph in zip(f, e, eps_t, phi_t):
-            for k in range(n):
-                if ei[k] >= 0:
-                    continue
-                string = [k]
-                while fi[string[-1]] >= 0:
-                    string.append(fi[string[-1]])
-                last = len(string) - 1
-                for pos, y in enumerate(string):
-                    ep[y] = pos
-                    ph[y] = last - pos
+        eps_t, phi_t = _string_positions(f, e)
+        for i, ep, ph in zip(range(1, rank + 1), eps_t, phi_t):
+            for k, x in enumerate(self.vertices):
+                heights = x._heights(i)
+                low = min(heights)
+                if ep[k] * x.den != -low or ph[k] * x.den != heights[-1] - low:
+                    raise AssertionError(
+                        "eps_%d, phi_%d = %d, %d of %r disagree with its heights"
+                        % (i, i, ep[k], ph[k], x)
+                    )
         self.f_table = tuple(map(tuple, f))
         self.e_table = tuple(map(tuple, e))
         self.eps_table = tuple(map(tuple, eps_t))
@@ -387,6 +345,26 @@ class CompiledCrystal(CrystalGraph):
             shape = self.vertices[self.top].shape
             raise ValueError("%r is not an element of the crystal of %r" % (x, shape))
         return k
+
+
+def _string_positions(f, e):
+    """Per colour, the eps and phi lists of every id: its place in the
+    string walked down the f list from the id that e takes to zero."""
+    n = len(f[0])
+    eps_t = [[0] * n for _ in f]
+    phi_t = [[0] * n for _ in f]
+    for fi, ei, ep, ph in zip(f, e, eps_t, phi_t):
+        for k in range(n):
+            if ei[k] >= 0:
+                continue
+            string = [k]
+            while fi[string[-1]] >= 0:
+                string.append(fi[string[-1]])
+            last = len(string) - 1
+            for pos, y in enumerate(string):
+                ep[y] = pos
+                ph[y] = last - pos
+    return eps_t, phi_t
 
 
 class TensorCodes:
@@ -636,15 +614,17 @@ def tensor_product_elements(left_elements, right_elements):
 
 
 def graph_on(rs, elements):
-    """The graph induced on a subset: edges whose two ends both belong."""
-    members = frozenset(elements)
+    """The graph induced on a subset: edges whose two ends both belong,
+    read off the f table of the elements' compiled space."""
+    subset = compiled_subset(elements)
+    space, ids = subset.space, subset.ids
     edges = {}
-    for x in members:
+    for c in ids:
         for i in range(1, rs.rank + 1):
-            y = f_op(x, i)
-            if y is not None and y in members:
-                edges[(x, i)] = y
-    return CrystalGraph(rs, members, edges)
+            y = space._f(c, i)
+            if y >= 0 and y in ids:
+                edges[(space._decode(c), i)] = space._decode(y)
+    return CrystalGraph(rs, subset.elements(), edges)
 
 
 def _search(space, seed, member):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from .crystal import (
     Subset,
     compiled_subset,
-    emax,
+    e_op,
     eps,
     f_op,
     f_string_closure,
@@ -139,7 +139,8 @@ def string_parametrization(b, word, lam):
     for i in word:
         a = eps(x, i)
         exponents.append(a)
-        x = emax(x, i)
+        for _ in range(a):
+            x = e_op(x, i)
     if x != straight_path(b.rs, lam):
         raise ValueError("string parametrization did not reach the top: %r" % (b,))
     y = straight_path(b.rs, lam)

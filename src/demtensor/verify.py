@@ -11,7 +11,6 @@ import itertools
 from .cartan import root_system, vadd, weyl_dimension
 from .crystal import (
     Subset,
-    TensorElement,
     character,
     e_op,
     f_op,
@@ -161,24 +160,24 @@ def suite_dimension_formula(grid):
 
 
 def suite_tensor_vs_concatenation(grid):
-    """The tensor rule agrees with root operators on concatenated paths."""
+    """The tensor rule of the pair codes agrees with root operators on
+    concatenated paths."""
     for lam in grid.shapes:
         for mu in grid.shapes:
-            left = generate_crystal(grid.rs, lam)
-            right = generate_crystal(grid.rs, mu)
-            for a in left:
-                for b in right:
-                    pair = TensorElement(a, b)
-                    raw = concatenate(a, b)
-                    for i in range(1, grid.rs.rank + 1):
-                        for op in (f_op, e_op):
-                            lifted = op(pair, i)
-                            direct = op(raw, i)
-                            if lifted is None:
-                                if direct is not None:
-                                    return "operators disagree at %r color %d" % (pair, i)
-                            elif direct != concatenate(lifted.left, lifted.right):
-                                return "operators disagree at %r color %d" % (pair, i)
+            space = tensor_space(generate_crystal(grid.rs, lam), generate_crystal(grid.rs, mu))
+            for c in range(len(space)):
+                pair = space._decode(c)
+                raw = concatenate(pair.left, pair.right)
+                steps = space._steps(c)
+                for i in range(1, grid.rs.rank + 1):
+                    for op, y in zip((f_op, e_op), steps[2 * i - 2:2 * i]):
+                        if y < 0:
+                            expected = None
+                        else:
+                            lifted = space._decode(y)
+                            expected = concatenate(lifted.left, lifted.right)
+                        if op(raw, i) != expected:
+                            return "operators disagree at %r color %d" % (pair, i)
     return None
 
 

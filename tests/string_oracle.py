@@ -6,16 +6,16 @@ product B(lam) (x) B(mu) of the two full crystals, partition it into
 i-strings in `element_sort_key` order of their least elements, and return
 the first string, colours in increasing order, that meets the subset in
 more than its top but not in full.  Everything runs on crystal elements
-through `f_op`, `e_op` and `emax`, never on ids or pair codes.
+through the element tensor rule of `tensor_oracle`, never on ids or pair
+codes.
 """
 
 from demtensor.crystal import (
     element_sort_key,
-    emax,
-    f_op,
     generate_crystal,
     tensor_product_elements,
 )
+from tensor_oracle import emax, f
 
 
 def ambient_product(rs, lam, mu):
@@ -36,10 +36,10 @@ def i_strings(vertices, i):
             continue
         top = emax(x, i)
         string = [top]
-        y = f_op(top, i)
+        y = f(top, i)
         while y is not None:
             string.append(y)
-            y = f_op(y, i)
+            y = f(y, i)
         if any(z not in members for z in string):
             raise ValueError("vertex set is not closed under color %d" % i)
         seen.update(string)

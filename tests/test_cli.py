@@ -342,3 +342,21 @@ def test_output_matches_the_benchmark_reference_digests(capsys):
         code, out = run(capsys, *argv)
         assert code == 0, name
         assert hashlib.sha256(out.encode()).hexdigest() == reference[name]["full"], name
+
+
+def test_dot_output_matches_recorded_digests(capsys, tmp_path):
+    """The DOT text of the README's `graph` and `decompose --dot-dir`
+    examples, pinned by sha256 digests, since `graph_on` builds both graphs."""
+    import hashlib
+
+    code, out = run(capsys, "graph", "--type", "A2", "--lambda", "1,1", "--w", "1,2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "80abd13ff8c68f847a07d1c5f90207377e0f3df54449ea6f8ac8c34b4d03804f")
+    code, _ = run(capsys, "decompose", *EX3, "--dot-dir", str(tmp_path))
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == {
+        "component_0.dot": "d0597c2699d26b38b8771fa467de0772a8156add9ee2ef385f45c23df93ca40a",
+        "component_1.dot": "09c58c8a718ea054f842cb7f7d5decc243631ed077c0ce7670d5ced3b528c72b",
+    }

@@ -3,7 +3,9 @@
 import itertools
 from fractions import Fraction
 
+import path_oracle
 import pytest
+import tensor_oracle
 
 from demtensor.cartan import root_system, vadd, vsub
 from demtensor.crystal import (
@@ -15,18 +17,16 @@ from demtensor.crystal import (
     components_of,
     e_op,
     element_sort_key,
-    emax,
     eps,
     f_op,
     f_string_closure,
-    fmax,
     generate_crystal,
     graph_on,
     induced_component,
     is_isomorphic,
     phi,
-    reflection_lift,
     tensor_product_elements,
+    tensor_space,
     to_dot,
     weight_of,
 )
@@ -107,41 +107,14 @@ def test_tensor_rule_examples():
 
 
 def test_tensor_eps_phi_closed_form_matches_iteration():
-    crystal = generate_crystal(A2, (1, 0))
-    for a in crystal:
-        for b in crystal:
-            x = TensorElement(a, b)
-            for i in (1, 2):
-                n = 0
-                y = e_op(x, i)
-                while y is not None:
-                    n += 1
-                    y = e_op(y, i)
-                assert eps(x, i) == n
-                n = 0
-                y = f_op(x, i)
-                while y is not None:
-                    n += 1
-                    y = f_op(y, i)
-                assert phi(x, i) == n
-
-
-def test_emax_fmax():
-    x = straight_path(A2, (1, 0))
-    assert emax(x, 1) == x
-    assert fmax(x, 1) == straight_path(A2, (1, 0), (-1, 1))
-    assert e_op(emax(fmax(x, 1), 1), 1) is None
-
-
-def test_reflection_lift():
-    x = straight_path(A2, (0, 1))
-    assert reflection_lift(x, 1) == x  # pairing zero
-    assert reflection_lift(straight_path(A2, (1, 0)), 1) == straight_path(A2, (1, 0), (-1, 1))
-    for x in generate_crystal(A2, (1, 1)):
-        for i in (1, 2):
-            assert weight_of(reflection_lift(x, i)) == A2.simple_reflect(weight_of(x), i)
-            # applying the lift twice returns to the start
-            assert reflection_lift(reflection_lift(x, i), i) == x
+    # eps and phi walk the pair codes; the oracle evaluates the closed forms
+    for lam, mu in [((1, 0), (1, 0)), ((1, 1), (1, 0))]:
+        for a in generate_crystal(A2, lam):
+            for b in generate_crystal(A2, mu):
+                x = TensorElement(a, b)
+                for i in (1, 2):
+                    assert eps(x, i) == tensor_oracle.eps(x, i)
+                    assert phi(x, i) == tensor_oracle.phi(x, i)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
@@ -211,23 +184,41 @@ def test_character_multiplicativity():
     assert character(prod) == character(a) * character(b)
 
 
+def fundamentals(rs):
+    return [tuple(int(c == k) for c in range(rs.rank)) for k in range(rs.rank)]
+
+
 def test_tensor_agrees_with_concatenation():
-    # the tensor rule and the root operators on concatenated paths agree
-    for lam, mu in [((1, 0), (1, 0)), ((1, 1), (1, 0))]:
-        left = generate_crystal(A2, lam)
-        right = generate_crystal(A2, mu)
-        for a in left:
-            for b in right:
-                x = TensorElement(a, b)
-                raw = concatenate(a, b)
-                for i in (1, 2):
-                    for op in (f_op, e_op):
-                        y = op(x, i)
+    # the steps of the pair codes and the root operators on concatenated paths agree
+    for rs in (A2, B2):
+        for lam, mu in itertools.product(fundamentals(rs), repeat=2):
+            space = tensor_space(generate_crystal(rs, lam), generate_crystal(rs, mu))
+            for c in range(len(space)):
+                x = space._decode(c)
+                raw = concatenate(x.left, x.right)
+                steps = space._steps(c)
+                for i in range(1, rs.rank + 1):
+                    for op, y in zip((f_op, e_op), steps[2 * i - 2:2 * i]):
                         z = op(raw, i)
-                        if y is None:
+                        if y < 0:
                             assert z is None
                         else:
-                            assert z == concatenate(y.left, y.right)
+                            lifted = space._decode(y)
+                            assert z == concatenate(lifted.left, lifted.right)
+
+
+def test_concatenation_suite_sees_a_broken_pair_code(monkeypatch, cold_caches):
+    from demtensor.verify import parse_grid, suite_tensor_vs_concatenation
+
+    grid = parse_grid("A2:1")
+    first = generate_crystal(A2, grid.shapes[0])
+    space = tensor_space(first, first)
+    c = len(space) - 1
+    steps = list(space._steps(c))
+    steps[2] = c if steps[2] < 0 else -1  # f_2
+    monkeypatch.setitem(space._memo, c, tuple(steps))
+    expected = "operators disagree at %r color 2" % (space._decode(c),)
+    assert suite_tensor_vs_concatenation(grid) == expected
 
 
 def test_full_tensor_partition_into_dominant_components():
@@ -368,8 +359,10 @@ def test_equal_tensor_elements_hash_and_compare_equal():
 
 
 def test_operators_make_no_fractions(monkeypatch):
-    """With every path interned, root operators and the eps/phi height checks
-    run on integer ticks alone."""
+    """With every path interned, root operators, eps/phi and the compile-time
+    height checks run on integer ticks alone."""
+    from demtensor.crystal import CompiledCrystal
+
     G2 = root_system("G", 2)
     crystal = generate_crystal(G2, (1, 1))
     ops = (f_op, e_op, eps, phi)
@@ -388,6 +381,7 @@ def test_operators_make_no_fractions(monkeypatch):
     assert len(made) == 1, "the wrapper must see Fraction construction"
     made.clear()
     after = {(op, x, i): op(x, i) for op in ops for x in crystal for i in (1, 2)}
+    CompiledCrystal(G2, crystal.vertices, crystal.edges, crystal.vertices[crystal.top])
     monkeypatch.undo()
     assert made == []
     assert after == before
@@ -455,16 +449,14 @@ def test_compiled_tables_match_the_path_model(rs):
                 for table, op in ((crystal.f_table, f_op), (crystal.e_table, e_op)):
                     y = op(x, i)
                     assert table[i - 1][k] == (-1 if y is None else crystal.index[y])
-                assert crystal.eps_table[i - 1][k] == eps(x, i)
-                assert crystal.phi_table[i - 1][k] == phi(x, i)
+                heights = path_oracle.height_profile(x, i)
+                assert crystal.eps_table[i - 1][k] == -min(heights)
+                assert crystal.phi_table[i - 1][k] == heights[-1] - min(heights)
 
 
 @pytest.mark.parametrize("rs", [A2, B2], ids=["A2", "B2"])
 def test_pair_codes_follow_the_tensor_rule(rs):
-    from demtensor.crystal import tensor_space
-
-    fundamentals = [tuple(int(c == k) for c in range(rs.rank)) for k in range(rs.rank)]
-    for lam, mu in itertools.product(fundamentals, repeat=2):
+    for lam, mu in itertools.product(fundamentals(rs), repeat=2):
         left, right = generate_crystal(rs, lam), generate_crystal(rs, mu)
         space = tensor_space(left, right)
         codes = range(len(left) * len(right))
@@ -473,7 +465,7 @@ def test_pair_codes_follow_the_tensor_rule(rs):
             assert space._decode(c) == pair and space._encode(pair) == c
             steps = space._steps(c)
             for i in range(1, rs.rank + 1):
-                for k, op in enumerate((f_op, e_op)):
+                for k, op in enumerate((tensor_oracle.f, tensor_oracle.e)):
                     y = op(pair, i)
                     assert steps[2 * i - 2 + k] == (-1 if y is None else space._encode(y))
                 assert space._f(c, i) == steps[2 * i - 2]
@@ -569,6 +561,24 @@ def test_stembridge_check_sees_a_broken_table():
     eps_1 = list(EPS[0])
     eps_1[crystal.top] += 1
     assert stembridge_check(rs, E, F, (tuple(eps_1),) + EPS[1:], PHI)[0] != []
+
+
+def test_compile_time_height_check_sees_a_broken_eps(monkeypatch):
+    from demtensor import crystal as crystal_module
+
+    crystal = generate_crystal(A2, (1, 1))
+    args = (A2, crystal.vertices, crystal.edges, crystal.vertices[crystal.top])
+    assert crystal_module.CompiledCrystal(*args).eps_table == crystal.eps_table
+    positions = crystal_module._string_positions
+
+    def broken(f, e):
+        eps_t, phi_t = positions(f, e)
+        eps_t[0][crystal.top] += 1
+        return eps_t, phi_t
+
+    monkeypatch.setattr(crystal_module, "_string_positions", broken)
+    with pytest.raises(AssertionError, match="disagree with its heights"):
+        crystal_module.CompiledCrystal(*args)
 
 
 def test_subset_scans_its_tops_once():
