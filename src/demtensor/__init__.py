@@ -10,7 +10,6 @@ of the structural identities behind all of it.
 from .cartan import RootSystem, parse_type, root_system
 from .crystal import (
     CharPoly,
-    CrystalGraph,
     TensorElement,
     character,
     e_op,
@@ -40,7 +39,6 @@ from .weyl import WeylElement, WeylGroup, weyl_group
 
 __all__ = [
     "CharPoly",
-    "CrystalGraph",
     "DecompositionReport",
     "DemazureCrystal",
     "KeyIndex",

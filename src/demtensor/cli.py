@@ -13,8 +13,14 @@ import os
 import sys
 
 from .cartan import parse_type
-from .crystal import MultipleHighestWeights, generate_crystal, graph_on, to_dot
-from .decomp import NoDemazureMatch, OracleMismatch, TheoremViolation, decompose
+from .crystal import MultipleHighestWeights, generate_crystal, to_dot
+from .decomp import (
+    NoDemazureMatch,
+    OracleMismatch,
+    TheoremViolation,
+    condition_check,
+    decompose,
+)
 from .demazure import generate_demazure
 from .keypoly import key_polynomial, monomials_type_a, product_report
 from .lspath import path_to_json
@@ -128,7 +134,7 @@ def _entry_json(entry):
 
 
 def cmd_decompose(args):
-    rs, group, v, w, lam, mu = _load_instance(args)
+    _, group, v, w, lam, mu = _load_instance(args)
     report = decompose(group, v, w, lam, mu, oracle=args.oracle)
     payload = {
         "type": args.type.upper(),
@@ -143,19 +149,16 @@ def cmd_decompose(args):
     if args.dot_dir:
         os.makedirs(args.dot_dir, exist_ok=True)
         for k, entry in enumerate(report.entries):
-            graph = graph_on(rs, entry.elements)
             highlight = ()
             if not entry.demazure:
                 highlight = [x for x in entry.string_violation[1] if x in entry.elements]
-            dot = to_dot(graph, name="component_%d" % k, highlight=highlight)
+            dot = to_dot(entry.component, name="component_%d" % k, highlight=highlight)
             with open(os.path.join(args.dot_dir, "component_%d.dot" % k), "w") as handle:
                 handle.write(dot)
     return 0
 
 
 def cmd_check(args):
-    from .decomp import condition_check
-
     _, group, v, w, lam, mu = _load_instance(args)
     payload = {
         "forward": condition_check(group, v, w, lam, mu),
@@ -206,8 +209,7 @@ def cmd_graph(args):
     if args.w is not None:
         w = _parse_element(group, args.w, "--w")
         highlight = generate_demazure(group, w, lam).elements
-    graph = graph_on(rs, crystal.vertices)
-    dot = to_dot(graph, name="crystal", highlight=highlight)
+    dot = to_dot(crystal.vertices, name="crystal", highlight=highlight)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(dot)

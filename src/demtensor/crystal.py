@@ -1,31 +1,33 @@
 """Crystal structure: root operators, tensor rule, compiled crystals, characters.
 
-The raising/lowering operators act on paths by the cutting construction:
-locate the last (resp. first) time the height function attains its minimum,
-the adjacent time it attains minimum + 1, reflect the directions between the
-two times by the simple reflection, and leave the rest untouched.  All of it
-reads the paths' integer ticks and marks: heights are compared scaled by
-the path's denominator, and a cut time that falls between ticks rescales
-the result's ticks by the least factor that makes it whole.  Everything is
-exact and immutable; operator results are memoized since graph searches
-revisit elements constantly.
+The path-model operators `_path_f`/`_path_e` act on paths by the cutting
+construction: locate the last (resp. first) time the height function
+attains its minimum, the adjacent time it attains minimum + 1, reflect the
+directions between the two times by the simple reflection, and leave the
+rest untouched.  All of it reads the paths' integer ticks and marks:
+heights are compared scaled by the path's denominator, and a cut time that
+falls between ticks rescales the result's ticks by the least factor that
+makes it whole.  They run when a crystal is generated and compiled, and on
+the raw concatenated paths that `verify` checks the tensor rule against.
 
-Each highest weight crystal B(lam) is generated once in the path model and
-then compiled (`CompiledCrystal`): its elements are numbered 0..n-1 in
-`element_sort_key` order, and per-colour f and e arrays (-1 for the formal
-zero), eps, phi and weight arrays hold the whole structure as integers;
-eps and phi are checked against the height function of every element.  A
-pair (a, b) of B(lam) (x) B(mu) is the code a * |B(mu)| + b (`TensorCodes`),
-and the tensor rule reads phi of the left id against eps of the right one.
-That is the one statement of the rule: `f_op`/`e_op` on a `TensorElement`
-decode its code's step, `eps`/`phi` count steps along the compiled rows,
-and `verify` checks the steps against the root operators on concatenated
-paths.  Ids follow the sort order, so code order is the sort order of the
-pairs and the least element of a set is its minimum.  Components,
-isomorphism tests and closures run on these integers (`Subset`); paths and
-`TensorElement`s are decoded only for public return values and output.
+Each highest weight crystal B(lam) is generated once by closing the
+straight path under `_path_f`, and then compiled (`CompiledCrystal`): its
+elements are numbered 0..n-1 in `element_sort_key` order, and per-colour f
+and e arrays (-1 for the formal zero), eps, phi and weight arrays hold the
+whole structure as integers.  Compilation checks that the f and e arrays
+are mutually inverse, that the straight path is the only top, and eps and
+phi against the height function of every element; nothing of the path
+operators' results is kept beyond the arrays.  A pair (a, b) of
+B(lam) (x) B(mu) is the code a * |B(mu)| + b (`TensorCodes`), and the
+tensor rule reads phi of the left id against eps of the right one.
+`f_op`/`e_op` decode the step of an element's code in its compiled space,
+a path's in its B(shape) and a pair's by that rule, and `eps`/`phi` count
+steps along the compiled rows.  Ids follow the sort order, so code order is
+the sort order of the pairs and the least element of a set is its minimum.
+Components, isomorphism tests, closures and DOT output run on these
+integers (`Subset`); paths and `TensorElement`s are decoded only for public
+return values and output.
 """
-
 from functools import lru_cache
 from math import gcd
 
@@ -179,8 +181,8 @@ def weight_of(x):
     return x.endpoint()
 
 
-def _pair_step(x, k):
-    """Entry k of the compiled steps of a pair, decoded; None for the zero."""
+def _step(x, k):
+    """Entry k of the compiled steps of x, decoded; None for the zero."""
     space = space_of(x)
     y = space._steps(space._encode(x))[k]
     return None if y < 0 else space._decode(y)
@@ -190,19 +192,15 @@ def _pair_step(x, k):
 def f_op(x, i):
     """Lowering operator; None plays the role of the formal zero.
 
-    On a path it is the cutting construction; on a pair it is the step of
-    the pair's code, so the tensor rule is the one of `TensorCodes`."""
-    if isinstance(x, TensorElement):
-        return _pair_step(x, 2 * i - 2)
-    return _path_f(x, i)
+    It is the step of x in its compiled space: the f table of a path's
+    B(shape), or the tensor rule of `TensorCodes` on a pair's code."""
+    return _step(x, 2 * i - 2)
 
 
 @lru_cache(maxsize=None)
 def e_op(x, i):
     """Raising operator; None plays the role of the formal zero."""
-    if isinstance(x, TensorElement):
-        return _pair_step(x, 2 * i - 1)
-    return _path_e(x, i)
+    return _step(x, 2 * i - 1)
 
 
 def _string_steps(x, k):
@@ -237,54 +235,30 @@ def f_string_closure(elements, i):
     return set(subset.space._decoded(lower_closure(subset.space, subset.ids, i)))
 
 
-# -- graphs ----------------------------------------------------------------------
+# -- compiled crystals ------------------------------------------------------------
 
 
-class CrystalGraph:
-    """A finite crystal graph: vertices plus deterministic colored edges."""
-
-    def __init__(self, rs, vertices, edges):
-        self.rs = rs
-        self.vertices = tuple(sorted(vertices, key=element_sort_key))
-        self.edges = edges
-        self.highest_weight_vertices = tuple(
-            x
-            for x in self.vertices
-            if all(e_op(x, i) is None for i in range(1, rs.rank + 1))
-        )
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __contains__(self, x):
-        return x in self._vertex_set()
-
-    def _vertex_set(self):
-        if not hasattr(self, "_vset"):
-            self._vset = frozenset(self.vertices)
-        return self._vset
-
-
-class CompiledCrystal(CrystalGraph):
+class CompiledCrystal:
     """A generated B(lam) with its elements numbered in sort order.
 
     `vertices[k]` is the element with id k, `index` maps back, and `top` is
     the id of the straight path.  Per colour i (at position i - 1), the
     tuples `f_table` and `e_table` give the id of f_i / e_i of every id, -1
     for the formal zero, and `eps_table` / `phi_table` its string position;
-    `weights[k]` is the weight of id k.  The tables are checked to be
-    mutually inverse partial maps, and the string positions against the
+    `weights[k]` is the weight of id k.  The f table is read off `edges`,
+    the (x, i) -> f_i(x) map of the generation, which is not kept; the e
+    table is `_path_e` of every element.  The tables are checked to be
+    mutually inverse partial maps with the top as the only element that e
+    takes to zero in every colour, and the string positions against the
     height function of every element.  Per-element methods are private, so
     that the benchmark tracer (perfbench/spans.py), which wraps public
     callables, does not time each table lookup.
     """
 
     def __init__(self, rs, vertices, edges, top):
-        super().__init__(rs, vertices, edges)
+        self.rs = rs
         self.rank = rank = rs.rank
+        self.vertices = tuple(sorted(vertices, key=element_sort_key))
         self.index = index = {x: k for k, x in enumerate(self.vertices)}
         self.top = index[top]
         n = len(self.vertices)
@@ -294,13 +268,19 @@ class CompiledCrystal(CrystalGraph):
             f[i - 1][index[x]] = index[y]
         for k, y in enumerate(self.vertices):
             for i in range(1, rank + 1):
-                x = e_op(y, i)
+                x = _path_e(y, i)
                 if x is None:
                     continue
                 j = index.get(x, -1)
                 if j < 0 or f[i - 1][j] != k:
                     raise AssertionError("f_%d(e_%d(y)) != y at %r" % (i, i, y))
                 e[i - 1][k] = j
+        for i, fi, ei in zip(range(1, rank + 1), f, e):
+            for k, y in enumerate(fi):
+                if y >= 0 and ei[y] != k:
+                    raise AssertionError("e_%d(f_%d(x)) != x at %r" % (i, i, self.vertices[k]))
+        if [k for k in range(n) if all(ei[k] < 0 for ei in e)] != [self.top]:
+            raise AssertionError("B(%r) has a top other than the straight path" % (top.shape,))
         eps_t, phi_t = _string_positions(f, e)
         for i, ep, ph in zip(range(1, rank + 1), eps_t, phi_t):
             for k, x in enumerate(self.vertices):
@@ -319,6 +299,12 @@ class CompiledCrystal(CrystalGraph):
         self._step_rows = tuple(
             tuple(y for fi, ei in zip(f, e) for y in (fi[k], ei[k])) for k in range(n)
         )
+
+    def __len__(self):
+        return len(self.vertices)
+
+    def __iter__(self):
+        return iter(self.vertices)
 
     def __contains__(self, x):
         return x in self.index
@@ -477,15 +463,17 @@ class Subset:
 
     `ids` is any container of ids whose `in` is membership; searches that
     enumerate it need a finite iterable such as a frozenset or a range.
-    It is not changed after construction: `tops` is scanned once and kept.
+    It is not changed after construction: `tops` is scanned once and
+    `elements` decoded once, and both are kept.
     """
 
-    __slots__ = ("space", "ids", "_tops")
+    __slots__ = ("space", "ids", "_tops", "_elements")
 
     def __init__(self, space, ids):
         self.space = space
         self.ids = ids
         self._tops = None
+        self._elements = None
 
     def __len__(self):
         return len(self.ids)
@@ -494,10 +482,11 @@ class Subset:
         return x in self.ids
 
     def elements(self):
-        """The members decoded to crystal elements."""
-        if not self.ids:
-            return frozenset()
-        return self.space._decoded(self.ids)
+        """The members decoded to crystal elements, on the first call; later
+        calls return the same frozenset."""
+        if self._elements is None:
+            self._elements = self.space._decoded(self.ids) if self.ids else frozenset()
+        return self._elements
 
     def tops(self):
         """The members that no raising operator keeps inside, in id order.
@@ -570,7 +559,7 @@ CRYSTAL_SIZE_LIMIT = 10000
 @lru_cache(maxsize=None)
 def generate_crystal(rs, lam):
     """The highest weight crystal of a dominant weight, generated by closure
-    in the path model and compiled to integer tables."""
+    under `_path_f` and compiled to integer tables."""
     if not rs.is_dominant(lam):
         raise ValueError("highest weight %r is not dominant" % (lam,))
     size = weyl_dimension(rs, lam)
@@ -587,12 +576,10 @@ def generate_crystal(rs, lam):
         nxt = []
         for x in frontier:
             for i in range(1, rs.rank + 1):
-                y = f_op(x, i)
+                y = _path_f(x, i)
                 if y is None:
                     continue
                 edges[(x, i)] = y
-                if e_op(y, i) != x:
-                    raise AssertionError("e_%d(f_%d(x)) != x at %r" % (i, i, x))
                 if weight_of(y) != tuple(
                     w - a for w, a in zip(weight_of(x), rs.simple_roots[i - 1].fw)
                 ):
@@ -601,30 +588,13 @@ def generate_crystal(rs, lam):
                     vertices.add(y)
                     nxt.append(y)
         frontier = nxt
-    crystal = CompiledCrystal(rs, vertices, edges, start)
-    if crystal.highest_weight_vertices != (start,):
-        raise AssertionError("B(%r) has a top other than the straight path" % (lam,))
-    return crystal
+    return CompiledCrystal(rs, vertices, edges, start)
 
 
 def tensor_product_elements(left_elements, right_elements):
     return frozenset(
         TensorElement(a, b) for a in left_elements for b in right_elements
     )
-
-
-def graph_on(rs, elements):
-    """The graph induced on a subset: edges whose two ends both belong,
-    read off the f table of the elements' compiled space."""
-    subset = compiled_subset(elements)
-    space, ids = subset.space, subset.ids
-    edges = {}
-    for c in ids:
-        for i in range(1, rs.rank + 1):
-            y = space._f(c, i)
-            if y >= 0 and y in ids:
-                edges[(space._decode(c), i)] = space._decode(y)
-    return CrystalGraph(rs, subset.elements(), edges)
 
 
 def _search(space, seed, member):
@@ -644,19 +614,17 @@ def induced_component(rs, seed, members):
     """Connected component of the induced graph through the seed.
 
     On a `Subset` the seed is an id (or pair code) of its space and so is
-    the result.  Any other `members` is a container of crystal elements
-    whose `in` is the membership predicate; the same integer search then
-    runs on the codes of the seed's compiled space and the result is
-    decoded.
+    the result.  Any other `members` is a finite set of crystal elements of
+    one compiled space; it is encoded, the search runs on its codes, and
+    the result is decoded.
     """
     if seed not in members:
         raise ValueError("seed does not satisfy the membership predicate")
     if isinstance(members, Subset):
         return _search(members.space, seed, members.ids.__contains__)
-    space = space_of(seed)
-    decode = space._decode
-    found = _search(space, space._encode(seed), lambda c: decode(c) in members)
-    return space._decoded(found)
+    subset = compiled_subset(members)
+    space = subset.space
+    return space._decoded(induced_component(rs, space._encode(seed), subset))
 
 
 def components_of(rs, members):
@@ -816,17 +784,23 @@ def _vertex_label(x):
     return "wt=%s [%s; %s]" % (list(weight_of(x)), dirs, brks)
 
 
-def to_dot(graph, name="crystal", highlight=()):
-    """Graphviz digraph with edges labeled by color, deterministic order."""
+def to_dot(elements, name="crystal", highlight=()):
+    """Graphviz digraph of the graph induced on a set of crystal elements
+    (or a `Subset`), with edges labeled by colour, in id order."""
+    subset = compiled_subset(elements)
+    space = subset.space
     highlight = frozenset(highlight)
-    index = {x: k for k, x in enumerate(graph.vertices)}
+    ids = sorted(subset.ids)
+    index = {c: k for k, c in enumerate(ids)}
     lines = ["digraph %s {" % name]
-    for x in graph.vertices:
+    for k, c in enumerate(ids):
+        x = space._decode(c)
         style = ' style=filled fillcolor="lightgrey"' if x in highlight else ""
-        lines.append('  n%d [label="%s"%s];' % (index[x], _vertex_label(x), style))
-    for (x, i), y in sorted(
-        graph.edges.items(), key=lambda kv: (index[kv[0][0]], kv[0][1])
-    ):
-        lines.append('  n%d -> n%d [label=%d];' % (index[x], index[y], i))
+        lines.append('  n%d [label="%s"%s];' % (k, _vertex_label(x), style))
+    for k, c in enumerate(ids):
+        for i in range(1, space.rank + 1):
+            y = index.get(space._f(c, i))
+            if y is not None:
+                lines.append('  n%d -> n%d [label=%d];' % (k, y, i))
     lines.append("}")
     return "\n".join(lines) + "\n"

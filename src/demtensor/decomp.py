@@ -307,9 +307,9 @@ def lift_word(group, v, w, lam, mu, word=None):
     callers that lift many paths compute it once.  Raises ValueError when
     the decomposition condition fails or `word` is not such a reduced word.
     """
-    vfloor = group.coset_min_weight(v, lam)
-    if vfloor not in group.descent_subgroup(group.coset_max_weight(w, mu)):
+    if not condition_check(group, v, w, lam, mu):
         raise ValueError("decomposition condition fails; the witness is undefined")
+    vfloor = group.coset_min_weight(v, lam)
     if word is None:
         return vfloor.word
     word = tuple(word)
@@ -349,8 +349,8 @@ def product_key(group, v, w, lam, mu):
 class DecompositionEntry:
     """One component: its indexing path, elements, and certified verdict.
 
-    `component` is the Subset of pair codes; `elements` decodes it to
-    `TensorElement`s on first use.
+    `component` is the Subset of pair codes; `elements` are its
+    `TensorElement`s, decoded by the subset on first use.
     """
 
     __slots__ = (
@@ -361,14 +361,12 @@ class DecompositionEntry:
         "witness",
         "expected_witness",
         "string_violation",
-        "_elements",
     )
 
     def __init__(self, pi, component, shifted_shape, demazure, witness,
                  expected_witness, string_violation):
         self.pi = pi
         self.component = component
-        self._elements = None
         self.shifted_shape = shifted_shape
         self.demazure = demazure
         self.witness = witness
@@ -377,9 +375,7 @@ class DecompositionEntry:
 
     @property
     def elements(self):
-        if self._elements is None:
-            self._elements = self.component.elements()
-        return self._elements
+        return self.component.elements()
 
 
 class DecompositionReport:

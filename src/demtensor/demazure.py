@@ -33,11 +33,11 @@ from .weyl import weyl_group
 class DemazureCrystal:
     """A generated Demazure crystal with its canonical witness.
 
-    `subset` holds its ids in the compiled B(shape); `elements` decodes them
-    to paths on first use.
+    `subset` holds its ids in the compiled B(shape); `elements` are its
+    paths, decoded by the subset on first use.
     """
 
-    __slots__ = ("rs", "shape", "witness", "subset", "reduced_word_used", "_elements")
+    __slots__ = ("rs", "shape", "witness", "subset", "reduced_word_used")
 
     def __init__(self, rs, shape, witness, subset, reduced_word_used):
         self.rs = rs
@@ -45,13 +45,10 @@ class DemazureCrystal:
         self.witness = witness
         self.subset = subset
         self.reduced_word_used = reduced_word_used
-        self._elements = None
 
     @property
     def elements(self):
-        if self._elements is None:
-            self._elements = self.subset.elements()
-        return self._elements
+        return self.subset.elements()
 
     def __eq__(self, other):
         return (

@@ -11,9 +11,10 @@ import itertools
 from .cartan import root_system, vadd, weyl_dimension
 from .crystal import (
     Subset,
+    _path_e,
+    _path_f,
     character,
     e_op,
-    f_op,
     generate_crystal,
     induced_component,
     is_isomorphic,
@@ -160,7 +161,7 @@ def suite_dimension_formula(grid):
 
 
 def suite_tensor_vs_concatenation(grid):
-    """The tensor rule of the pair codes agrees with root operators on
+    """The tensor rule of the pair codes agrees with the path operators on
     concatenated paths."""
     for lam in grid.shapes:
         for mu in grid.shapes:
@@ -170,7 +171,7 @@ def suite_tensor_vs_concatenation(grid):
                 raw = concatenate(pair.left, pair.right)
                 steps = space._steps(c)
                 for i in range(1, grid.rs.rank + 1):
-                    for op, y in zip((f_op, e_op), steps[2 * i - 2:2 * i]):
+                    for op, y in zip((_path_f, _path_e), steps[2 * i - 2:2 * i]):
                         if y < 0:
                             expected = None
                         else:

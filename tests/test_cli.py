@@ -219,6 +219,26 @@ def test_structural_failures_exit_two(monkeypatch, capsys, failure, cold_caches)
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_wrong_raising_step_exits_two(monkeypatch, capsys, cold_caches):
+    from demtensor import crystal
+    from demtensor.cartan import root_system
+    from demtensor.lspath import straight_path
+
+    A2 = root_system("A", 2)
+    path_e = crystal._path_e
+    moved = crystal._path_f(straight_path(A2, (1, 1)), 1)
+    wrong = crystal._path_f(straight_path(A2, (1, 1)), 2)
+    # compilation checks the e table against the f table: exit 2
+    monkeypatch.setattr(
+        crystal, "_path_e", lambda path, i: wrong if path is moved and i == 1 else path_e(path, i)
+    )
+    code = main(["decompose", *EX1])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("structural failure: f_1(e_1(y)) != y at ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_oversized_crystal_exits_one_quickly(capsys):
     import time
 
@@ -346,7 +366,7 @@ def test_output_matches_the_benchmark_reference_digests(capsys):
 
 def test_dot_output_matches_recorded_digests(capsys, tmp_path):
     """The DOT text of the README's `graph` and `decompose --dot-dir`
-    examples, pinned by sha256 digests, since `graph_on` builds both graphs."""
+    examples, pinned by sha256 digests, since `to_dot` writes both."""
     import hashlib
 
     code, out = run(capsys, "graph", "--type", "A2", "--lambda", "1,1", "--w", "1,2")

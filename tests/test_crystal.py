@@ -13,6 +13,8 @@ from demtensor.crystal import (
     MultipleHighestWeights,
     Subset,
     TensorElement,
+    _path_e,
+    _path_f,
     character,
     components_of,
     e_op,
@@ -21,7 +23,6 @@ from demtensor.crystal import (
     f_op,
     f_string_closure,
     generate_crystal,
-    graph_on,
     induced_component,
     is_isomorphic,
     phi,
@@ -30,11 +31,12 @@ from demtensor.crystal import (
     to_dot,
     weight_of,
 )
-from demtensor.lspath import concatenate, straight_path
+from demtensor.lspath import concatenate, make_path, straight_path
 
 A2 = root_system("A", 2)
 A1 = root_system("A", 1)
 B2 = root_system("B", 2)
+G2 = root_system("G", 2)
 F = Fraction
 
 
@@ -189,7 +191,7 @@ def fundamentals(rs):
 
 
 def test_tensor_agrees_with_concatenation():
-    # the steps of the pair codes and the root operators on concatenated paths agree
+    # the steps of the pair codes and the path operators on concatenated paths agree
     for rs in (A2, B2):
         for lam, mu in itertools.product(fundamentals(rs), repeat=2):
             space = tensor_space(generate_crystal(rs, lam), generate_crystal(rs, mu))
@@ -198,7 +200,7 @@ def test_tensor_agrees_with_concatenation():
                 raw = concatenate(x.left, x.right)
                 steps = space._steps(c)
                 for i in range(1, rs.rank + 1):
-                    for op, y in zip((f_op, e_op), steps[2 * i - 2:2 * i]):
+                    for op, y in zip((_path_f, _path_e), steps[2 * i - 2:2 * i]):
                         z = op(raw, i)
                         if y < 0:
                             assert z is None
@@ -274,15 +276,39 @@ def test_is_isomorphic_rejects_multiple_tops():
         is_isomorphic(A2, frozenset([a, b]), frozenset([a]))
 
 
-def test_graph_on_and_dot_determinism():
+def test_to_dot_reads_the_f_table_in_id_order():
     crystal = generate_crystal(A2, (1, 0))
-    graph = graph_on(A2, crystal.vertices)
-    assert len(graph.edges) == 2
-    assert graph.highest_weight_vertices == (straight_path(A2, (1, 0)),)
-    dot1 = to_dot(graph)
-    dot2 = to_dot(graph_on(A2, crystal.vertices))
-    assert dot1 == dot2
-    assert "label=1" in dot1 and "label=2" in dot1
+    dot = to_dot(crystal.vertices)
+    assert dot == to_dot(Subset(crystal, frozenset(range(len(crystal)))))
+    assert dot == to_dot(frozenset(reversed(crystal.vertices)))
+    edges = [line for line in dot.splitlines() if "->" in line]
+    assert len(edges) == 2
+    assert "label=1" in dot and "label=2" in dot
+    assert Subset(crystal, range(len(crystal))).tops() == [crystal.top]
+    assert crystal.vertices[crystal.top] == straight_path(A2, (1, 0))
+    # an induced subgraph keeps only the edges with both ends inside
+    top = straight_path(A2, (1, 0))
+    assert "->" not in to_dot([top, f_op(f_op(top, 1), 2)])
+
+
+def test_operators_refuse_paths_outside_a_generated_crystal():
+    raw = concatenate(straight_path(A2, (1, 0)), straight_path(A2, (0, 1)))
+    for op in (f_op, e_op, eps, phi):
+        with pytest.raises(ValueError, match="not an element of a generated crystal"):
+            op(raw, 1)
+    # directions that rise in the orbit order: an LSPath object, not in B(1,0)
+    rising = make_path(A2, (1, 0), ((-1, 1), (1, 0)), (F(0), F(1, 2), F(1)))
+    for op in (f_op, e_op):
+        with pytest.raises(ValueError, match="not an element of the crystal"):
+            op(rising, 1)
+        with pytest.raises(ValueError, match="too large to generate"):
+            op(straight_path(G2, (4, 4)), 1)
+
+
+def test_generation_leaves_the_operator_caches_empty(cold_caches):
+    crystal = generate_crystal(G2, (1, 1))
+    assert len(crystal) == weyl_dim(G2, (1, 1))
+    assert f_op.cache_info().currsize == 0 and e_op.cache_info().currsize == 0
 
 
 def enumerate_valid_paths(rs, lam):
@@ -329,8 +355,6 @@ def test_validity_matches_operator_reachability(rs, lam):
     assert enumerate_valid_paths(rs, lam) == reachable
 
 
-G2 = root_system("G", 2)
-
 
 @pytest.mark.parametrize("rs", [A2, B2, G2], ids=["A2", "B2", "G2"])
 def test_raising_undoes_lowering_on_the_same_object(rs):
@@ -359,16 +383,15 @@ def test_equal_tensor_elements_hash_and_compare_equal():
 
 
 def test_operators_make_no_fractions(monkeypatch):
-    """With every path interned, root operators, eps/phi and the compile-time
-    height checks run on integer ticks alone."""
+    """With every path interned, the path operators, eps/phi and the
+    compile-time checks run on integer ticks alone."""
     from demtensor.crystal import CompiledCrystal
 
-    G2 = root_system("G", 2)
     crystal = generate_crystal(G2, (1, 1))
-    ops = (f_op, e_op, eps, phi)
+    ops = (_path_f, _path_e, eps, phi)
     before = {(op, x, i): op(x, i) for op in ops for x in crystal for i in (1, 2)}
-    for op in ops:
-        op.cache_clear()
+    eps.cache_clear()
+    phi.cache_clear()
     made = []
     original = Fraction.__new__
 
@@ -381,11 +404,11 @@ def test_operators_make_no_fractions(monkeypatch):
     assert len(made) == 1, "the wrapper must see Fraction construction"
     made.clear()
     after = {(op, x, i): op(x, i) for op in ops for x in crystal for i in (1, 2)}
-    CompiledCrystal(G2, crystal.vertices, crystal.edges, crystal.vertices[crystal.top])
+    CompiledCrystal(G2, crystal.vertices, generation_edges(crystal), crystal.vertices[crystal.top])
     monkeypatch.undo()
     assert made == []
     assert after == before
-    assert f_op.cache_info().misses >= len(crystal) * 2
+    assert eps.cache_info().misses == phi.cache_info().misses == len(crystal) * 2
 
 
 def test_weyl_dimension_matches_product_oracle():
@@ -422,7 +445,7 @@ def test_non_integral_height_minimum_is_refused():
 
     # the 1-height dips to -1/2 and comes back: no integral path does that
     dip = RawPath(A2, ((-1, 0), (1, 0)), (F(0), F(1, 2), F(1)))
-    for op in (f_op, e_op):
+    for op in (_path_f, _path_e):
         with pytest.raises(AssertionError, match="non-integral minimum"):
             op(dip, 1)
 
@@ -430,6 +453,18 @@ def test_non_integral_height_minimum_is_refused():
 # -- compiled crystals -------------------------------------------------------------
 
 C3 = root_system("C", 3)
+
+
+def generation_edges(crystal):
+    """The (x, i) -> f_i(x) map that generation hands to `CompiledCrystal`,
+    rebuilt from the f table."""
+    v = crystal.vertices
+    return {
+        (v[k], i): v[y]
+        for i, row in enumerate(crystal.f_table, 1)
+        for k, y in enumerate(row)
+        if y >= 0
+    }
 
 
 def bound_one_shapes(rs):
@@ -446,7 +481,7 @@ def test_compiled_tables_match_the_path_model(rs):
             assert crystal.index[x] == k
             assert crystal.weights[k] == weight_of(x)
             for i in range(1, rs.rank + 1):
-                for table, op in ((crystal.f_table, f_op), (crystal.e_table, e_op)):
+                for table, op in ((crystal.f_table, _path_f), (crystal.e_table, _path_e)):
                     y = op(x, i)
                     assert table[i - 1][k] == (-1 if y is None else crystal.index[y])
                 heights = path_oracle.height_profile(x, i)
@@ -567,7 +602,7 @@ def test_compile_time_height_check_sees_a_broken_eps(monkeypatch):
     from demtensor import crystal as crystal_module
 
     crystal = generate_crystal(A2, (1, 1))
-    args = (A2, crystal.vertices, crystal.edges, crystal.vertices[crystal.top])
+    args = (A2, crystal.vertices, generation_edges(crystal), crystal.vertices[crystal.top])
     assert crystal_module.CompiledCrystal(*args).eps_table == crystal.eps_table
     positions = crystal_module._string_positions
 
@@ -596,3 +631,56 @@ def test_subset_scans_its_tops_once():
     again = subset.tops()
     assert again == first and again is not first and len(scanned) == len(crystal)
     assert Subset(crystal, frozenset()).tops() == []
+
+
+def test_subset_decodes_its_elements_once():
+    from demtensor.demazure import generate_demazure
+    from demtensor.weyl import weyl_group
+
+    crystal = generate_crystal(A2, (1, 1))
+    subset = Subset(crystal, frozenset(range(0, len(crystal), 2)))
+    first = subset.elements()
+    assert subset.elements() is first
+    assert first == frozenset(crystal.vertices[k] for k in subset.ids)
+    group = weyl_group(A2)
+    dem = generate_demazure(group, group.longest(), (1, 1))
+    assert dem.elements is dem.subset.elements() and dem.elements == frozenset(dem)
+
+
+def wrong_raising_step(monkeypatch, lam, wrong):
+    """Patch `_path_e` so that e_1 of f_1 of the top of B(lam) is `wrong`
+    of that element; every other call is left alone."""
+    from demtensor import crystal as crystal_module
+
+    path_e = crystal_module._path_e
+    moved = _path_f(straight_path(A2, lam), 1)
+
+    def broken(path, i):
+        if path is moved and i == 1:
+            return wrong(path)
+        return path_e(path, i)
+
+    monkeypatch.setattr(crystal_module, "_path_e", broken)
+
+
+def test_compile_sees_a_raising_step_to_the_wrong_element(monkeypatch, cold_caches):
+    wrong_raising_step(monkeypatch, (1, 1), lambda y: _path_f(straight_path(A2, (1, 1)), 2))
+    with pytest.raises(AssertionError, match=r"f_1\(e_1\(y\)\) != y"):
+        generate_crystal(A2, (1, 1))
+
+
+def test_compile_sees_a_raising_step_to_zero(monkeypatch, cold_caches):
+    # f_1 of the top then has no inverse step: the edge check catches it
+    wrong_raising_step(monkeypatch, (1, 1), lambda y: None)
+    with pytest.raises(AssertionError, match=r"e_1\(f_1\(x\)\) != x"):
+        generate_crystal(A2, (1, 1))
+
+
+def test_compile_sees_a_second_top():
+    # two whole crystals pass both inverse checks; only the top check fails
+    from demtensor.crystal import CompiledCrystal
+
+    a, b = generate_crystal(A2, (1, 0)), generate_crystal(A2, (0, 1))
+    edges = {**generation_edges(a), **generation_edges(b)}
+    with pytest.raises(AssertionError, match="top other than the straight path"):
+        CompiledCrystal(A2, a.vertices + b.vertices, edges, a.vertices[a.top])
