@@ -556,18 +556,22 @@ def lower_closure(space, ids, i):
 CRYSTAL_SIZE_LIMIT = 10000
 
 
-@lru_cache(maxsize=None)
-def generate_crystal(rs, lam):
-    """The highest weight crystal of a dominant weight, generated by closure
-    under `_path_f` and compiled to integer tables."""
-    if not rs.is_dominant(lam):
-        raise ValueError("highest weight %r is not dominant" % (lam,))
+def _refuse_oversized(rs, lam):
     size = weyl_dimension(rs, lam)
     if size > CRYSTAL_SIZE_LIMIT:
         raise ValueError(
             "crystal of highest weight %r for %r too large to generate "
             "(%d elements, the limit is %d)" % (tuple(lam), rs, size, CRYSTAL_SIZE_LIMIT)
         )
+
+
+@lru_cache(maxsize=None)
+def generate_crystal(rs, lam):
+    """The highest weight crystal of a dominant weight, generated by closure
+    under `_path_f` and compiled to integer tables."""
+    if not rs.is_dominant(lam):
+        raise ValueError("highest weight %r is not dominant" % (lam,))
+    _refuse_oversized(rs, lam)
     start = straight_path(rs, lam)
     vertices = {start}
     edges = {}

@@ -120,11 +120,11 @@ def component(group, pi, v, w, lam, mu):
 def condition_check(group, v, w, lam, mu):
     """Is the minimal representative of v modulo the stabilizer of lam inside
     the left-descent parabolic of the maximal representative of w modulo the
-    stabilizer of mu?
+    stabilizer of mu?  An element is in W_I when its reduced word's letters are.
     """
     vfloor = group.coset_min_weight(v, lam)
     wceil = group.coset_max_weight(w, mu)
-    return vfloor in group.descent_subgroup(wceil)
+    return set(vfloor.word) <= group.left_descents(wceil)
 
 
 # -- the base witness of a dominant path ----------------------------------------------
@@ -217,7 +217,7 @@ def _interval_recursion(group, pi, wfloor, mu, lam):
     q = len(Js)
     wj = group.identity
     for k in range(q, 1, -1):
-        wj = group.coset_bruhat_max(group.parabolic(Js[k - 1]), wj)
+        wj = group.coset_bruhat_max(Js[k - 1], wj)
     first = group.parabolic(Js[0])
     tau1 = _orbit_transport(group, mu, pi.initial_direction())
     admissible = [

@@ -13,6 +13,7 @@ from .crystal import (
     Subset,
     _path_e,
     _path_f,
+    _refuse_oversized,
     character,
     e_op,
     generate_crystal,
@@ -89,6 +90,8 @@ def parse_grid(text):
     ]
     if not shapes:
         raise ValueError("grid %r has no nonzero shapes to sweep" % text)
+    # The largest crystal the suites build is B(lam + mu) of the top shapes.
+    _refuse_oversized(rs, (2 * bound,) * rs.rank)
     return Grid(rs, shapes)
 
 

@@ -6,10 +6,12 @@ An element is identified by its index in `WeylGroup.elements`, and there is
 one `WeylElement` per group element, so equality is identity.  The group
 keeps integer generator tables, built once with it: w*s_i, s_i*w, w^-1 and
 the length of every element.  Products, inverses, lengths, descents, cosets
-and Bruhat comparisons walk these tables.  Each element also carries its
-action matrix on fundamental-weight coordinates, which serves `apply`,
-`reflection` and `element_of_matrix`, and one stored reduced word, the
-lexicographically least.
+and Bruhat comparisons walk these tables, and no coset is enumerated: a
+coset extreme is where a walk by the generators of J stops shortening or
+lengthening (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  Each
+element also carries its action matrix on fundamental-weight coordinates,
+which serves `apply`, `reflection` and `element_of_matrix`, and one stored
+reduced word, the lexicographically least.
 """
 
 from fractions import Fraction
@@ -223,54 +225,38 @@ class WeylGroup:
             c + 1 for c, table in enumerate(self._lmul) if length[table[k]] < length[k]
         )
 
-    def descent_subgroup(self, w):
-        """The parabolic subgroup generated by the left descents of w."""
-        return self.parabolic(self.left_descents(w))
-
     # -- parabolic subgroups and cosets ---------------------------------------
 
     @lru_cache(maxsize=None)
     def parabolic(self, J):
-        """All elements of the standard parabolic subgroup W_J, J a frozenset."""
-        tables = [self._rmul[i - 1] for i in J]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for k in frontier:
-                for table in tables:
-                    j = table[k]
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return tuple(self.elements[k] for k in sorted(seen))
+        """All elements of the standard parabolic subgroup W_J, J a frozenset:
+        those whose reduced word uses only letters of J."""
+        return tuple(w for w in self.elements if J.issuperset(w.word))
 
     def stabilizer_indices(self, lam):
         """Simple indices whose reflection fixes the dominant weight lam."""
         return frozenset(i for i in range(1, self.rs.rank + 1) if lam[i - 1] == 0)
 
-    def coset(self, w, J):
-        """The coset w W_J, in the order of parabolic(J)."""
-        k = w.index
-        return tuple(self.elements[self._walk(k, h.word)] for h in self.parabolic(frozenset(J)))
-
-    def _coset_extreme(self, w, J, pick_max):
-        coset = self.coset(w, J)
-        lens = [self._len[u.index] for u in coset]
-        ext = max(lens) if pick_max else min(lens)
-        hits = [u for u, l in zip(coset, lens) if l == ext]
-        if len(hits) != 1:
-            raise AssertionError("coset extreme not unique on %r" % (coset,))
-        return hits[0]
+    def _walk_extreme(self, k, tables, up):
+        """Step from element k along the tables while a step lengthens it
+        (up) or shortens it; each step is strict, so the walk ends."""
+        length = self._len
+        while True:
+            for table in tables:
+                j = table[k]
+                if (length[j] > length[k]) if up else (length[j] < length[k]):
+                    k = j
+                    break
+            else:
+                return k
 
     def coset_min(self, w, J):
         """Minimal-length representative of the coset w W_J."""
-        return self._coset_extreme(w, frozenset(J), False)
+        return self.elements[self._walk_extreme(w.index, [self._rmul[j - 1] for j in J], False)]
 
     def coset_max(self, w, J):
         """Maximal-length representative of the coset w W_J."""
-        return self._coset_extreme(w, frozenset(J), True)
+        return self.elements[self._walk_extreme(w.index, [self._rmul[j - 1] for j in J], True)]
 
     def coset_min_weight(self, w, lam):
         """Minimal-length representative of w modulo the stabilizer of lam."""
@@ -281,10 +267,15 @@ class WeylGroup:
 
     @lru_cache(maxsize=None)
     def minimal_coset_reps(self, J):
-        """All minimal-length coset representatives modulo W_J, sorted."""
-        J = frozenset(J)
-        reps = {self.coset_min(w, J) for w in self.elements}
-        return tuple(sorted(reps, key=lambda w: w.index))
+        """All minimal-length coset representatives modulo W_J, sorted: the
+        elements with no right descent in J.  Checked to be one per coset."""
+        length, tables = self._len, [self._rmul[j - 1] for j in J]
+        reps = tuple(
+            w for k, w in enumerate(self.elements) if all(length[t[k]] > length[k] for t in tables)
+        )
+        if len(reps) * len(self.parabolic(frozenset(J))) != len(self.elements):
+            raise AssertionError("%d minimal coset reps for J = %s" % (len(reps), sorted(J)))
+        return reps
 
     # -- Bruhat order ----------------------------------------------------------
 
@@ -376,10 +367,9 @@ class WeylGroup:
             raise AssertionError("reflection stabilizer differs from point stabilizer at %r" % (x,))
         return subgroup
 
-    def coset_bruhat_max(self, subgroup_elements, w):
-        """Bruhat-maximal element of the coset {h*w : h in the subgroup}."""
-        coset = {self.elements[self._walk(h.index, w.word)] for h in subgroup_elements}
-        return self.bruhat_max(coset)
+    def coset_bruhat_max(self, J, w):
+        """Bruhat-maximal element of the coset W_J w: its longest element."""
+        return self.elements[self._walk_extreme(w.index, [self._lmul[j - 1] for j in J], True)]
 
     # -- orbits -------------------------------------------------------------------
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import demtensor
+from demtensor.cartan import root_system
 from demtensor.cli import main
 from demtensor.crystal import MultipleHighestWeights
 from demtensor.decomp import NoDemazureMatch, OracleMismatch, TheoremViolation
@@ -151,6 +152,37 @@ def test_verify_refuses_empty_grid(capsys, grid):
     assert repr(grid) in captured.err and "no nonzero shapes" in captured.err
 
 
+@pytest.mark.parametrize("grid,top", [("B3:1", (2, 2, 2)), ("A4:1", (2, 2, 2, 2))])
+def test_oversized_grid_refused_at_parse_time(capsys, grid, top):
+    """The top shapes' product B(lam + mu) is over the crystal limit: the
+    parser refuses the grid with generate_crystal's message before any
+    suite runs."""
+    import time
+
+    from demtensor.crystal import generate_crystal
+    from demtensor.verify import parse_grid
+
+    with pytest.raises(ValueError) as refused:
+        generate_crystal(root_system(grid[0], int(grid[1])), top)
+    with pytest.raises(ValueError) as parsed:
+        parse_grid(grid)
+    assert str(parsed.value) == str(refused.value)
+    start = time.perf_counter()
+    code = main(["verify", "--grid", grid])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: %s\n" % refused.value
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("grid", ["A3:1", "B2:2", "G2:1"])
+def test_grids_within_the_crystal_limit_parse(grid):
+    from demtensor.verify import parse_grid
+
+    assert parse_grid(grid).name == grid.split(":")[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -194,6 +226,42 @@ def test_decompose_output_unchanged_under_optimize():
     plain = run_cli()
     assert json.loads(plain)["condition_holds"] is True
     assert run_cli("-O") == plain
+
+
+CORRUPTED_LENGTH = """
+import sys
+from demtensor import cli
+from demtensor.cartan import root_system
+from demtensor.weyl import WeylGroup
+
+def corrupted(rs):
+    group = WeylGroup(rs)
+    group._len[5] = 2  # s1s2s1 of A2 at the length of s1s2
+    return group
+
+try:
+    corrupted(root_system("A", 2)).minimal_coset_reps(frozenset({1}))
+except AssertionError as caught:
+    print("raised: %s" % caught)
+cli.weyl_group = corrupted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_coset_count_check_survives_optimize_and_exits_two(flags):
+    """A fresh A2 group with one false length: the count check of
+    minimal_coset_reps raises, and decompose over the group exits 2."""
+    src = os.path.dirname(os.path.dirname(demtensor.__file__))
+    argv = [sys.executable, *flags, "-c", CORRUPTED_LENGTH, "decompose", "--type", "A2",
+            "--v", "1", "--w", "1,2", "--lambda", "1,0", "--mu", "1,0"]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    message = "2 minimal coset reps for J = [1]"
+    assert done.stdout.startswith("raised: " + message)
+    assert done.returncode == 2
+    assert done.stderr.startswith("structural failure: " + message)
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Tensor decomposition: witnesses, condition, reports, recursion, product rule."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import coset_oracle
 from demtensor import decomp, keypoly
 from demtensor.cartan import root_system, vadd
 from demtensor.crystal import TensorElement, f_op, weight_of
@@ -141,6 +143,37 @@ def test_condition_check_examples():
     assert condition_check(WA2, **{k: EX1[k] for k in ("v", "w")}, lam=EX1["lam"], mu=EX1["mu"])
     assert condition_check(WA2, EX2["v"], EX2["w"], EX2["lam"], EX2["mu"])
     assert not condition_check(WA2, EX3["v"], EX3["w"], EX3["lam"], EX3["mu"])
+
+
+def bound_one_shapes(rank):
+    return [s for s in itertools.product((0, 1), repeat=rank) if any(s)]
+
+
+def test_condition_by_word_support_matches_the_subgroup_oracle_on_b2():
+    group = weyl_group(root_system("B", 2))
+    verdicts = []
+    for v, w in itertools.product(group, repeat=2):
+        for lam, mu in itertools.product(bound_one_shapes(2), repeat=2):
+            got = condition_check(group, v, w, lam, mu)
+            assert got == coset_oracle.condition_check(group, v, w, lam, mu), (v, w, lam, mu)
+            verdicts.append(got)
+    assert len(verdicts) == 576 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_condition_by_word_support_matches_the_subgroup_oracle_on_f4():
+    """2000 seeded instances over W(F4), both orientations, as f4-check runs them."""
+    group = weyl_group(root_system("F", 4))
+    shapes = bound_one_shapes(4)
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(2000):
+        v, w = rng.choice(group.elements), rng.choice(group.elements)
+        lam, mu = rng.choice(shapes), rng.choice(shapes)
+        for args in ((v, w, lam, mu), (w, v, mu, lam)):
+            got = condition_check(group, *args)
+            assert got == coset_oracle.condition_check(group, *args), args
+            verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_component_trivial():
@@ -428,7 +461,7 @@ def test_path_witness_memo_matches_a_fresh_recursion():
                 wfloor = group.coset_min_weight(w, mu)
                 expected = [fresh(group, pi, wfloor, mu, lam) for pi in paths]
                 assert [path_witness(group, pi, w, mu, lam) for pi in paths] == expected
-                for x in group.coset(w, stabilizer):
+                for x in coset_oracle.coset(group, w, stabilizer):
                     assert dominant_paths(group, x, mu, lam) == paths
                     assert [path_witness(group, pi, x, mu, lam) for pi in paths] == expected
                 checked += len(paths)
