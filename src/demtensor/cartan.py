@@ -289,18 +289,9 @@ def parse_type(name):
 # -- type A epsilon coordinates -------------------------------------------
 #
 # For A_n the weight lattice is usually presented in coordinates
-# eps_1, ..., eps_{n+1} with eps_1 + ... + eps_{n+1} = 0.  These helpers
-# translate between that presentation and fundamental-weight coordinates:
+# eps_1, ..., eps_{n+1} with eps_1 + ... + eps_{n+1} = 0.  This helper
+# translates fundamental-weight coordinates into that presentation:
 # eps_k = fund_k - fund_{k-1} (with fund_0 = fund_{n+1} = 0).
-
-
-def weight_from_eps(rs, zs):
-    """Weight with epsilon-coordinates zs (length rank+1), type A only."""
-    if rs.type_letter != "A":
-        raise ValueError("epsilon coordinates are only defined for type A")
-    if len(zs) != rs.rank + 1:
-        raise ValueError("expected %d epsilon coordinates" % (rs.rank + 1))
-    return normalize_coords(tuple(zs[i] - zs[i + 1] for i in range(rs.rank)))
 
 
 def eps_from_weight(rs, x):

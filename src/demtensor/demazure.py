@@ -26,7 +26,7 @@ from .crystal import (
     generate_crystal,
     lower_closure,
 )
-from .lspath import straight_path
+from .lspath import in_orbit, orbit_leq, straight_path
 from .weyl import weyl_group
 
 
@@ -120,8 +120,10 @@ def contains(pi, w, lam):
     if pi.shape != tuple(lam):
         raise ValueError("path of shape %r tested against shape %r" % (pi.shape, lam))
     group = weyl_group(pi.rs)
-    poset = group.orbit_poset(tuple(lam))
-    return poset.leq(pi.initial_direction(), group.apply(w, lam))
+    start = pi.initial_direction()
+    if not in_orbit(group, start, pi.shape):
+        raise ValueError("initial direction %r is not in the orbit of %r" % (start, pi.shape))
+    return orbit_leq(group, start, group.apply(w, lam))
 
 
 def string_parametrization(b, word, lam):

@@ -31,8 +31,16 @@ root operators once the path has passed `validate`, so each distinct path
 an operator produces is validated exactly once.
 
 `dominant_walk` depends only on the weight and is memoized by
-(group, weight); key ranks, key indices and the orbit transport of the
-witness recursion all read it.
+(group, weight); key ranks, key indices, the orbit transport of the
+witness recursion and the orbit order all read it.
+
+Validation reads the order on an orbit W lam off the Weyl tables, with no
+orbit structure of its own.  A direction x lies in W lam when its dominant
+walk ends at lam, and the word of that walk spells the minimal coset
+representative u with x = u lam.  The order is Bruhat order on these
+representatives, graded by their length (`orbit_leq`), and an a-chain is
+searched down the covers of that order, one length step at a time.  The
+representatives and the chain searches are memoized.
 """
 
 from fractions import Fraction
@@ -217,16 +225,20 @@ class LSPath(_PathBase):
         return tuple(c // den for c in end)
 
     def validate(self):
-        """None if the path is a valid LS path, else the first violation."""
+        """None if the path is a valid LS path, else the first violation.
+
+        Orbit membership, the order of the directions and their a-chains
+        are read off the Weyl tables (`in_orbit`, `orbit_leq`,
+        `_chain_exists`).
+        """
         rs = self.rs
         if not rs.is_dominant(self.shape):
             return "shape %r is not dominant" % (self.shape,)
         group = weyl_group(rs)
-        poset = group.orbit_poset(self.shape)
         if not self.directions:
             return "no segments"
         for d in self.directions:
-            if d not in poset:
+            if not in_orbit(group, d, self.shape):
                 return "direction %r is not in the orbit of %r" % (d, self.shape)
         den, ticks = self.den, self.ticks
         if ticks[0] != 0 or ticks[-1] != den:
@@ -237,9 +249,9 @@ class LSPath(_PathBase):
             hi, lo = self.directions[k], self.directions[k + 1]
             if hi == lo:
                 return "adjacent directions %r repeat" % (hi,)
-            if not poset.leq(lo, hi):
+            if not orbit_leq(group, lo, hi):
                 return "directions %r, %r do not decrease" % (hi, lo)
-            if not poset.tick_chain_exists(hi, lo, ticks[k + 1], den):
+            if not _chain_exists(group, hi, lo, *_reduced(ticks[k + 1], den)):
                 return "no %s-chain between %r and %r" % (self.breaks[k + 1], hi, lo)
         if any(c % den for c in self.marks[-rs.rank:]):
             return "endpoint %r is not a lattice weight" % (self.endpoint(),)
@@ -394,3 +406,54 @@ def _dominant_walk(group, x):
 def dominant_representative(group, x):
     """The dominant weight in the orbit of x."""
     return dominant_walk(group, x)[0]
+
+
+def in_orbit(group, x, lam):
+    """Is x in the orbit W lam of the dominant weight lam?"""
+    return len(x) == group.rs.rank and _dominant_walk(group, x)[0] == lam
+
+
+@lru_cache(maxsize=None)
+def _orbit_rep(group, x):
+    """The minimal representative u of x modulo the stabilizer of its
+    dominant form lam, so that x = u lam: the element of the walk's word."""
+    return group.from_word(dominant_walk(group, x)[1])
+
+
+def orbit_leq(group, lo, hi):
+    """lo <= hi in the order on an orbit W lam.
+
+    This is Bruhat order on the minimal representatives modulo W_lam
+    (Deodhar, Invent. Math. 1977), graded by their length, so lam is the
+    minimum and w_0 lam the maximum.  Both points must lie in one orbit.
+    """
+    return group.bruhat_leq(_orbit_rep(group, lo), _orbit_rep(group, hi))
+
+
+@lru_cache(maxsize=None)
+def _chain_exists(group, hi, lo, tick, den):
+    """Is there a chain of covers hi > ... > lo in the orbit order along
+    which tick/den times every pairing is an integer?
+
+    A cover steps from x to s_beta x for a positive root beta with
+    <x, beta^vee> < 0 whose representative is exactly one shorter; it
+    counts only if it stays above lo and tick * <x, beta^vee> % den == 0.
+    tick/den is in lowest terms, so the memo has one entry per fraction.
+    """
+    if hi == lo:
+        return True
+    rs = group.rs
+    bottom = _orbit_rep(group, lo)
+    step_len = group.length(_orbit_rep(group, hi)) - 1
+    for beta in rs.positive_roots:
+        pairing = rs.root_pairing(hi, beta)
+        if pairing < 0 and tick * pairing % den == 0:
+            y = rs.reflect(hi, beta)
+            rep = _orbit_rep(group, y)
+            if (
+                group.length(rep) == step_len
+                and group.bruhat_leq(bottom, rep)
+                and _chain_exists(group, y, lo, tick, den)
+            ):
+                return True
+    return False

@@ -10,11 +10,11 @@ and Bruhat comparisons walk these tables, and no coset is enumerated: a
 coset extreme is where a walk by the generators of J stops shortening or
 lengthening (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  Each
 element also carries its action matrix on fundamental-weight coordinates,
-which serves `apply`, `reflection` and `element_of_matrix`, and one stored
-reduced word, the lexicographically least.
+which serves `apply` and `element_of_matrix`, and one stored reduced word,
+the lexicographically least.  The order on an orbit W lam is Bruhat order
+on minimal coset representatives; `lspath` reads it off these tables.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -326,47 +326,6 @@ class WeylGroup:
             )
         return winners[0]
 
-    # -- reflection subgroups ----------------------------------------------------
-
-    def reflection(self, root):
-        """The group element acting as the reflection in `root`."""
-        n = self.rs.rank
-        mat = tuple(
-            tuple(int(j == k) - root.cocoords[k] * root.fw[j] for k in range(n))
-            for j in range(n)
-        )
-        return self.element_of_matrix(mat)
-
-    def stabilizer(self, x):
-        """The subgroup generated by reflections fixing the rational point x.
-
-        Asserted equal to the full point stabilizer; for the points this
-        library feeds in (dominant ones) that is automatic, but the check
-        guards the general case.
-        """
-        gens = [
-            self.reflection(beta).word
-            for beta in self.rs.positive_roots
-            if self.rs.root_pairing(x, beta) == 0
-        ]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for k in frontier:
-                for g in gens:
-                    j = self._walk(k, g)
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        subgroup = tuple(self.elements[k] for k in sorted(seen))
-        point = normalize_coords(x)
-        full = tuple(w for w in self.elements if self.apply(w, x) == point)
-        if subgroup != full:
-            raise AssertionError("reflection stabilizer differs from point stabilizer at %r" % (x,))
-        return subgroup
-
     def coset_bruhat_max(self, J, w):
         """Bruhat-maximal element of the coset W_J w: its longest element."""
         return self.elements[self._walk_extreme(w.index, [self._lmul[j - 1] for j in J], True)]
@@ -388,145 +347,6 @@ class WeylGroup:
                         nxt.append(y)
             frontier = nxt
         return tuple(sorted(seen))
-
-    @lru_cache(maxsize=None)
-    def orbit_poset(self, lam):
-        if not self.rs.is_dominant(lam):
-            raise ValueError("orbit poset needs a dominant base weight")
-        return OrbitPoset(self, normalize_coords(lam))
-
-
-class OrbitPoset:
-    """The order on an orbit W.lam generated by reflections with negative pairing.
-
-    A step goes from mu to s_beta(mu) whenever <mu, beta^vee> < 0; the step
-    source is the larger element, so the dominant weight lam is the unique
-    minimum and w_0(lam) the unique maximum.  dist is the longest chain length
-    between comparable points, and covers are the steps at dist one.
-    """
-
-    def __init__(self, group, lam):
-        self.group = group
-        self.base = lam
-        rs = group.rs
-        self.points = group.orbit(lam)
-        point_set = set(self.points)
-        # down_steps[mu] = [(root, nu)] with mu > nu
-        self.down_steps = {}
-        for mu in self.points:
-            steps = []
-            for beta in rs.positive_roots:
-                if rs.root_pairing(mu, beta) < 0:
-                    nu = rs.reflect(mu, beta)
-                    if nu not in point_set:
-                        raise AssertionError("reflection of %r leaves the orbit of %r" % (mu, lam))
-                    steps.append((beta, nu))
-            self.down_steps[mu] = tuple(steps)
-        # descendants[mu] = every nu with nu <= mu
-        self._below = {}
-        for mu in self.points:
-            seen = {mu}
-            stack = [mu]
-            while stack:
-                x = stack.pop()
-                for _, y in self.down_steps[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            self._below[mu] = frozenset(seen)
-        minima = [mu for mu in self.points if self._below[mu] == {mu}]
-        if minima != [lam]:
-            raise AssertionError("dominant weight is not the unique minimum")
-        self._dist = {}
-        self._covers = None
-
-    def __contains__(self, x):
-        return x in self._below
-
-    def leq(self, mu, nu):
-        """mu <= nu in the orbit order."""
-        self._check(mu)
-        self._check(nu)
-        return mu in self._below[nu]
-
-    def _check(self, x):
-        if x not in self._below:
-            raise ValueError("%r is not in the orbit of %r" % (x, self.base))
-
-    def _longest_down(self, top, bottom):
-        """Longest chain length from top down to bottom, or None."""
-        if top == bottom:
-            return 0
-        key = (top, bottom)
-        if key in self._dist:
-            return self._dist[key]
-        best = None
-        for _, y in self.down_steps[top]:
-            if bottom in self._below[y]:
-                sub = self._longest_down(y, bottom)
-                if sub is not None and (best is None or sub + 1 > best):
-                    best = sub + 1
-        self._dist[key] = best
-        return best
-
-    def dist(self, mu, nu):
-        """Longest chain length between two comparable orbit points."""
-        self._check(mu)
-        self._check(nu)
-        if self.leq(nu, mu):
-            return self._longest_down(mu, nu)
-        if self.leq(mu, nu):
-            return self._longest_down(nu, mu)
-        raise ValueError("%r and %r are incomparable" % (mu, nu))
-
-    def covers(self):
-        """All cover steps as a dict mu -> tuple of (root, nu) with dist 1."""
-        if self._covers is None:
-            self._covers = {
-                mu: tuple(
-                    (beta, nu)
-                    for beta, nu in self.down_steps[mu]
-                    if self._longest_down(mu, nu) == 1
-                )
-                for mu in self.points
-            }
-        return self._covers
-
-    def sigma_chain_exists(self, mu, nu, sigma):
-        """Is there a cover chain mu > ... > nu whose pairings scale to integers?
-
-        Each cover step from x by the root beta contributes <x, beta^vee>;
-        the chain qualifies when sigma times every such pairing is an integer.
-        """
-        sigma = Fraction(sigma)
-        return self.tick_chain_exists(mu, nu, sigma.numerator, sigma.denominator)
-
-    def tick_chain_exists(self, mu, nu, tick, den):
-        """`sigma_chain_exists` for sigma = tick / den, in integers: sigma
-        times a pairing is an integer exactly when tick * pairing % den == 0."""
-        self._check(mu)
-        self._check(nu)
-        if not self.leq(nu, mu):
-            return False
-        covers = self.covers()
-        rs = self.group.rs
-        memo = {}
-
-        def search(x):
-            if x == nu:
-                return True
-            if x in memo:
-                return memo[x]
-            ok = False
-            for beta, y in covers[x]:
-                if nu in self._below[y] and tick * rs.root_pairing(x, beta) % den == 0:
-                    if search(y):
-                        ok = True
-                        break
-            memo[x] = ok
-            return ok
-
-        return search(mu)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,6 @@ from demtensor.cartan import (
     vadd,
     vscale,
     vsub,
-    weight_from_eps,
 )
 
 
@@ -135,22 +134,22 @@ def test_parse_type():
 
 def test_epsilon_coordinates_type_a():
     rs = root_system("A", 2)
-    e1 = weight_from_eps(rs, (1, 0, 0))
-    e2 = weight_from_eps(rs, (0, 1, 0))
-    e3 = weight_from_eps(rs, (0, 0, 1))
-    assert e1 == (1, 0)
-    assert e2 == (-1, 1)
-    assert e3 == (0, -1)
+    e1, e2, e3 = (1, 0), (-1, 1), (0, -1)
+    # eps_1, eps_2, eps_3 up to the all-ones shift: the last entry is zero
+    assert eps_from_weight(rs, e1) == (1, 0, 0)
+    assert eps_from_weight(rs, e2) == (0, 1, 0)
+    assert eps_from_weight(rs, e3) == (-1, -1, 0)
     # eps_1 + eps_2 + eps_3 = 0 in the weight lattice
     assert vadd(vadd(e1, e2), e3) == (0, 0)
     # alpha_i = eps_i - eps_{i+1}
     assert vsub(e1, e2) == rs.simple_roots[0].fw
     assert vsub(e2, e3) == rs.simple_roots[1].fw
-    # round trip up to the all-ones shift
-    assert weight_from_eps(rs, eps_from_weight(rs, (2, -1))) == (2, -1)
+    # consecutive differences give the weight back
+    zs = eps_from_weight(rs, (2, -1))
+    assert tuple(zs[i] - zs[i + 1] for i in range(rs.rank)) == (2, -1)
 
 
 def test_epsilon_rejected_outside_type_a():
     rs = root_system("B", 2)
     with pytest.raises(ValueError):
-        weight_from_eps(rs, (1, 0))
+        eps_from_weight(rs, (1, 0))

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import orbit_oracle
 import path_oracle
 import pytest
 import tensor_oracle
@@ -32,6 +33,7 @@ from demtensor.crystal import (
     weight_of,
 )
 from demtensor.lspath import concatenate, make_path, straight_path
+from demtensor.weyl import weyl_group
 
 A2 = root_system("A", 2)
 A1 = root_system("A", 1)
@@ -311,15 +313,10 @@ def test_generation_leaves_the_operator_caches_empty(cold_caches):
     assert f_op.cache_info().currsize == 0 and e_op.cache_info().currsize == 0
 
 
-def enumerate_valid_paths(rs, lam):
-    """Brute-force oracle: every normal-form path satisfying the validity
-    clauses, built from explicit direction chains and candidate breakpoints."""
-    from demtensor.lspath import make_path
-    from demtensor.weyl import weyl_group
-    from itertools import combinations
-
-    group = weyl_group(rs)
-    poset = group.orbit_poset(lam)
+def candidate_paths(rs, lam):
+    """Every normal-form path built from an explicit strictly decreasing
+    direction chain in the oracle's orbit order and candidate breakpoints."""
+    poset = orbit_oracle.orbit_poset(weyl_group(rs), lam)
     points = list(poset.points)
     candidates = set()
     for mu in points:
@@ -330,29 +327,43 @@ def enumerate_valid_paths(rs, lam):
     candidates = sorted(candidates)
     # all strictly decreasing direction chains
     chains = [[mu] for mu in points]
-    out = set()
     while chains:
         chain = chains.pop()
         r = len(chain)
         if r == 1:
-            out.add(make_path(rs, lam, tuple(chain), (Fraction(0), Fraction(1))))
+            yield make_path(rs, lam, tuple(chain), (Fraction(0), Fraction(1)))
         else:
-            for breaks in combinations(candidates, r - 1):
-                pi = make_path(rs, lam, tuple(chain), (Fraction(0),) + breaks + (Fraction(1),))
-                if pi.validate() is None:
-                    out.add(pi)
+            for breaks in itertools.combinations(candidates, r - 1):
+                yield make_path(rs, lam, tuple(chain), (Fraction(0),) + breaks + (Fraction(1),))
         for nxt in points:
             if nxt != chain[-1] and poset.leq(nxt, chain[-1]):
                 chains.append(chain + [nxt])
-    return out
 
 
-@pytest.mark.parametrize("rs,lam", [(A2, (1, 0)), (A2, (1, 1)), (A2, (2, 0)), (A2, (1, 2)), (B2, (1, 0)), (B2, (0, 1))])
+def enumerate_valid_paths(rs, lam):
+    """Brute-force oracle: every candidate path satisfying the validity
+    clauses (a single direction of the orbit always does)."""
+    return {
+        pi for pi in candidate_paths(rs, lam) if len(pi.directions) == 1 or pi.validate() is None
+    }
+
+
+VALIDITY_CASES = [(A2, (1, 0)), (A2, (1, 1)), (A2, (2, 0)), (A2, (1, 2)), (B2, (1, 0)), (B2, (0, 1))]
+
+
+@pytest.mark.parametrize("rs,lam", VALIDITY_CASES)
 def test_validity_matches_operator_reachability(rs, lam):
     # the paths accepted by the validity clauses are exactly the ones the
     # operators generate from the straight dominant path
     reachable = frozenset(generate_crystal(rs, lam).vertices)
     assert enumerate_valid_paths(rs, lam) == reachable
+
+
+@pytest.mark.parametrize("rs,lam", VALIDITY_CASES)
+def test_validate_matches_the_orbit_poset_on_candidates(rs, lam):
+    # refused candidates too: the same first violation, word for word
+    for pi in candidate_paths(rs, lam):
+        assert pi.validate() == orbit_oracle.validate(pi)
 
 
 

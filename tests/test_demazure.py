@@ -1,6 +1,7 @@
 """Demazure crystal generation, membership, string data, closures."""
 
 import itertools
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from demtensor.demazure import (
     generate_demazure,
     string_parametrization,
 )
-from demtensor.lspath import straight_path
+from demtensor.lspath import make_path, straight_path
 from demtensor.weyl import weyl_group
 
 A2 = root_system("A", 2)
@@ -103,6 +104,15 @@ def test_contains_examples():
     assert not contains(third, el(WA2, 1, 2), lam)
     with pytest.raises(ValueError):
         contains(straight_path(A2, (1, 1)), WA2.identity, (1, 0))
+
+
+def test_contains_refuses_a_direction_outside_the_orbit():
+    # a path of the right shape whose initial direction lies in another orbit
+    for start in [(2, 0), (0, 1), (-1, 1, 5)]:
+        pi = make_path(A2, (1, 0), (start,), (0, 1))
+        message = r"initial direction %s is not in the orbit" % re.escape(repr(start))
+        with pytest.raises(ValueError, match=message):
+            contains(pi, WA2.longest(), (1, 0))
 
 
 def test_raising_stability():

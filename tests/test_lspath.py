@@ -4,15 +4,19 @@ import itertools
 import math
 from fractions import Fraction
 
+import orbit_oracle
 import path_oracle
 import pytest
 
 from demtensor.cartan import root_system, vadd
 from demtensor.crystal import _path_e, _path_f
 from demtensor.lspath import (
+    _chain_exists,
     concatenate,
     dominant_representative,
+    dominant_walk,
     make_path,
+    orbit_leq,
     path_from_json,
     path_to_json,
     straight_path,
@@ -263,3 +267,71 @@ def test_cut_rescales_to_a_new_denominator():
     assert y.den == 3 and y.ticks == (0, 1, 3) and y.marks == (0, 0, 4, -3, -6, 3)
     assert y.breaks == (F(0), F(1, 3), F(1))
     assert y is path_oracle.path_f(x, 2)
+
+
+# -- the orbit order on the Weyl tables against the orbit poset -------------------
+
+ORBIT_TYPES = [root_system(t, n) for t, n in [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]]
+
+
+def _shapes(rs, bound):
+    return [s for s in itertools.product(range(bound + 1), repeat=rs.rank) if any(s)]
+
+
+def _rep(group, x):
+    """The element of the dominant walk's word: x = rep lam."""
+    return group.from_word(dominant_walk(group, x)[1])
+
+
+@pytest.mark.parametrize("rs", ORBIT_TYPES, ids=str)
+def test_validate_matches_the_orbit_poset_on_crystals(rs):
+    from demtensor.crystal import generate_crystal
+
+    for lam in _shapes(rs, 1):
+        for pi in generate_crystal(rs, lam):
+            assert pi.validate() == orbit_oracle.validate(pi)
+
+
+def test_validate_matches_the_orbit_poset_on_refused_paths():
+    refused = [
+        make_path(A2, (1, 0), ((2, 0),), (F(0), F(1))),
+        make_path(A2, (1, 0), ((-1, 1, 5),), (F(0), F(1))),
+        make_path(A2, (1, 0), ((1, 0), (-1, 1)), (F(0), F(1, 2), F(1))),
+        make_path(A2, (1, 2), ((3, -2), (1, 2)), (F(0), F(1, 4), F(1))),
+        make_path(A2, (1, 1), ((-1, 2), (1, 1)), (F(0), F(1, 3), F(1))),
+    ]
+    for pi in refused:
+        assert pi.validate() is not None
+        assert pi.validate() == orbit_oracle.validate(pi)
+
+
+@pytest.mark.parametrize("rs", ORBIT_TYPES, ids=str)
+def test_orbit_order_and_chains_match_the_orbit_poset(rs):
+    from demtensor.demazure import contains
+
+    group = weyl_group(rs)
+    sigmas = sorted({F(k, m) for m in range(1, 5) for k in range(1, m + 1)})
+    for lam in _shapes(rs, 1):
+        poset = orbit_oracle.orbit_poset(group, lam)
+        for x in poset.points:
+            pi = straight_path(rs, lam, x)
+            for w in group:
+                assert contains(pi, w, lam) == poset.leq(x, group.apply(w, lam))
+            for y in poset.points:
+                if poset.leq(y, x):
+                    for s in sigmas:
+                        got = _chain_exists(group, x, y, s.numerator, s.denominator)
+                        assert got == poset.tick_chain_exists(x, y, s.numerator, s.denominator)
+
+
+@pytest.mark.parametrize("rs", [root_system("A", 3), root_system("G", 2)], ids=str)
+def test_orbit_distance_is_the_length_difference(rs):
+    group = weyl_group(rs)
+    for lam in _shapes(rs, 2):
+        poset = orbit_oracle.orbit_poset(group, lam)
+        for x in poset.points:
+            for y in poset.points:
+                assert orbit_leq(group, y, x) == poset.leq(y, x)
+                if poset.leq(y, x):
+                    gap = group.length(_rep(group, x)) - group.length(_rep(group, y))
+                    assert poset.dist(x, y) == gap
