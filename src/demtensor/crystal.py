@@ -315,9 +315,6 @@ class CompiledCrystal:
     def _steps(self, k):
         return self._step_rows[k]
 
-    def _weight(self, k):
-        return self.weights[k]
-
     def _decode(self, k):
         return self.vertices[k]
 
@@ -362,7 +359,7 @@ class TensorCodes:
     phi_i(a) >= eps_i(b), and on the right factor otherwise.
     """
 
-    __slots__ = ("rs", "rank", "left", "right", "n", "_colours", "_memo")
+    __slots__ = ("rs", "rank", "left", "right", "n", "_colours", "_memo", "_weights")
 
     def __init__(self, left, right):
         if left.rs != right.rs:
@@ -377,9 +374,20 @@ class TensorCodes:
             left.f_table, right.f_table, left.e_table, right.e_table,
         ))
         self._memo = {}
+        self._weights = None
 
     def __len__(self):
         return len(self.left.vertices) * self.n
+
+    @property
+    def weights(self):
+        """The weight of every code, as `CompiledCrystal.weights` of every id;
+        built on first use, with one tuple per distinct weight."""
+        if self._weights is None:
+            shared = {}
+            sums = (vadd(a, b) for a in self.left.weights for b in self.right.weights)
+            self._weights = [shared.setdefault(x, x) for x in sums]
+        return self._weights
 
     def _f(self, c, i):
         return self._steps(c)[2 * i - 2]
@@ -411,10 +419,6 @@ class TensorCodes:
                 out.append(y if y < 0 else c + y - b)
         out = self._memo[c] = tuple(out)
         return out
-
-    def _weight(self, c):
-        a, b = divmod(c, self.n)
-        return vadd(self.left.weights[a], self.right.weights[b])
 
     def _decode(self, c):
         return TensorElement(self.left.vertices[c // self.n], self.right.vertices[c % self.n])
@@ -754,7 +758,7 @@ def is_isomorphic(rs, a_elements, b_elements):
         )
     if len(a) != len(b):
         return False
-    if a.space._weight(tops_a[0]) != b.space._weight(tops_b[0]):
+    if a.space.weights[tops_a[0]] != b.space.weights[tops_b[0]]:
         return False
     a_ids, b_ids = a.ids, b.ids
     steps_a, steps_b = a.space._steps, b.space._steps

@@ -11,6 +11,10 @@ the stabilizer intervals of lam + pi(t) (`path_witness`).  An isomorphism
 search (`path_witness_by_search`) provides an independent oracle for the
 same element, and `decompose` certifies every verdict structurally.
 
+A component can match one Demazure crystal only: B_x(nu) has character
+key(x nu), keys are unitriangular (`keypoly._check_unitriangular`), so the
+component's top-ranked weight x nu names the one B_x(nu) `demazure_match` tests.
+
 The witness work is memoized by what it depends on.  The recursion sees w
 only through its minimal representative modulo the stabilizer of mu, so
 `path_witness` is cached by (pi, that representative, mu, lam).  The word
@@ -232,44 +236,41 @@ def _interval_recursion(group, pi, wfloor, mu, lam):
     return group.bruhat_max(final)
 
 
-@lru_cache(maxsize=None)
-def _demazure_crystals(group, nu):
-    """(x, B_x(nu)) for every minimal coset representative x modulo the
-    stabilizer of nu."""
-    reps = group.minimal_coset_reps(group.stabilizer_indices(nu))
-    return tuple((x, generate_demazure(group, x, nu)) for x in reps)
+def demazure_match(group, comp, nu):
+    """The minimal coset representative x with B_x(nu) isomorphic to the
+    component (a `Subset` or a set of crystal elements), or None.
 
-
-def demazure_matches(group, comp, nu):
-    """The minimal coset representatives x whose Demazure crystal B_x(nu) is
-    isomorphic to the component.
-
-    Isomorphic crystals have the same size, so only the crystals with the
-    component's size go to `is_isomorphic`, which checks the unique top of
-    both sides.  When no crystal has that size, the component's unique top
-    is checked here instead.  The component is a `Subset` of pair codes or
-    a set of crystal elements.
+    Keys are unitriangular (`keypoly._check_unitriangular`): x nu is the one
+    weight of top rank in B_x(nu), and in the orbit of nu that rank is the
+    length of the dominant walk, a reduced word of x.  Isomorphisms keep
+    weights, so only a weight alone at the top rank of the component names a
+    candidate, which goes to `is_isomorphic`; without one, the component's
+    unique top is checked here.
     """
     rs = group.rs
     comp = compiled_subset(comp)
-    candidates = [(x, crystal) for x, crystal in _demazure_crystals(group, nu)
-                  if len(crystal) == len(comp)]
-    if not candidates:
-        unique_top(rs, comp)
-    return [x for x, crystal in candidates if is_isomorphic(rs, comp, crystal.subset)]
+    weights = set(map(comp.space.weights.__getitem__, comp.ids)) if comp.ids else set()
+    ranked = {}
+    for y in weights.intersection(group.orbit(nu)):
+        word = dominant_walk(group, y)[1]
+        ranked.setdefault(len(word), []).append(word)
+    top = ranked[max(ranked)] if ranked else []
+    if len(top) == 1:
+        crystal = generate_demazure(group, group.from_word(top[0]), nu)
+        return crystal.witness if is_isomorphic(rs, comp, crystal.subset) else None
+    unique_top(rs, comp)
+    return None
 
 
 def path_witness_by_search(group, pi, w, mu, lam):
-    """Independent oracle: identify the component of (top, pi) by direct
-    isomorphism search over the minimal coset representatives."""
+    """Independent oracle: the component of (top, pi) by `demazure_match`,
+    which reads weights and tests isomorphism only, never the recursion."""
     product = _product(group, group.identity, w, lam, mu)
     comp = Subset(product.space, _component_codes(product, pi))
-    matches = demazure_matches(group, comp, vadd(lam, weight_of(pi)))
-    if len(matches) != 1:
-        raise NoDemazureMatch(
-            "component of %r matched %d Demazure crystals" % (pi, len(matches))
-        )
-    return matches[0]
+    match = demazure_match(group, comp, vadd(lam, weight_of(pi)))
+    if match is None:
+        raise NoDemazureMatch("component of %r matched no Demazure crystal" % (pi,))
+    return match
 
 
 def checked_path_witness(group, pi, w, mu, lam):
@@ -404,8 +405,8 @@ class DecompositionReport:
 def decompose(group, v, w, lam, mu, oracle=False):
     """Split the product into components and certify each verdict.
 
-    Every component is tested for isomorphism with the Demazure crystals of
-    the matching highest weight; a failed search is certified by an i-string
+    Every component is tested against the one Demazure crystal that
+    `demazure_match` names; a failed test is certified by an i-string
     through the component that meets it in more than its top but not in
     full.  Components are searched on pair codes and decoded for the
     report.  They must be disjoint with sizes adding up to
@@ -440,15 +441,12 @@ def _decompose_product(group, v, w, lam, mu, oracle):
             raise TheoremViolation("components indexed by dominant paths overlap")
         covered |= comp.ids
         nu = vadd(lam, weight_of(pi))
-        matches = demazure_matches(group, comp, nu)
-        if len(matches) > 1:
-            raise AssertionError("distinct Demazure crystals cannot both match")
+        witness = demazure_match(group, comp, nu)
         expected = None
         if cond:
             u = lift(group, word, pi, w, mu, lam, oracle)
             expected = group.coset_min_weight(u, nu)
-        if matches:
-            witness = matches[0]
+        if witness is not None:
             if cond and witness != expected:
                 raise TheoremViolation(
                     "component of %r is the crystal of %r, expected %r"

@@ -375,11 +375,18 @@ def path_to_json(path):
 
 
 def path_from_json(rs, data):
+    """The LS path of a `path_to_json` form; ValueError unless it is one."""
     directions = tuple(tuple(int(c) for c in d) for d in data["directions"])
     breaks = tuple(fraction_from_str(b) for b in data["breaks"])
-    group = weyl_group(rs)
-    shape = dominant_representative(group, directions[0])
-    return make_path(rs, shape, directions, breaks)
+    for d in directions:
+        if len(d) != rs.rank:
+            raise ValueError("direction %r has %d coordinates, not %d" % (d, len(d), rs.rank))
+    shape = dominant_representative(weyl_group(rs), directions[0])
+    path = make_path(rs, shape, directions, breaks)
+    problem = path.validate()
+    if problem:
+        raise ValueError("directions %r are not an LS path: %s" % (directions, problem))
+    return path
 
 
 def dominant_walk(group, x):

@@ -265,18 +265,6 @@ class WeylGroup:
     def coset_max_weight(self, w, lam):
         return self.coset_max(w, self.stabilizer_indices(lam))
 
-    @lru_cache(maxsize=None)
-    def minimal_coset_reps(self, J):
-        """All minimal-length coset representatives modulo W_J, sorted: the
-        elements with no right descent in J.  Checked to be one per coset."""
-        length, tables = self._len, [self._rmul[j - 1] for j in J]
-        reps = tuple(
-            w for k, w in enumerate(self.elements) if all(length[t[k]] > length[k] for t in tables)
-        )
-        if len(reps) * len(self.parabolic(frozenset(J))) != len(self.elements):
-            raise AssertionError("%d minimal coset reps for J = %s" % (len(reps), sorted(J)))
-        return reps
-
     # -- Bruhat order ----------------------------------------------------------
 
     def bruhat_leq(self, u, v):

@@ -4,7 +4,8 @@ This is how cosets were answered before `WeylGroup` walked its generator
 tables: enumerate w W_J element by element through the words of the
 parabolic subgroup, then scan it for its shortest or longest element, and
 refuse when that extreme is not unique.  The minimal representatives are
-the set of scan minima, the Bruhat maximum of a right coset W_J w is
+the set of scan minima (the key oracle and the Demazure sweep of
+`test_decomp` enumerate them), the Bruhat maximum of a right coset W_J w is
 `bruhat_max` of the enumerated coset, and the decomposition condition tests
 membership in the enumerated left-descent parabolic.  Nothing here reads a
 descent off a table step: only `parabolic`, `multiply`, `length`,

@@ -9,6 +9,7 @@ key-index normalization by a scan over the whole group.
 
 from fractions import Fraction
 
+from coset_oracle import minimal_coset_reps
 from demtensor.cartan import vsub
 from demtensor.keypoly import KeyIndex, _root_coordinates, key_polynomial
 from demtensor.lspath import dominant_representative
@@ -79,7 +80,7 @@ def candidate_key_indices(group, f):
         shapes.update(_dominant_weights_below(group, m))
     indices = []
     for shape in sorted(shapes):
-        for rep in group.minimal_coset_reps(group.stabilizer_indices(shape)):
+        for rep in minimal_coset_reps(group, group.stabilizer_indices(shape)):
             indices.append(KeyIndex(shape, rep))
     indices.sort(key=lambda idx: idx.sort_key())
     return indices

@@ -200,16 +200,25 @@ def test_non_reduced_words_exit_one(capsys, argv):
     assert "is not reduced" in captured.err
 
 
+def bare_asserts(source, name):
+    """file:line of every assert statement in a module's source."""
+    tree = ast.parse(source, filename=name)
+    return ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
 def test_no_bare_asserts_in_package():
-    """Checks of the paper's identities must survive python -O."""
+    """Checks of the paper's identities must survive python -O, so no
+    module of the package holds an assert statement."""
     package = os.path.dirname(demtensor.__file__)
+    names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    # the scan reaches the modules that hold the checks, and would name a planted assert
+    assert {"crystal.py", "decomp.py", "keypoly.py", "weyl.py"} <= set(names)
+    assert bare_asserts("x = 1\nif x:\n    assert x\n", "probe.py") == ["probe.py:3"]
     found = []
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name)) as handle:
-                tree = ast.parse(handle.read(), filename=name)
-            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+    for name in names:
+        with open(os.path.join(package, name)) as handle:
+            found += bare_asserts(handle.read(), name)
     assert found == []
 
 
@@ -228,40 +237,28 @@ def test_decompose_output_unchanged_under_optimize():
     assert run_cli("-O") == plain
 
 
-CORRUPTED_LENGTH = """
+BROKEN_RAISING = """
 import sys
-from demtensor import cli
-from demtensor.cartan import root_system
-from demtensor.weyl import WeylGroup
+from demtensor import cli, crystal
 
-def corrupted(rs):
-    group = WeylGroup(rs)
-    group._len[5] = 2  # s1s2s1 of A2 at the length of s1s2
-    return group
-
-try:
-    corrupted(root_system("A", 2)).minimal_coset_reps(frozenset({1}))
-except AssertionError as caught:
-    print("raised: %s" % caught)
-cli.weyl_group = corrupted
+crystal._path_e = lambda path, i: None  # every raising step on a path vanishes
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
-def test_coset_count_check_survives_optimize_and_exits_two(flags):
-    """A fresh A2 group with one false length: the count check of
-    minimal_coset_reps raises, and decompose over the group exits 2."""
+def test_structural_check_survives_optimize_and_exits_two(flags):
+    """A broken raising operator: the inverse-identity check of crystal
+    compilation raises in a fresh interpreter, and decompose exits 2, also
+    under python -O."""
     src = os.path.dirname(os.path.dirname(demtensor.__file__))
-    argv = [sys.executable, *flags, "-c", CORRUPTED_LENGTH, "decompose", "--type", "A2",
+    argv = [sys.executable, *flags, "-c", BROKEN_RAISING, "decompose", "--type", "A2",
             "--v", "1", "--w", "1,2", "--lambda", "1,0", "--mu", "1,0"]
     done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, timeout=60)
-    message = "2 minimal coset reps for J = [1]"
-    assert done.stdout.startswith("raised: " + message)
-    assert done.returncode == 2
-    assert done.stderr.startswith("structural failure: " + message)
-    assert "Traceback" not in done.stderr
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("structural failure: e_1(f_1(x)) != x at ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

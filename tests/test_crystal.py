@@ -515,6 +515,8 @@ def test_pair_codes_follow_the_tensor_rule(rs):
                     y = op(pair, i)
                     assert steps[2 * i - 2 + k] == (-1 if y is None else space._encode(y))
                 assert space._f(c, i) == steps[2 * i - 2]
+            assert space.weights[c] == weight_of(pair)
+        assert len(space.weights) == len(codes)
         # ids follow the sort order, so codes do too
         assert sorted(codes, key=lambda c: element_sort_key(space._decode(c))) == list(codes)
 

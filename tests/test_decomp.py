@@ -329,30 +329,60 @@ def test_rank_three_decompositions():
     assert rep3.condition_holds and len(rep3.entries) == 2
 
 
-def test_size_filtered_search_matches_exhaustive_sweep():
-    from demtensor.crystal import is_isomorphic
-    from demtensor.decomp import demazure_matches
+def test_size_filtered_search_matches_exhaustive_sweep(monkeypatch):
+    """`demazure_match` against the isomorphism sweep over every minimal
+    representative, on every component of every distinct coset pair of
+    A2:1, B2:1 and G2:1.  Each of its three branches occurs: the top rank
+    shared (no candidate), the one candidate rejected, and accepted."""
+    from demtensor.crystal import Subset, is_isomorphic
+    from demtensor.decomp import demazure_match
     from demtensor.demazure import generate_demazure
-    from demtensor.verify import default_grids
+    from demtensor.verify import parse_grid
 
-    compared = non_demazure = 0
-    for grid in default_grids():
+    tried = []
+
+    def spy(rs, comp, crystal):
+        tried.append(is_isomorphic(rs, comp, crystal))
+        return tried[-1]
+
+    monkeypatch.setattr(decomp, "is_isomorphic", spy)
+    expected = {"A2:1": (12, 85, 215), "B2:1": (27, 238, 463), "G2:1": (100, 1139, 1635)}
+    for name, counts in expected.items():
+        grid = parse_grid(name)
         group = weyl_group(grid.rs)
-        for lam, mu, v, w in itertools.product(grid.shapes, grid.shapes, group, group):
+        reps = {}
+        keys = {decomp.product_key(group, v, w, lam, mu)
+                for lam, mu, v, w in itertools.product(grid.shapes, grid.shapes, group, group)}
+        branches = {"shared": 0, "rejected": 0, "accepted": 0}
+        for _, v, w, lam, mu in keys:
+            product = decomp._product(group, v, w, lam, mu)
             for pi in dominant_paths(group, w, mu, lam):
-                comp = component(group, pi, v, w, lam, mu)
+                comp = Subset(product.space, decomp._component_codes(product, pi))
                 nu = vadd(lam, weight_of(pi))
-                reps = group.minimal_coset_reps(group.stabilizer_indices(nu))
-                sweep = [
-                    x
-                    for x in reps
-                    if is_isomorphic(grid.rs, comp, generate_demazure(group, x, nu).elements)
-                ]
-                assert demazure_matches(group, comp, nu) == sweep, (v, w, lam, mu, pi)
-                compared += 1
-                non_demazure += not sweep
-    # both verdicts occur, so neither branch passes vacuously
-    assert compared > non_demazure > 0
+                if nu not in reps:
+                    J = group.stabilizer_indices(nu)
+                    reps[nu] = coset_oracle.minimal_coset_reps(group, J)
+                sweep = [x for x in reps[nu]
+                         if is_isomorphic(grid.rs, comp, generate_demazure(group, x, nu).subset)]
+                tried.clear()
+                match = demazure_match(group, comp, nu)
+                assert len(sweep) <= 1 and len(tried) <= 1, (v, w, lam, mu, pi)
+                assert match == (sweep[0] if sweep else None), (v, w, lam, mu, pi)
+                branches["shared" if not tried else "accepted" if tried[0] else "rejected"] += 1
+        assert tuple(branches.values()) == counts, name
+
+
+def test_g2_w0_decompose_builds_one_demazure_crystal_per_shifted_shape(cold_caches):
+    """The two factors and at most one B_x(nu) per shifted shape nu, not one
+    per minimal representative of each nu (109 crystals here)."""
+    from demtensor import demazure
+
+    G2 = weyl_group(root_system("G", 2))
+    w0 = G2.longest()
+    report = decompose(G2, w0, w0, (1, 1), (1, 1))
+    shapes = {entry.shifted_shape for entry in report.entries}
+    built = demazure._generate_demazure_cached.cache_info().misses
+    assert built <= len(shapes) + 2, (built, len(shapes))
 
 
 def test_decompose_builds_the_ambient_product_only_when_needed(monkeypatch, cold_caches):

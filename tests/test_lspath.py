@@ -138,6 +138,15 @@ def test_json_round_trip():
     assert back == pi6
 
 
+def test_json_refuses_what_is_not_an_ls_path():
+    # three coordinates in rank 2: the walk would drop the third one
+    with pytest.raises(ValueError, match=r"direction \(-1, 1, 5\) has 3 coordinates"):
+        path_from_json(A2, {"directions": [[-1, 1, 5]], "breaks": ["0", "1"]})
+    # (0, 1) is not in the orbit of (1, 0), the first direction's shape
+    with pytest.raises(ValueError, match=r"direction \(0, 1\) is not in the orbit of \(1, 0\)"):
+        path_from_json(A2, {"directions": [[1, 0], [0, 1]], "breaks": ["0", "1/2", "1"]})
+
+
 def test_dominant_representative():
     group = weyl_group(A2)
     assert dominant_representative(group, (-1, 1)) == (1, 0)

@@ -170,21 +170,6 @@ def test_coset_extremes_are_extremal():
                         assert group.length(u) < group.length(hi)
 
 
-def test_minimal_coset_reps():
-    reps = A2.minimal_coset_reps(frozenset({2}))
-    assert len(reps) == 3
-    assert A2.identity in reps
-
-
-def test_minimal_coset_reps_count_check_sees_a_corrupted_length():
-    group = WeylGroup(root_system("A", 2))
-    # s1s2s1 (index 5) at length 2 ties with s1s2 = s1s2s1 * s1, so neither
-    # counts as minimal modulo W_{1}: 2 representatives where 3 are due
-    group._len[5] = 2
-    with pytest.raises(AssertionError, match="2 minimal coset reps for J"):
-        group.minimal_coset_reps(frozenset({1}))
-
-
 # -- descent walks against the coset scans ---------------------------------
 
 
@@ -204,7 +189,6 @@ def test_coset_walks_match_the_scan_oracle(letter, rank):
         for w in group:
             assert_walks_match_scans(group, w, J)
             assert group.coset_bruhat_max(J, w) is coset_oracle.coset_bruhat_max(group, J, w)
-        assert group.minimal_coset_reps(J) == coset_oracle.minimal_coset_reps(group, J)
 
 
 def test_coset_walks_match_the_scan_oracle_on_f4():
@@ -219,13 +203,11 @@ def test_coset_walks_match_the_scan_oracle_on_f4():
             continue
         for w in group:
             assert_walks_match_scans(group, w, J)
-        assert group.minimal_coset_reps(J) == coset_oracle.minimal_coset_reps(group, J)
         for w in sample:
             assert group.coset_bruhat_max(J, w) is coset_oracle.coset_bruhat_max(group, J, w)
     for w in sample:
         assert_walks_match_scans(group, w, full)
         assert group.coset_bruhat_max(full, w) is coset_oracle.coset_bruhat_max(group, full, w)
-    assert group.minimal_coset_reps(full) == (group.identity,)
 
 
 def test_orbit_poset_basics():
