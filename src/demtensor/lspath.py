@@ -363,10 +363,6 @@ def fraction_to_str(q):
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
-def fraction_from_str(s):
-    return Fraction(s)
-
-
 def path_to_json(path):
     return {
         "directions": [list(d) for d in path.directions],
@@ -376,8 +372,13 @@ def path_to_json(path):
 
 def path_from_json(rs, data):
     """The LS path of a `path_to_json` form; ValueError unless it is one."""
+    if not {"directions", "breaks"} <= set(data):
+        raise ValueError("path needs 'directions' and 'breaks', has %r" % sorted(data))
     directions = tuple(tuple(int(c) for c in d) for d in data["directions"])
-    breaks = tuple(fraction_from_str(b) for b in data["breaks"])
+    breaks = tuple(Fraction(b) for b in data["breaks"])
+    if not directions or len(breaks) != len(directions) + 1:
+        counts = (len(directions), len(breaks))
+        raise ValueError("%d directions and %d breaks, not n >= 1 and n + 1" % counts)
     for d in directions:
         if len(d) != rs.rank:
             raise ValueError("direction %r has %d coordinates, not %d" % (d, len(d), rs.rank))

@@ -8,11 +8,13 @@ keeps integer generator tables, built once with it: w*s_i, s_i*w, w^-1 and
 the length of every element.  Products, inverses, lengths, descents, cosets
 and Bruhat comparisons walk these tables, and no coset is enumerated: a
 coset extreme is where a walk by the generators of J stops shortening or
-lengthening (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  Each
-element also carries its action matrix on fundamental-weight coordinates,
-which serves `apply` and `element_of_matrix`, and one stored reduced word,
-the lexicographically least.  The order on an orbit W lam is Bruhat order
-on minimal coset representatives; `lspath` reads it off these tables.
+lengthening (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  An
+element stores one reduced word, the lexicographically least, and `apply`
+reflects along it.  The build keys w by w^-1(rho), rho = (1, ..., 1): rho is
+regular, so the key is injective, and (w s_i)^-1 rho = s_i(w^-1 rho) is one
+reflection.  `WeylElement.matrix` is derived from `apply`, for matrix checks
+outside the package.  The order on an orbit W lam is Bruhat order on
+minimal coset representatives; `lspath` reads it off these tables.
 """
 
 from functools import lru_cache
@@ -52,34 +54,38 @@ def _too_large(rs, size):
     )
 
 
-def _right_step(mat, c, alpha):
-    """mat * s_{c+1}: only column c changes, to mat[r][c] - <row r, alpha>,
-    with alpha = alpha_{c+1} in fundamental-weight coordinates as (k, a_k)
-    pairs for a_k != 0."""
-    return tuple(
-        row[:c] + (row[c] - sum(row[k] * a for k, a in alpha),) + row[c + 1 :] for row in mat
-    )
-
-
-def _matvec(a, x):
-    n = len(a)
-    return tuple(sum(a[i][k] * x[k] for k in range(n)) for i in range(n))
+def _right_step(x, c, alpha):
+    """s_{c+1}(x), alpha = alpha_{c+1} as (k, a_k) pairs for a_k != 0; it takes
+    the key w^-1(rho) of w to the key of w s_{c+1}."""
+    out = list(x)
+    for k, a in alpha:
+        out[k] -= x[c] * a
+    return tuple(out)
 
 
 class WeylElement:
-    """A group element: its index in the group, action matrix and least reduced word.
+    """A group element: its index in the group and its least reduced word.
 
     Elements are canonical, so equality is identity (the default); the hash
     is the index, which keeps set iteration order deterministic.
     """
 
-    __slots__ = ("group", "index", "matrix", "word")
+    __slots__ = ("group", "index", "word", "_matrix")
 
-    def __init__(self, group, index, matrix, word):
+    def __init__(self, group, index, word):
         self.group = group
         self.index = index
-        self.matrix = matrix
         self.word = word
+        self._matrix = None
+
+    @property
+    def matrix(self):
+        """The action on fundamental-weight coordinates, column j = apply(e_j); memoized."""
+        if self._matrix is None:
+            n = self.group.rs.rank
+            basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            self._matrix = tuple(zip(*(self.group.apply(self, e) for e in basis)))
+        return self._matrix
 
     def __hash__(self):
         return self.index
@@ -99,34 +105,30 @@ class WeylGroup:
             raise _too_large(rs, order)
         self.rs = rs
         n = rs.rank
-        alphas = [tuple((k, a) for k, a in enumerate(root.fw) if a) for root in rs.simple_roots]
-        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        index = {eye: 0}
-        matrices = [eye]
+        self._alphas = [tuple((k, a) for k, a in enumerate(r.fw) if a) for r in rs.simple_roots]
+        keys = [(1,) * n]
+        index = {keys[0]: 0}
         words = [()]
         rmul = [[] for _ in range(n)]
         # Queue BFS over right multiplication, generators in increasing
         # order: each element is first reached by its lexicographically
         # least reduced word, so discovery order is (length, word) order.
-        # `matrices` grows while it is walked.
-        for k, mat in enumerate(matrices):
-            for c in range(n):
-                m2 = _right_step(mat, c, alphas[c])
-                j = index.get(m2)
+        # `keys` grows while it is walked.
+        for k, key in enumerate(keys):
+            for c, alpha in enumerate(self._alphas):
+                key2 = _right_step(key, c, alpha)
+                j = index.get(key2)
                 if j is None:
-                    j = index[m2] = len(matrices)
-                    matrices.append(m2)
+                    j = index[key2] = len(keys)
+                    keys.append(key2)
                     words.append(words[k] + (c + 1,))
                 rmul[c].append(j)
-            if len(matrices) > GROUP_SIZE_LIMIT:
-                raise _too_large(rs, len(matrices))
-        if len(matrices) != order:
-            raise AssertionError("%r has %d elements, not %d" % (rs, len(matrices), order))
-        self.elements = tuple(
-            WeylElement(self, k, m, w) for k, (m, w) in enumerate(zip(matrices, words))
-        )
+            if len(keys) > GROUP_SIZE_LIMIT:
+                raise _too_large(rs, len(keys))
+        if len(keys) != order:
+            raise AssertionError("%r has %d elements, not %d" % (rs, len(keys), order))
+        self.elements = tuple(WeylElement(self, k, w) for k, w in enumerate(words))
         self.identity = self.elements[0]
-        self._index = index
         self._rmul = rmul
         self._len = [len(w) for w in words]
         # s_i y and y^-1 in BFS order without a product: for y = p * s_j,
@@ -187,9 +189,6 @@ class WeylGroup:
                 raise ValueError("generator index %d out of range" % i)
         return self.elements[self._walk(0, word)]
 
-    def element_of_matrix(self, matrix):
-        return self.elements[self._index[matrix]]
-
     def longest(self):
         """The longest element, last in (length, word) order."""
         return self.elements[-1]
@@ -206,15 +205,13 @@ class WeylGroup:
         return self.elements[self._inv[w.index]]
 
     def apply(self, w, x):
-        """Action of w on a weight or rational point x."""
-        return normalize_coords(_matvec(w.matrix, x))
+        """Action of w on a weight or rational point x, along w's word."""
+        for i in reversed(w.word):
+            x = _right_step(x, i - 1, self._alphas[i - 1])
+        return normalize_coords(x)
 
     def length(self, w):
         return self._len[w.index]
-
-    def reduce_word(self, word):
-        """A reduced word of the element of `word`: the stored one."""
-        return self.from_word(word).word
 
     # -- descents ------------------------------------------------------------
 

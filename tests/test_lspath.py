@@ -145,6 +145,13 @@ def test_json_refuses_what_is_not_an_ls_path():
     # (0, 1) is not in the orbit of (1, 0), the first direction's shape
     with pytest.raises(ValueError, match=r"direction \(0, 1\) is not in the orbit of \(1, 0\)"):
         path_from_json(A2, {"directions": [[1, 0], [0, 1]], "breaks": ["0", "1/2", "1"]})
+    # counts that do not fit, refused before the path is built
+    with pytest.raises(ValueError, match="0 directions and 2 breaks"):
+        path_from_json(A2, {"directions": [], "breaks": ["0", "1"]})
+    with pytest.raises(ValueError, match="1 directions and 1 breaks"):
+        path_from_json(A2, {"directions": [[1, 0]], "breaks": ["1"]})
+    with pytest.raises(ValueError, match=r"needs 'directions' and 'breaks', has \['directions'\]"):
+        path_from_json(A2, {"directions": [[1, 0]]})
 
 
 def test_dominant_representative():

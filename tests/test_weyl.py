@@ -1,17 +1,23 @@
 """Weyl group words, Bruhat order, cosets, orbit order."""
 
+import os
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coset_oracle
 import orbit_oracle
 from demtensor import weyl
 from demtensor.cartan import root_system
+from demtensor.decomp import condition_check
 from demtensor.weyl import NonUniqueMaximum, WeylGroup, group_order, weyl_group
 
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 A2 = weyl_group(root_system("A", 2))
 B2 = weyl_group(root_system("B", 2))
@@ -92,9 +98,9 @@ def test_longest_element():
 
 def test_length_and_reduce_word():
     assert A2.length(A2.identity) == 0
-    assert A2.reduce_word((1, 2, 2, 1)) == ()
+    assert A2.from_word((1, 2, 2, 1)).word == ()
     assert A2.length(el(A2, 1, 2, 1)) == 3
-    assert A2.reduce_word((1, 1, 2)) == (2,)
+    assert A2.from_word((1, 1, 2)).word == (2,)
     assert el(A2, 1, 2, 1) == el(A2, 2, 1, 2)
     # stored words always have the true length
     for group in (A2, B2):
@@ -300,9 +306,14 @@ def test_tables_agree_with_matrices(letter, rank):
     gens = [generator_matrix(rs, i) for i in range(1, rank + 1)]
     words = [w.word for w in group]
     assert words == sorted(words, key=lambda word: (len(word), word))
+    weight = tuple((-1) ** k * k for k in range(1, rank + 1))
+    point = tuple(Fraction(k, k + 2) - 1 for k in range(1, rank + 1))
     for k, w in enumerate(group):
         assert w.index == k
-        assert w.matrix == word_matrix(rs, w.word)
+        oracle = word_matrix(rs, w.word)
+        assert w.matrix == oracle
+        assert group.apply(w, weight) == matvec(oracle, weight)
+        assert group.apply(w, point) == matvec(oracle, point)
         assert group.length(w) == inversion_count(rs, w.matrix)
         assert group.multiply(w, group.inverse(w)) is group.identity
         for i, gen in enumerate(gens, start=1):
@@ -310,6 +321,28 @@ def test_tables_agree_with_matrices(letter, rank):
             left = group.elements[group._lmul[i - 1][w.index]]
             assert right.matrix == matmul(w.matrix, gen)
             assert left.matrix == matmul(gen, w.matrix)
+
+
+@pytest.mark.parametrize("letter,rank", [("D", 4), ("E", 6)])
+def test_random_words_match_the_matrix_oracle(letter, rank):
+    """Groups too large for the exhaustive matrix test: random words, each
+    element's matrix, length and generator steps against the oracle."""
+    group = weyl_group(root_system(letter, rank))
+    rs = group.rs
+    gens = [generator_matrix(rs, i) for i in range(1, rank + 1)]
+
+    @settings(derandomize=True, max_examples=40, deadline=2000)
+    @given(st.lists(st.integers(1, rank), max_size=3 * rank * rank))
+    def check(word):
+        w = group.from_word(word)
+        oracle = word_matrix(rs, word)
+        assert w.matrix == oracle
+        assert group.length(w) == inversion_count(rs, oracle)
+        for i, gen in enumerate(gens, start=1):
+            assert group.elements[group._rmul[i - 1][w.index]].matrix == matmul(oracle, gen)
+            assert group.elements[group._lmul[i - 1][w.index]].matrix == matmul(gen, oracle)
+
+    check()
 
 
 @pytest.mark.parametrize("group", [A2, B2], ids=["A2", "B2"])
@@ -397,3 +430,43 @@ def test_oversized_groups_refused_before_enumeration(monkeypatch):
     # the counter sees the enumeration of a group that is built
     WeylGroup(root_system("A", 2))
     assert len(steps) == 6 * 2
+
+
+def test_benchmark_condition_reference_agrees_and_reads_memoized_matrices(monkeypatch):
+    """`ConditionReference`, the benchmark's matrix-only recomputation of the
+    decomposition condition, agrees with `condition_check` on seeded F4
+    instances, and reads each element's matrix through the memo."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from workloads import ConditionReference
+
+    applies = []
+    apply = WeylGroup.apply
+
+    def counted(self, w, x):
+        applies.append(w)
+        return apply(self, w, x)
+
+    monkeypatch.setattr(WeylGroup, "apply", counted)
+    group = WeylGroup(root_system("F", 4))
+    top = group.longest()
+    first = top.matrix
+    assert len(applies) == 4
+    assert top.matrix is first
+    assert len(applies) == 4
+
+    reference = ConditionReference(group)
+    shapes = [s for s in product((0, 1), repeat=4) if any(s)]
+    rng = random.Random(14)
+    verdicts = []
+    for _ in range(200):
+        v, w = rng.choice(group.elements), rng.choice(group.elements)
+        lam, mu = rng.choice(shapes), rng.choice(shapes)
+        for args in ((v, w, lam, mu), (w, v, mu, lam)):
+            got = condition_check(group, *args)
+            assert got == reference.holds(*args), args
+            verdicts.append(got)
+    # both verdicts occur, so the agreement is not vacuous
+    assert 0 < sum(verdicts) < len(verdicts)
+    # the reference reads v.matrix once per parabolic element, and each
+    # element's matrix was still derived only once
+    assert len(applies) == 4 * sum(1 for u in group if u._matrix is not None)
