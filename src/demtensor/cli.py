@@ -4,7 +4,8 @@ Instances are passed as flags (--type A2 --v 1,2 --w 1,2,1 --lambda 1,1
 --mu 1,0); reduced words are comma-separated 1-based simple indices, the
 empty string for the identity.  Output is JSON on stdout (or --out) with
 deterministic ordering, plus optional DOT files.  Exit codes: 0 success,
-1 malformed input, 2 a structural identity failed on the data.
+1 malformed input or an output path that cannot be written, 2 a structural
+identity failed on the data.
 """
 
 import argparse
@@ -145,9 +146,10 @@ def cmd_decompose(args):
         "condition_holds": report.condition_holds,
         "entries": [_entry_json(entry) for entry in report.entries],
     }
-    _emit(args, payload)
     if args.dot_dir:
         os.makedirs(args.dot_dir, exist_ok=True)
+    _emit(args, payload)
+    if args.dot_dir:
         for k, entry in enumerate(report.entries):
             highlight = ()
             if not entry.demazure:
@@ -279,7 +281,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InstanceError, ValueError) as caught:
+    except (InstanceError, ValueError, OSError) as caught:
         print("error: %s" % caught, file=sys.stderr)
         return 1
     except STRUCTURAL_FAILURES as caught:

@@ -14,6 +14,8 @@ same element, and `decompose` certifies every verdict structurally.
 A component can match one Demazure crystal only: B_x(nu) has character
 key(x nu), keys are unitriangular (`keypoly._check_unitriangular`), so the
 component's top-ranked weight x nu names the one B_x(nu) `demazure_match` tests.
+That x, like the recursion's transport of the initial direction, is the
+minimal coset representative `lspath.dominant_walk` returns.
 
 The witness work is memoized by what it depends on.  The recursion sees w
 only through its minimal representative modulo the stabilizer of mu, so
@@ -182,18 +184,6 @@ def stabilizer_intervals(group, pi, lam):
     return tuple(merged)
 
 
-def _orbit_transport(group, mu, target):
-    """The minimal group element sending mu to the orbit point target.
-
-    `dominant_walk` walks target up to its dominant form, which must be mu;
-    its word is a reduced word of the minimal coset representative.
-    """
-    shape, word = dominant_walk(group, target)
-    if shape != tuple(mu):
-        raise AssertionError("%r is not in the orbit of %r" % (target, mu))
-    return group.from_word(word)
-
-
 def path_witness(group, pi, w, mu, lam):
     """The Weyl element whose Demazure crystal matches the component of
     (top path of shape lam, pi) inside the product with the crystal of w.
@@ -223,7 +213,9 @@ def _interval_recursion(group, pi, wfloor, mu, lam):
     for k in range(q, 1, -1):
         wj = group.coset_bruhat_max(Js[k - 1], wj)
     first = group.parabolic(Js[0])
-    tau1 = _orbit_transport(group, mu, pi.initial_direction())
+    shape, tau1 = dominant_walk(group, pi.initial_direction())
+    if shape != mu:
+        raise AssertionError("%r is not in the orbit of %r" % (pi.initial_direction(), mu))
     admissible = [
         u
         for u in first
@@ -242,21 +234,22 @@ def demazure_match(group, comp, nu):
 
     Keys are unitriangular (`keypoly._check_unitriangular`): x nu is the one
     weight of top rank in B_x(nu), and in the orbit of nu that rank is the
-    length of the dominant walk, a reduced word of x.  Isomorphisms keep
-    weights, so only a weight alone at the top rank of the component names a
-    candidate, which goes to `is_isomorphic`; without one, the component's
-    unique top is checked here.
+    length of the minimal representative u that `dominant_walk` gives.
+    Isomorphisms keep weights, so only a weight alone at the top rank of the
+    component names a candidate, its u, which goes to `is_isomorphic`;
+    without one, the component's unique top is checked here.
     """
     rs = group.rs
     comp = compiled_subset(comp)
     weights = set(map(comp.space.weights.__getitem__, comp.ids)) if comp.ids else set()
     ranked = {}
-    for y in weights.intersection(group.orbit(nu)):
-        word = dominant_walk(group, y)[1]
-        ranked.setdefault(len(word), []).append(word)
+    for y in weights:
+        shape, u = dominant_walk(group, y)
+        if shape == nu:
+            ranked.setdefault(group.length(u), []).append(u)
     top = ranked[max(ranked)] if ranked else []
     if len(top) == 1:
-        crystal = generate_demazure(group, group.from_word(top[0]), nu)
+        crystal = generate_demazure(group, top[0], nu)
         return crystal.witness if is_isomorphic(rs, comp, crystal.subset) else None
     unique_top(rs, comp)
     return None

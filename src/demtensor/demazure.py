@@ -37,14 +37,13 @@ class DemazureCrystal:
     paths, decoded by the subset on first use.
     """
 
-    __slots__ = ("rs", "shape", "witness", "subset", "reduced_word_used")
+    __slots__ = ("rs", "shape", "witness", "subset")
 
-    def __init__(self, rs, shape, witness, subset, reduced_word_used):
+    def __init__(self, rs, shape, witness, subset):
         self.rs = rs
         self.shape = shape
         self.witness = witness
         self.subset = subset
-        self.reduced_word_used = reduced_word_used
 
     @property
     def elements(self):
@@ -100,7 +99,7 @@ def _generate_demazure_cached(group, witness, lam):
         raise AssertionError(
             "the Demazure crystal of %r has a top other than the straight path" % (witness,)
         )
-    return DemazureCrystal(group.rs, lam, witness, subset, witness.word)
+    return DemazureCrystal(group.rs, lam, witness, subset)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,10 @@
 """Key polynomials: Demazure operators, the key basis, product expansion.
 
 A key polynomial is indexed by an arbitrary weight nu through the pair
-(dominant representative, minimal coset representative moving it to nu) and
-is realized as the character of the corresponding Demazure crystal.  The
-divided-difference operators give an independent route to the same
-characters.
+(dominant representative, minimal coset representative moving it to nu),
+which is `lspath.dominant_walk` of nu, and is realized as the character of
+the corresponding Demazure crystal.  The divided-difference operators give
+an independent route to the same characters.
 
 Keys are unitriangular.  Rank a weight by the height of its dominant form
 and then by the length of its minimal coset representative: key(nu) has
@@ -15,10 +15,10 @@ of maximal rank from the residual, record its coefficient for its key,
 subtract that multiple of the key, and repeat until the residual is zero.
 Every key is checked to be unitriangular when it is built.
 
-Key indices and ranks are memoized by (group, weight), key polynomials by
-their index and the dominant walks of `lspath` by weight, so the peel
-ranks and normalizes each weight once per process.  The reconciliation
-with the decomposition computes the lifting word once per product.
+Ranks are memoized by (group, weight), key polynomials by their index and
+the dominant walks of `lspath` by weight, so the peel ranks and walks each
+weight once per process.  The reconciliation with the decomposition
+computes the lifting word once per product.
 
 `product_report` is memoized by `decomp.product_key`, the pair of cosets
 (v mod W_lam, w mod W_mu) with the two shapes: both key indices, the
@@ -29,11 +29,9 @@ new report with its own coefficient dict; the key indices are shared.
 The memo keeps every expansion it computed for the life of the process.
 """
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .cartan import normalize_coords, vadd, vsub
+from .cartan import vadd, vsub
 from .crystal import CharPoly, character, weight_of
 from .decomp import (
     TheoremViolation,
@@ -114,24 +112,17 @@ class KeyIndex:
 
 
 def key_index(group, nu):
-    """Normalize an arbitrary weight to its key index."""
-    return _key_index(group, normalize_coords(nu))
-
-
-@lru_cache(maxsize=None)
-def _key_index(group, nu):
-    shape, word = dominant_walk(group, nu)
-    return KeyIndex(shape, group.coset_min_weight(group.from_word(word), shape))
+    """Normalize an arbitrary weight to its key index: its dominant walk."""
+    return KeyIndex(*dominant_walk(group, nu))
 
 
 @lru_cache(maxsize=None)
 def _height_form(rs):
     """Positive integers h with sum(h_i x_i) a fixed positive multiple of the
-    height (sum of simple-root coordinates) of every weight x."""
-    rows = [_root_coordinates(rs, rs.fundamental_weight(i)) for i in range(1, rs.rank + 1)]
-    heights = [sum(row) for row in rows]
-    scale = lcm(*(h.denominator for h in heights))
-    return tuple(int(h * scale) for h in heights)
+    height (sum of simple-root coordinates) of every weight x: the
+    coordinates of 2 rho^vee, the sum of the positive coroots, in the
+    simple-coroot basis, so sum(h_i x_i) = <x, 2 rho^vee>."""
+    return tuple(map(sum, zip(*(beta.cocoords for beta in rs.positive_roots))))
 
 
 @lru_cache(maxsize=None)
@@ -141,29 +132,10 @@ def _height(rs, shape):
 
 @lru_cache(maxsize=None)
 def _rank(group, nu):
-    """(height of the dominant form of nu, length of the walk to it).
-
-    The walk is a reduced word of the minimal coset representative moving
-    the dominant form to nu, so its length is that representative's length.
-    """
-    shape, word = dominant_walk(group, nu)
-    return (_height(group.rs, shape), len(word))
-
-
-def _root_coordinates(rs, x):
-    """Coordinates of x in the simple-root basis, by exact elimination."""
-    n = rs.rank
-    rows = [[Fraction(rs.cartan[i][j]) for j in range(n)] + [Fraction(x[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        scale = rows[col][col]
-        rows[col] = [v / scale for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
+    """(height of the dominant form lam of nu, length of the minimal coset
+    representative u with nu = u lam)."""
+    shape, u = dominant_walk(group, nu)
+    return (_height(group.rs, shape), group.length(u))
 
 
 def _check_unitriangular(group, idx, poly):

@@ -30,17 +30,18 @@ paths built directly.  An interned path also carries `checked`, set by the
 root operators once the path has passed `validate`, so each distinct path
 an operator produces is validated exactly once.
 
-`dominant_walk` depends only on the weight and is memoized by
-(group, weight); key ranks, key indices, the orbit transport of the
-witness recursion and the orbit order all read it.
+`dominant_walk` is the one orbit map: it sends a weight x to the pair
+(lam, u) of its dominant form and the minimal coset representative u
+with x = u lam, and it is the only orbit memo keyed by weight.  Key
+indices and ranks, the witness recursion's transport, `demazure_match`
+and the orbit order all read it.
 
 Validation reads the order on an orbit W lam off the Weyl tables, with no
 orbit structure of its own.  A direction x lies in W lam when its dominant
-walk ends at lam, and the word of that walk spells the minimal coset
-representative u with x = u lam.  The order is Bruhat order on these
+walk ends at lam.  The order is Bruhat order on the walks'
 representatives, graded by their length (`orbit_leq`), and an a-chain is
 searched down the covers of that order, one length step at a time.  The
-representatives and the chain searches are memoized.
+chain searches are memoized.
 """
 
 from fractions import Fraction
@@ -331,7 +332,7 @@ def straight_path(rs, shape, x=None):
     if x is None:
         x = shape
     x = normalize_coords(x)
-    if x not in weyl_group(rs).orbit(shape):
+    if not in_orbit(weyl_group(rs), x, shape):
         raise ValueError("%r is not in the orbit of %r" % (x, shape))
     return _intern(rs, shape, (x,), 1, (0, 1))
 
@@ -382,7 +383,7 @@ def path_from_json(rs, data):
     for d in directions:
         if len(d) != rs.rank:
             raise ValueError("direction %r has %d coordinates, not %d" % (d, len(d), rs.rank))
-    shape = dominant_representative(weyl_group(rs), directions[0])
+    shape = dominant_walk(weyl_group(rs), directions[0])[0]
     path = make_path(rs, shape, directions, breaks)
     problem = path.validate()
     if problem:
@@ -391,11 +392,13 @@ def path_from_json(rs, data):
 
 
 def dominant_walk(group, x):
-    """The dominant weight in the orbit of x and the word of the walk to it.
+    """(lam, u): the dominant weight lam in the orbit of x and the minimal
+    representative u of the coset modulo the stabilizer of lam with x = u lam.
 
     Each step reflects x in the first simple root it pairs negatively with;
-    for the word (i_1, ..., i_k) of those steps, x = s_{i_1} ... s_{i_k} (dominant).
-    Memoized by (group, x).
+    the word (i_1, ..., i_k) of those steps is a reduced word of u, so
+    x = s_{i_1} ... s_{i_k} lam (Deodhar, Invent. Math. 1977).  Memoized by
+    (group, x).
     """
     return _dominant_walk(group, normalize_coords(x))
 
@@ -406,26 +409,14 @@ def _dominant_walk(group, x):
     while True:
         neg = [i for i in range(group.rs.rank) if x[i] < 0]
         if not neg:
-            return x, tuple(word)
+            return x, group.from_word(word)
         word.append(neg[0] + 1)
         x = group.rs.simple_reflect(x, neg[0] + 1)
-
-
-def dominant_representative(group, x):
-    """The dominant weight in the orbit of x."""
-    return dominant_walk(group, x)[0]
 
 
 def in_orbit(group, x, lam):
     """Is x in the orbit W lam of the dominant weight lam?"""
     return len(x) == group.rs.rank and _dominant_walk(group, x)[0] == lam
-
-
-@lru_cache(maxsize=None)
-def _orbit_rep(group, x):
-    """The minimal representative u of x modulo the stabilizer of its
-    dominant form lam, so that x = u lam: the element of the walk's word."""
-    return group.from_word(dominant_walk(group, x)[1])
 
 
 def orbit_leq(group, lo, hi):
@@ -435,7 +426,7 @@ def orbit_leq(group, lo, hi):
     (Deodhar, Invent. Math. 1977), graded by their length, so lam is the
     minimum and w_0 lam the maximum.  Both points must lie in one orbit.
     """
-    return group.bruhat_leq(_orbit_rep(group, lo), _orbit_rep(group, hi))
+    return group.bruhat_leq(_dominant_walk(group, lo)[1], _dominant_walk(group, hi)[1])
 
 
 @lru_cache(maxsize=None)
@@ -451,13 +442,13 @@ def _chain_exists(group, hi, lo, tick, den):
     if hi == lo:
         return True
     rs = group.rs
-    bottom = _orbit_rep(group, lo)
-    step_len = group.length(_orbit_rep(group, hi)) - 1
+    bottom = _dominant_walk(group, lo)[1]
+    step_len = group.length(_dominant_walk(group, hi)[1]) - 1
     for beta in rs.positive_roots:
         pairing = rs.root_pairing(hi, beta)
         if pairing < 0 and tick * pairing % den == 0:
             y = rs.reflect(hi, beta)
-            rep = _orbit_rep(group, y)
+            rep = _dominant_walk(group, y)[1]
             if (
                 group.length(rep) == step_len
                 and group.bruhat_leq(bottom, rep)

@@ -76,22 +76,26 @@ def default_grids():
 
 
 def parse_grid(text):
-    """Parse a grid string like "A2:2" (type and coordinate bound)."""
-    if ":" in text:
-        type_name, bound_text = text.split(":", 1)
-        bound = int(bound_text)
-    else:
-        type_name, bound = text, 1
-    rs = root_system(type_name[0].upper(), int(type_name[1:]))
+    """Parse a grid string like "A2:2" (type and coordinate bound).
+
+    The grid is refused before its (bound + 1)^rank shapes are enumerated.
+    """
+    type_name, colon, bound_text = text.partition(":")
+    try:
+        letter, rank = type_name[0].upper(), int(type_name[1:])
+        bound = int(bound_text) if colon else 1
+    except (IndexError, ValueError):
+        raise ValueError("cannot parse grid %r" % text) from None
+    rs = root_system(letter, rank)
+    if bound < 1:
+        raise ValueError("grid %r has no nonzero shapes to sweep" % text)
+    # The largest crystal the suites build is B(lam + mu) of the top shapes.
+    _refuse_oversized(rs, (2 * bound,) * rs.rank)
     shapes = [
         coords
         for coords in itertools.product(range(bound + 1), repeat=rs.rank)
         if any(coords)
     ]
-    if not shapes:
-        raise ValueError("grid %r has no nonzero shapes to sweep" % text)
-    # The largest crystal the suites build is B(lam + mu) of the top shapes.
-    _refuse_oversized(rs, (2 * bound,) * rs.rank)
     return Grid(rs, shapes)
 
 

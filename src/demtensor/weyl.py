@@ -13,8 +13,9 @@ element stores one reduced word, the lexicographically least, and `apply`
 reflects along it.  The build keys w by w^-1(rho), rho = (1, ..., 1): rho is
 regular, so the key is injective, and (w s_i)^-1 rho = s_i(w^-1 rho) is one
 reflection.  `WeylElement.matrix` is derived from `apply`, for matrix checks
-outside the package.  The order on an orbit W lam is Bruhat order on
-minimal coset representatives; `lspath` reads it off these tables.
+outside the package.  No orbit is enumerated either: `lspath.dominant_walk`
+maps a weight to its dominant form and minimal coset representative, and
+the order on an orbit W lam is Bruhat order on those representatives.
 """
 
 from functools import lru_cache
@@ -314,24 +315,6 @@ class WeylGroup:
     def coset_bruhat_max(self, J, w):
         """Bruhat-maximal element of the coset W_J w: its longest element."""
         return self.elements[self._walk_extreme(w.index, [self._lmul[j - 1] for j in J], True)]
-
-    # -- orbits -------------------------------------------------------------------
-
-    @lru_cache(maxsize=None)
-    def orbit(self, lam):
-        """The orbit of a weight as a sorted tuple."""
-        seen = {normalize_coords(lam)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for i in range(1, self.rs.rank + 1):
-                    y = self.rs.simple_reflect(x, i)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen))
 
 
 @lru_cache(maxsize=None)

@@ -4,22 +4,40 @@ This is the rational linear solve `expand_in_keys` used before the peel:
 candidate keys are every key index whose shape is dominance-below a
 dominant form of the support, and the coefficients solve the monomial
 system by Gaussian elimination over Fractions.  `scan_key_index` is the
-key-index normalization by a scan over the whole group.
+key-index normalization by a scan over the whole group, and
+`root_coordinates` reads a weight in the simple-root basis by exact
+elimination.
 """
 
 from fractions import Fraction
 
 from coset_oracle import minimal_coset_reps
 from demtensor.cartan import vsub
-from demtensor.keypoly import KeyIndex, _root_coordinates, key_polynomial
-from demtensor.lspath import dominant_representative
+from demtensor.keypoly import KeyIndex, key_polynomial
+from demtensor.lspath import dominant_walk
+
+
+def root_coordinates(rs, x):
+    """Coordinates of x in the simple-root basis, by exact elimination."""
+    n = rs.rank
+    rows = [[Fraction(rs.cartan[i][j]) for j in range(n)] + [Fraction(x[i])] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = rows[col][col]
+        rows[col] = [v / scale for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][n] for i in range(n)]
 
 
 def scan_key_index(group, nu):
     """Key index of nu: the first group element that moves its dominant form
     to nu, reduced to its minimal coset representative."""
     nu = tuple(nu)
-    shape = dominant_representative(group, nu)
+    shape = dominant_walk(group, nu)[0]
     for u in group.elements:
         if group.apply(u, shape) == nu:
             return KeyIndex(shape, group.coset_min_weight(u, shape))
@@ -44,7 +62,7 @@ def _dominant_weights_below(group, bound):
                 if y in seen:
                     continue
                 seen.add(y)
-                if dominance_leq(group, dominant_representative(group, y), bound):
+                if dominance_leq(group, dominant_walk(group, y)[0], bound):
                     nxt.append(y)
                     if rs.is_dominant(y):
                         out.append(y)
@@ -56,7 +74,7 @@ def dominance_leq(group, theta, bound):
     """theta <= bound in dominance: the difference is a nonnegative rational
     combination of simple roots (both weights dominant)."""
     diff = vsub(bound, theta)
-    coeffs = _root_coordinates(group.rs, diff)
+    coeffs = root_coordinates(group.rs, diff)
     return all(c >= 0 for c in coeffs)
 
 
@@ -70,7 +88,7 @@ def candidate_key_indices(group, f):
     """
     if not f.terms:
         return []
-    supports = [dominant_representative(group, x) for x in f.support()]
+    supports = [dominant_walk(group, x)[0] for x in f.support()]
     maxima = []
     for s in set(supports):
         if not any(s != t and dominance_leq(group, s, t) for t in supports):

@@ -5,8 +5,9 @@ it as Bruhat order on minimal coset representatives: a frozenset of lower
 points for every orbit point, built by reflecting in every positive root
 with a negative pairing, and a longest-chain DP for distances and covers.
 `validate` is LS-path validation on this poset.  Nothing here reads a
-coset representative or a Bruhat comparison: only `orbit` of the group
-and the root system's pairings and reflections are used.
+coset representative or a Bruhat comparison: only `orbit`, a breadth-first
+search by simple reflections, and the root system's pairings and
+reflections are used.
 """
 
 from fractions import Fraction
@@ -14,6 +15,23 @@ from functools import lru_cache
 
 from demtensor.cartan import normalize_coords
 from demtensor.weyl import weyl_group
+
+
+@lru_cache(maxsize=None)
+def orbit(group, lam):
+    """The orbit of a weight as a sorted tuple."""
+    seen = {normalize_coords(lam)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i in range(1, group.rs.rank + 1):
+                y = group.rs.simple_reflect(x, i)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(seen))
 
 
 @lru_cache(maxsize=None)
@@ -65,7 +83,7 @@ class OrbitPoset:
         self.group = group
         self.base = lam
         rs = group.rs
-        self.points = group.orbit(lam)
+        self.points = orbit(group, lam)
         point_set = set(self.points)
         # down_steps[mu] = [(root, nu)] with mu > nu
         self.down_steps = {}

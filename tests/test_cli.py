@@ -136,6 +136,24 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(out_file.read_text())["condition_holds"] is True
 
 
+@pytest.mark.parametrize(
+    "flag,under", [("--out", "x.json"), ("--dot-dir", "dots"), ("--dot-dir", "")],
+    ids=["out-under-file", "dot-dir-under-file", "dot-dir-is-file"],
+)
+def test_unwritable_output_path_exits_one(tmp_path, capsys, flag, under):
+    """An output path under (or at) a regular file is refused with one error
+    line and exit 1; the DOT directory is made before any JSON is written."""
+    blocker = tmp_path / "plain"
+    blocker.write_text("kept")
+    target = str(blocker / under) if under else str(blocker)
+    code = main(["decompose", *EX3, flag, target])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert blocker.read_text() == "kept"
+
+
 def test_verify_tiny_grid(capsys):
     code, out = run(capsys, "verify", "--grid", "A1:1")
     assert code == 0
@@ -174,6 +192,28 @@ def test_oversized_grid_refused_at_parse_time(capsys, grid, top):
     assert code == 1 and captured.out == ""
     assert captured.err == "error: %s\n" % refused.value
     assert elapsed < 1.0
+
+
+def test_huge_grid_refused_before_enumeration(capsys):
+    """The size check runs before the (bound + 1)^rank shapes are listed."""
+    import time
+
+    start = time.perf_counter()
+    code = main(["verify", "--grid", "A2:99999999999"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "too large" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("grid", ["A", "A2:", "A2:x", ":2"])
+def test_unparsable_grid_refused_by_name(capsys, grid):
+    code = main(["verify", "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: cannot parse grid %r\n" % grid
 
 
 @pytest.mark.parametrize("grid", ["A3:1", "B2:2", "G2:1"])
@@ -219,6 +259,39 @@ def test_no_bare_asserts_in_package():
     for name in names:
         with open(os.path.join(package, name)) as handle:
             found += bare_asserts(handle.read(), name)
+    assert found == []
+
+
+def non_stdlib_imports(source, name):
+    """Absolute imports in the source whose top-level module is not in the
+    standard library, as "name:line module"."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += ["%s:%d %s" % (name, node.lineno, module) for module in modules
+                  if module.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    """The runtime is stdlib-only: every import of the package is relative
+    or names a standard-library module."""
+    package = os.path.dirname(demtensor.__file__)
+    names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert {"cli.py", "crystal.py", "keypoly.py", "weyl.py"} <= set(names)
+    # the scan would name a planted third-party import, and passes relative ones
+    probe = "import os.path\nfrom . import weyl\nfrom .cartan import vadd\n\ndef f():\n    import numpy\n"
+    assert non_stdlib_imports(probe, "probe.py") == ["probe.py:6 numpy"]
+    assert non_stdlib_imports("from numpy.linalg import solve\n", "p.py") == ["p.py:1 numpy.linalg"]
+    found = []
+    for name in names:
+        with open(os.path.join(package, name)) as handle:
+            found += non_stdlib_imports(handle.read(), name)
     assert found == []
 
 
@@ -321,13 +394,15 @@ def test_oversized_crystal_exits_one_quickly(capsys):
 def test_orbit_miss_is_structural(monkeypatch, capsys, cold_caches):
     import demtensor.decomp as decomp
     from demtensor.cartan import root_system
+    from demtensor.lspath import straight_path
     from demtensor.weyl import weyl_group
 
     group = weyl_group(root_system("A", 2))
-    with pytest.raises(AssertionError, match="not in the orbit"):
-        decomp._orbit_transport(group, (1, 0), (0, 1))
+    pi = straight_path(group.rs, (0, 1))
+    with pytest.raises(AssertionError, match=r"\(0, 1\) is not in the orbit of \(1, 0\)"):
+        decomp.path_witness(group, pi, group.identity, (1, 0), (1, 1))
     # a walk that ends anywhere but mu is an internal fault: exit 2
-    monkeypatch.setattr(decomp, "dominant_walk", lambda group, x: ((9, 9), ()))
+    monkeypatch.setattr(decomp, "dominant_walk", lambda group, x: ((9, 9), group.identity))
     code = main(["decompose", *EX1])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -364,7 +439,10 @@ def test_empty_admissible_set_is_structural(monkeypatch, capsys, cold_caches):
 
     # the identity is admissible for every pi in B_w(mu); a transport above
     # w's coset leaves nothing admissible, which is an internal fault: exit 2
-    monkeypatch.setattr(decomp, "_orbit_transport", lambda group, mu, target: group.from_word((2, 1)))
+    walk = decomp.dominant_walk
+    monkeypatch.setattr(
+        decomp, "dominant_walk", lambda group, x: (walk(group, x)[0], group.from_word((2, 1)))
+    )
     code = main(["decompose", "--type", "A2", "--v", "1", "--w", "1",
                  "--lambda", "1,1", "--mu", "1,0"])
     captured = capsys.readouterr()

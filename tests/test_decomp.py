@@ -456,8 +456,11 @@ def test_decompose_checks_disjoint_cover(monkeypatch, cold_caches):
 
 
 def test_orbit_transport_is_the_minimal_scanned_element():
+    """The witness recursion's transport tau1 is the element of the initial
+    direction's dominant walk: the minimal representative of the first
+    scanned element that moves mu there."""
     from demtensor.crystal import generate_crystal
-    from demtensor.decomp import _orbit_transport
+    from demtensor.lspath import dominant_walk
     from demtensor.verify import default_grids, parse_grid
 
     checked = 0
@@ -467,7 +470,8 @@ def test_orbit_transport_is_the_minimal_scanned_element():
             for pi in generate_crystal(grid.rs, mu):
                 target = pi.initial_direction()
                 scanned = next(u for u in group.elements if group.apply(u, mu) == target)
-                moved = _orbit_transport(group, mu, target)
+                shape, moved = dominant_walk(group, target)
+                assert shape == mu
                 assert moved is group.coset_min_weight(scanned, mu), (mu, target)
                 assert group.apply(moved, mu) == target
                 checked += 1

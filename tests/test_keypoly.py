@@ -22,9 +22,15 @@ from demtensor.keypoly import (
     monomials_type_a,
     product_report,
 )
-from demtensor.lspath import dominant_walk
 from demtensor.weyl import weyl_group
-from key_oracle import candidate_key_indices, dense_expand_in_keys, dominance_leq, scan_key_index
+from key_oracle import (
+    candidate_key_indices,
+    dense_expand_in_keys,
+    dominance_leq,
+    root_coordinates,
+    scan_key_index,
+)
+from orbit_oracle import orbit
 
 A1 = root_system("A", 1)
 A2 = root_system("A", 2)
@@ -225,11 +231,33 @@ def test_full_character_matches_alternating_sum_formula():
 def test_key_index_walk_matches_group_scan():
     for group, shapes in BOUND_ONE:
         for lam in shapes:
-            for nu in group.orbit(lam):
+            for nu in orbit(group, lam):
                 idx = key_index(group, nu)
                 assert idx == scan_key_index(group, nu)
-                # the walk is a reduced word of the witness
-                assert len(dominant_walk(group, nu)[1]) == group.length(idx.witness)
+                assert idx.weight == nu
+
+
+HEIGHT_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 5), ("B", 2), ("B", 3), ("C", 3),
+    ("D", 4), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+]
+
+
+@pytest.mark.parametrize("letter,rank", HEIGHT_TYPES, ids=lambda v: str(v))
+def test_height_form_is_a_multiple_of_the_fundamental_heights(letter, rank):
+    """sum(h_i x_i) is a fixed positive multiple of the height of x: the
+    form is proportional to the heights of the fundamental weights, read in
+    the simple-root basis by exact elimination."""
+    from fractions import Fraction
+
+    from demtensor.keypoly import _height_form
+
+    rs = root_system(letter, rank)
+    form = _height_form(rs)
+    heights = [sum(root_coordinates(rs, rs.fundamental_weight(i))) for i in range(1, rank + 1)]
+    ratios = {Fraction(h, height) for h, height in zip(form, heights)}
+    assert len(ratios) == 1 and ratios.pop() > 0
+    assert all(type(h) is int for h in form)
 
 
 def test_premise_check_rejects_non_unitriangular():
@@ -247,7 +275,7 @@ def test_premise_check_rejects_non_unitriangular():
 
 
 def _products(group, shapes):
-    weights = [nu for lam in shapes for nu in group.orbit(lam)]
+    weights = [nu for lam in shapes for nu in orbit(group, lam)]
     return [(x, y) for x in weights for y in weights]
 
 
@@ -268,8 +296,8 @@ def test_peel_matches_dense_oracle():
 @st.composite
 def group_and_weights(draw, count):
     group, shapes = draw(st.sampled_from(BOUND_ONE))
-    orbit = st.sampled_from(shapes).flatmap(lambda lam: st.sampled_from(group.orbit(lam)))
-    return group, draw(st.lists(orbit, min_size=count[0], max_size=count[1]))
+    points = st.sampled_from(shapes).flatmap(lambda lam: st.sampled_from(orbit(group, lam)))
+    return group, draw(st.lists(points, min_size=count[0], max_size=count[1]))
 
 
 @settings(max_examples=60, deadline=10000)

@@ -13,8 +13,8 @@ from demtensor.crystal import _path_e, _path_f
 from demtensor.lspath import (
     _chain_exists,
     concatenate,
-    dominant_representative,
     dominant_walk,
+    in_orbit,
     make_path,
     orbit_leq,
     path_from_json,
@@ -154,12 +154,13 @@ def test_json_refuses_what_is_not_an_ls_path():
         path_from_json(A2, {"directions": [[1, 0]]})
 
 
-def test_dominant_representative():
+def test_dominant_walk():
     group = weyl_group(A2)
-    assert dominant_representative(group, (-1, 1)) == (1, 0)
-    assert dominant_representative(group, (0, -1)) == (1, 0)
-    assert dominant_representative(group, (3, -2)) == (1, 2)
-    assert dominant_representative(group, (2, 1)) == (2, 1)
+    assert dominant_walk(group, (-1, 1)) == ((1, 0), group.simple(1))
+    assert dominant_walk(group, (0, -1)) == ((1, 0), group.from_word((2, 1)))
+    assert dominant_walk(group, (3, -2)) == ((1, 2), group.simple(2))
+    assert dominant_walk(group, (2, 1)) == ((2, 1), group.identity)
+    assert dominant_walk(group, (F(-1), F(1))) == ((1, 0), group.simple(1))
 
 
 def test_height_local_minima_are_integers():
@@ -294,9 +295,30 @@ def _shapes(rs, bound):
     return [s for s in itertools.product(range(bound + 1), repeat=rs.rank) if any(s)]
 
 
-def _rep(group, x):
-    """The element of the dominant walk's word: x = rep lam."""
-    return group.from_word(dominant_walk(group, x)[1])
+@pytest.mark.parametrize(
+    "letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)], ids=str
+)
+def test_dominant_walk_on_every_orbit_point(letter, rank):
+    """On every point x of the BFS orbit of a bound-1 shape lam, the walk
+    ends at lam and its element u is the minimal coset representative with
+    x = u lam."""
+    rs = root_system(letter, rank)
+    group = weyl_group(rs)
+    shapes = _shapes(rs, 1)
+    checked = 0
+    for lam in shapes:
+        for x in orbit_oracle.orbit(group, lam):
+            shape, u = dominant_walk(group, x)
+            assert shape == lam
+            assert group.apply(u, lam) == x
+            assert u is group.coset_min_weight(u, lam)
+            assert in_orbit(group, x, lam)
+            checked += 1
+    assert checked > len(shapes)
+    other = next(y for y in orbit_oracle.orbit(group, shapes[1]) if y != shapes[1])
+    assert not in_orbit(group, other, shapes[0])
+    assert not in_orbit(group, shapes[0] + (0,), shapes[0])
+    assert not in_orbit(group, shapes[0][:-1], shapes[0])
 
 
 @pytest.mark.parametrize("rs", ORBIT_TYPES, ids=str)
@@ -349,5 +371,7 @@ def test_orbit_distance_is_the_length_difference(rs):
             for y in poset.points:
                 assert orbit_leq(group, y, x) == poset.leq(y, x)
                 if poset.leq(y, x):
-                    gap = group.length(_rep(group, x)) - group.length(_rep(group, y))
+                    gap = group.length(dominant_walk(group, x)[1]) - group.length(
+                        dominant_walk(group, y)[1]
+                    )
                     assert poset.dist(x, y) == gap
