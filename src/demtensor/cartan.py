@@ -131,12 +131,17 @@ class Root:
         return "Root(%r)" % (self.coords,)
 
 
+def _check_type(type_letter, rank):
+    """Refuse a type letter and rank that name no finite simple type."""
+    if type_letter not in VALID_RANKS or not VALID_RANKS[type_letter](rank):
+        raise ValueError("invalid type %s%d" % (type_letter, rank))
+
+
 class RootSystem:
     """Cartan matrix plus the full list of positive roots of a finite type."""
 
     def __init__(self, type_letter, rank):
-        if type_letter not in VALID_RANKS or not VALID_RANKS[type_letter](rank):
-            raise ValueError("invalid type %s%d" % (type_letter, rank))
+        _check_type(type_letter, rank)
         self.type_letter = type_letter
         self.rank = rank
         realization = _simple_root_realization(type_letter, rank)
@@ -273,16 +278,28 @@ def root_system(type_letter, rank):
     return RootSystem(type_letter, rank)
 
 
+class UnparsableType(ValueError):
+    """A type string that is not a letter followed by a rank."""
+
+
 def parse_type(name):
-    """Parse a type string like "A2" or "B2" into a cached RootSystem."""
+    """Parse a type string like "A2" or "B2" into a cached RootSystem.
+
+    A valid type whose Weyl group is over the size limit is refused by the
+    group's closed-form order, before the positive roots are closed.
+    """
+    from .weyl import refuse_oversized_group  # weyl imports this module
+
     name = name.strip()
     if len(name) < 2 or not name[0].isalpha():
-        raise ValueError("cannot parse root system type %r" % name)
+        raise UnparsableType("cannot parse root system type %r" % name)
     letter = name[0].upper()
     try:
         rank = int(name[1:])
     except ValueError:
-        raise ValueError("cannot parse root system type %r" % name) from None
+        raise UnparsableType("cannot parse root system type %r" % name) from None
+    _check_type(letter, rank)
+    refuse_oversized_group(letter, rank)
     return root_system(letter, rank)
 
 

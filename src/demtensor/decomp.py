@@ -23,17 +23,10 @@ only through its minimal representative modulo the stabilizer of mu, so
 that lifts a base witness to u(pi, v) is computed once per decomposition
 (`lift_word`), then applied to each dominant path (`lift`).
 
-The decomposition itself is memoized by coset pair.  B_v(lam) depends on v
-only through its coset v W_lam, and so does everything `decompose`
-computes: the condition, both Demazure factors, the lift word and every
-witness.  So its work is cached under `product_key`, the minimal
-representatives of v mod W_lam and w mod W_mu with the two shapes, and a
-sweep over all of W x W runs each distinct product once instead of
-|W_lam| * |W_mu| times.  Every call still normalises both cosets and gets
-a report of its own with the caller's v and w; the entries are shared.
-The memo keeps every report it computed, components included, for the
-life of the process, so a sweep holds the pair codes of every distinct
-product it visits: memory traded for the repeated work.
+Everything `decompose` computes depends on v and w only through the
+cosets v W_lam and w W_mu.  It keeps no memo of its own, so a component
+lives as long as its report; `verify` meets each product once by sweeping
+minimal coset representatives.
 
 The product B_v(lam) (x) B_w(mu) is never built: a pair is the integer code
 a * |B(mu)| + b of its ids in the compiled crystals, and membership is
@@ -333,13 +326,6 @@ def lifted_witness(group, pi, v, w, lam, mu, word=None, oracle=False):
 # -- full decomposition reports -----------------------------------------------------
 
 
-def product_key(group, v, w, lam, mu):
-    """The memo key of B_v(lam) (x) B_w(mu): (group, v mod W_lam, w mod W_mu,
-    lam, mu), the cosets as minimal representatives, the shapes as tuples."""
-    lam, mu = tuple(lam), tuple(mu)
-    return group, group.coset_min_weight(v, lam), group.coset_min_weight(w, mu), lam, mu
-
-
 class DecompositionEntry:
     """One component: its indexing path, elements, and certified verdict.
 
@@ -407,22 +393,10 @@ def decompose(group, v, w, lam, mu, oracle=False):
     set being built.  The biconditional between the group condition and
     all-verdicts-positive is enforced, and under the condition the verdict
     must agree with the lifted witness.
-
-    The work runs once per `product_key` and oracle flag; the report is
-    new on every call and carries the caller's v and w.
     """
     rs = group.rs
     if not (rs.is_dominant(lam) and rs.is_dominant(mu)):
         raise ValueError("shapes must be dominant")
-    cond, entries = _decompose_product(*product_key(group, v, w, lam, mu), oracle)
-    return DecompositionReport(group, v, w, lam, mu, cond, list(entries))
-
-
-@lru_cache(maxsize=None)
-def _decompose_product(group, v, w, lam, mu, oracle):
-    """(condition, entries) of the product; v and w are the minimal coset
-    representatives of `product_key`.  Every check of `decompose` runs here,
-    and a failed one raises, so no failure is ever cached."""
     cond = condition_check(group, v, w, lam, mu)
     word = lift_word(group, v, w, lam, mu) if cond else None
     product = _product(group, v, w, lam, mu)
@@ -464,7 +438,7 @@ def _decompose_product(group, v, w, lam, mu, oracle):
         raise TheoremViolation(
             "decomposition condition and component verdicts disagree"
         )
-    return cond, tuple(entries)
+    return DecompositionReport(group, v, w, lam, mu, cond, entries)
 
 
 # -- word closures of products -------------------------------------------------------
@@ -500,7 +474,9 @@ def recursive_component(group, pi, v, i, w, lam, mu):
     whose right factor has been lowered out of the right Demazure crystal;
     those are exactly the fully lowered left factors against the escaped
     lowerings of the right factors.  The result is asserted against the
-    directly computed component.  All of it runs on pair codes.
+    directly computed component.  All of it runs on pair codes, and the
+    grown component is returned as a `Subset` of them, decoded only when
+    its `elements` are read.
     """
     rs = group.rs
     si = group.simple(i)
@@ -536,7 +512,7 @@ def recursive_component(group, pi, v, i, w, lam, mu):
         raise TheoremViolation(
             "recursion formula disagrees with the direct component on %r" % (pi,)
         )
-    return space._decoded(result)
+    return Subset(space, result)
 
 
 # -- the product rule for lowering closures ----------------------------------------------

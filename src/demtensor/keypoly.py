@@ -20,13 +20,14 @@ the dominant walks of `lspath` by weight, so the peel ranks and walks each
 weight once per process.  The reconciliation with the decomposition
 computes the lifting word once per product.
 
-`product_report` is memoized by `decomp.product_key`, the pair of cosets
+`product_report` is memoized by `product_key`, the pair of cosets
 (v mod W_lam, w mod W_mu) with the two shapes: both key indices, the
 expansion, both orientations of the condition and the reconciliation
 depend on v and w only through those cosets, so a sweep over W x W
 expands and reconciles each distinct product once.  Each call returns a
 new report with its own coefficient dict; the key indices are shared.
-The memo keeps every expansion it computed for the life of the process.
+The memo keeps every expansion it computed for the life of the process,
+but no component: the reconciliation counts witnesses without one.
 """
 
 from functools import lru_cache
@@ -39,7 +40,6 @@ from .decomp import (
     dominant_paths,
     lift,
     lift_word,
-    product_key,
 )
 from .demazure import generate_demazure
 from .lspath import dominant_walk
@@ -222,6 +222,13 @@ def expand_in_keys(group, f):
 
 
 # -- the product report -------------------------------------------------------------
+
+
+def product_key(group, v, w, lam, mu):
+    """The memo key of key(v lam) * key(w mu): (group, v mod W_lam, w mod W_mu,
+    lam, mu), the cosets as minimal representatives, the shapes as tuples."""
+    lam, mu = tuple(lam), tuple(mu)
+    return group, group.coset_min_weight(v, lam), group.coset_min_weight(w, mu), lam, mu
 
 
 class ProductReport:

@@ -48,11 +48,22 @@ def group_order(rs):
     return GROUP_ORDERS[rs.type_letter](rs.rank)
 
 
-def _too_large(rs, size):
+def _too_large(type_letter, rank, size):
+    # a count past 64 bits is named by its bit length: A2000's order alone
+    # has more digits than Python prints from an int
+    count = "%d" % size if size.bit_length() <= 64 else "over 2^%d" % (size.bit_length() - 1)
     return ValueError(
-        "Weyl group of %r too large to materialize (%d elements, the limit is %d)"
-        % (rs, size, GROUP_SIZE_LIMIT)
+        "Weyl group of RootSystem(%s%d) too large to materialize (%s elements, the limit is %d)"
+        % (type_letter, rank, count, GROUP_SIZE_LIMIT)
     )
+
+
+def refuse_oversized_group(type_letter, rank):
+    """Refuse a valid type whose Weyl group, by its closed-form order, is
+    over GROUP_SIZE_LIMIT; its root system need not exist yet."""
+    order = GROUP_ORDERS[type_letter](rank)
+    if order > GROUP_SIZE_LIMIT:
+        raise _too_large(type_letter, rank, order)
 
 
 def _right_step(x, c, alpha):
@@ -101,9 +112,8 @@ class WeylGroup:
     """The full Weyl group of a root system, materialized element by element."""
 
     def __init__(self, rs):
+        refuse_oversized_group(rs.type_letter, rs.rank)
         order = group_order(rs)
-        if order > GROUP_SIZE_LIMIT:
-            raise _too_large(rs, order)
         self.rs = rs
         n = rs.rank
         self._alphas = [tuple((k, a) for k, a in enumerate(r.fw) if a) for r in rs.simple_roots]
@@ -125,7 +135,7 @@ class WeylGroup:
                     words.append(words[k] + (c + 1,))
                 rmul[c].append(j)
             if len(keys) > GROUP_SIZE_LIMIT:
-                raise _too_large(rs, len(keys))
+                raise _too_large(rs.type_letter, rs.rank, len(keys))
         if len(keys) != order:
             raise AssertionError("%r has %d elements, not %d" % (rs, len(keys), order))
         self.elements = tuple(WeylElement(self, k, w) for k, w in enumerate(words))

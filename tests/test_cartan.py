@@ -130,6 +130,10 @@ def test_parse_type():
         parse_type("A0")
     with pytest.raises(ValueError):
         parse_type("XYZ")
+    with pytest.raises(ValueError, match="invalid type E9"):
+        parse_type("E9")
+    with pytest.raises(ValueError, match="too large"):
+        parse_type("E7")
 
 
 def test_epsilon_coordinates_type_a():

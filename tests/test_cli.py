@@ -81,6 +81,40 @@ def test_oversized_group_exits_one_without_traceback():
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--type", "A80", "--v", "", "--w", "", "--lambda", "1", "--mu", "1"],
+        ["verify", "--grid", "A160:1"],
+        ["verify", "--grid", "A2000:1"],
+    ],
+    ids=["check-A80", "verify-A160", "verify-A2000"],
+)
+def test_oversized_rank_refused_before_the_root_closure(capsys, argv):
+    """The closed-form group order refuses the type in `parse_type`; the
+    positive roots of A80 alone took 15 s to close.  An order too long to
+    print (A2000) is named by its bit length."""
+    import time
+
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: Weyl group of RootSystem(A")
+    assert captured.err.count("\n") == 1 and "too large" in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--type", "E9", "--v", "", "--w", "", "--lambda", "1", "--mu", "1"],
+    ["verify", "--grid", "E9:1"],
+])
+def test_invalid_rank_is_named_before_the_size_refusal(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: invalid type E9\n"
+
+
 def test_check_command(capsys):
     code, out = run(capsys, "check", *EX2)
     assert code == 0

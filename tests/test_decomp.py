@@ -243,7 +243,7 @@ def test_recursive_component_reaches_example3():
     # grow from v = s2 by the color 1; the result is the three-element chain
     result = recursive_component(WA2, pi, el(2), 1, kw["w"], kw["lam"], kw["mu"])
     assert len(result) == 3
-    assert result == component(WA2, pi, el(1, 2), kw["w"], kw["lam"], kw["mu"])
+    assert result.elements() == component(WA2, pi, el(1, 2), kw["w"], kw["lam"], kw["mu"])
 
 
 def test_recursive_component_rejects_descents():
@@ -351,7 +351,7 @@ def test_size_filtered_search_matches_exhaustive_sweep(monkeypatch):
         grid = parse_grid(name)
         group = weyl_group(grid.rs)
         reps = {}
-        keys = {decomp.product_key(group, v, w, lam, mu)
+        keys = {keypoly.product_key(group, v, w, lam, mu)
                 for lam, mu, v, w in itertools.product(grid.shapes, grid.shapes, group, group)}
         branches = {"shared": 0, "rejected": 0, "accepted": 0}
         for _, v, w, lam, mu in keys:
@@ -398,8 +398,6 @@ def test_decompose_builds_the_ambient_product_only_when_needed(monkeypatch, cold
     monkeypatch.setattr(decomp, "tensor_demazure", refuse)
     monkeypatch.setattr(decomp, "tensor_product_elements", refuse)
     report = decompose(WA2, **EX3)
-    # the product was decomposed here, not read from the memo
-    assert decomp._decompose_product.cache_info().misses == 2
     bad = [entry for entry in report.entries if not entry.demazure]
     assert len(bad) == 1
     color, string = bad[0].string_violation
@@ -433,8 +431,6 @@ def test_components_never_build_the_product(monkeypatch, cold_caches):
     monkeypatch.setattr(decomp, "tensor_demazure", refuse)
     monkeypatch.setattr(decomp, "tensor_product_elements", refuse)
     report = decompose(WA2, oracle=True, **EX1)
-    # the product was decomposed here, not read from the memo
-    assert decomp._decompose_product.cache_info().misses == 1
     assert sorted(len(e.elements) for e in report.entries) == [2, 6, 7]
     pi = report.entries[0].pi
     assert path_witness_by_search(WA2, pi, EX1["w"], EX1["mu"], EX1["lam"])
@@ -531,32 +527,30 @@ def _entry_facts(entry):
             entry.witness, entry.expected_witness, entry.string_violation)
 
 
-def test_decompose_memo_matches_a_fresh_decomposition():
+def test_decompose_depends_on_v_and_w_only_through_their_cosets():
     """For every (v, w, lam, mu) of the default grids and G2:1, the report
-    read through the coset-pair memo equals the uncached body run on the
-    caller's own v and w, and carries that v and w."""
+    equals the one at the minimal coset representatives of v mod W_lam and
+    w mod W_mu, and carries the caller's own v and w."""
     from demtensor.verify import default_grids, parse_grid
 
-    cached = decomp._decompose_product
-    fresh = cached.__wrapped__
-    before = cached.cache_info()
-    checked, verdicts = 0, set()
+    checked, moved, verdicts = 0, 0, set()
     for grid in default_grids() + [parse_grid("G2:1")]:
         group = grid.group
         for lam, mu in itertools.product(grid.shapes, repeat=2):
             for v, w in itertools.product(group, repeat=2):
+                vfloor, wfloor = group.coset_min_weight(v, lam), group.coset_min_weight(w, mu)
                 report = decompose(group, v, w, lam, mu)
-                cond, entries = fresh(group, v, w, lam, mu, False)
+                floor = decompose(group, vfloor, wfloor, lam, mu)
                 assert (report.v, report.w, report.lam, report.mu) == (v, w, lam, mu)
-                assert report.condition_holds == cond, (v, w, lam, mu)
+                assert report.condition_holds == floor.condition_holds, (v, w, lam, mu)
                 facts = [_entry_facts(entry) for entry in report.entries]
-                assert facts == [_entry_facts(entry) for entry in entries], (v, w, lam, mu)
-                verdicts.update(entry.demazure for entry in entries)
+                assert facts == [_entry_facts(entry) for entry in floor.entries], (v, w, lam, mu)
+                verdicts.update(entry.demazure for entry in report.entries)
+                moved += (v, w) != (vfloor, wfloor)
                 checked += 1
-    after = cached.cache_info()
     assert checked == 324 + 256 + 1296 and verdicts == {True, False}
-    # most reports were read from the memo, so the comparison is not vacuous
-    assert after.hits - before.hits > checked // 2
+    # most instances are not their own representatives, so the comparison is not vacuous
+    assert moved > checked // 2
 
 
 def _misses_once_per_coset_pair(memo, public):
@@ -574,9 +568,8 @@ def _misses_once_per_coset_pair(memo, public):
 
 @pytest.mark.parametrize(
     "module, memo, public",
-    [(decomp, decomp._decompose_product, decompose),
-     (keypoly, keypoly._product_report, keypoly.product_report)],
-    ids=["decomp", "keypoly"],
+    [(keypoly, keypoly._product_report, keypoly.product_report)],
+    ids=["keypoly"],
 )
 def test_product_memo_misses_once_per_coset_pair(monkeypatch, cold_caches, module, memo, public):
     assert _misses_once_per_coset_pair(memo, public)
