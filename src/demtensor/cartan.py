@@ -42,10 +42,6 @@ def vsub(x, y):
     return tuple(a - b for a, b in zip(x, y))
 
 
-def vneg(x):
-    return tuple(-a for a in x)
-
-
 def vscale(c, x):
     return tuple(c * a for a in x)
 
@@ -144,6 +140,8 @@ class RootSystem:
         _check_type(type_letter, rank)
         self.type_letter = type_letter
         self.rank = rank
+        # every memo and intern table keys on the root system: hash it once
+        self._hash = hash((type_letter, rank))
         realization = _simple_root_realization(type_letter, rank)
         cartan = []
         for i in range(rank):
@@ -160,10 +158,6 @@ class RootSystem:
         self.simple_roots = tuple(
             by_coords[tuple(int(j == i) for j in range(rank))] for i in range(rank)
         )
-        self._sign_by_fw = {}
-        for r in self.positive_roots:
-            self._sign_by_fw[r.fw] = (r, 1)
-            self._sign_by_fw[vneg(r.fw)] = (r, -1)
         expected = POSITIVE_ROOT_COUNTS[type_letter](rank)
         if len(self.positive_roots) != expected:
             raise AssertionError(
@@ -230,16 +224,8 @@ class RootSystem:
         """Reflection of x by the i-th simple root (1-based i)."""
         return normalize_coords(vsub(x, vscale(x[i - 1], self.simple_roots[i - 1].fw)))
 
-    def root_sign(self, fw_coords):
-        """+1 / -1 if the vector is a positive / negative root, else None."""
-        hit = self._sign_by_fw.get(tuple(fw_coords))
-        return None if hit is None else hit[1]
-
     def is_dominant(self, x):
         return all(c >= 0 for c in x)
-
-    def fundamental_weight(self, i):
-        return tuple(int(j == i - 1) for j in range(self.rank))
 
     def zero(self):
         return (0,) * self.rank
@@ -254,7 +240,7 @@ class RootSystem:
         )
 
     def __hash__(self):
-        return hash((self.type_letter, self.rank))
+        return self._hash
 
     def __repr__(self):
         return "RootSystem(%s%d)" % (self.type_letter, self.rank)

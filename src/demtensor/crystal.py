@@ -7,8 +7,16 @@ directions between the two times by the simple reflection, and leave the
 rest untouched.  All of it reads the paths' integer ticks and marks:
 heights are compared scaled by the path's denominator, and a cut time that
 falls between ticks rescales the result's ticks by the least factor that
-makes it whole.  They run when a crystal is generated and compiled, and on
-the raw concatenated paths that `verify` checks the tensor rule against.
+makes it whole.  One application is one pass: the operator reads the
+i-heights off the marks once, checks that their minimum is integral and
+finds both cut times; `_reflect_between` emits the segments before the
+cut, the reflected run (s_i d from a memo per root system and colour) and
+the segments after it, merges (`_merge`) a junction of the run where the
+directions agree, divides by the gcd once and hands the normal-form fields
+to `lspath._intern` (validated the first time it is made) or `_raw_path`.
+No intermediate path is built and nothing is normalized twice.  The
+operators run when a crystal is generated and compiled, and on the raw
+concatenated paths that `verify` checks the tensor rule against.
 
 Each highest weight crystal B(lam) is generated once by closing the
 straight path under `_path_f`, and then compiled (`CompiledCrystal`): its
@@ -30,9 +38,10 @@ return values and output.
 """
 from functools import lru_cache
 from math import gcd
+from operator import sub
 
 from .cartan import vadd, weyl_dimension
-from .lspath import LSPath, straight_path
+from .lspath import LSPath, _intern, _raw_path, straight_path
 
 
 class MultipleHighestWeights(Exception):
@@ -82,90 +91,126 @@ def element_sort_key(x):
 # -- root operators on paths ---------------------------------------------------
 
 
-def _reflect_between(path, i, scale, t0, t1):
-    """Reflect the directions of `path` by s_i exactly on the ticks [t0, t1].
+class _Reflections(dict):
+    """s_i d for every direction d met so far, one table per (root system, i);
+    a table holds at most the directions of the paths its operators see."""
 
-    The ticks count units of 1 / (den * scale); the result is renormalised.
+    __slots__ = ("rs", "i")
+
+    def __init__(self, rs, i):
+        super().__init__()
+        self.rs = rs
+        self.i = i
+
+    def __missing__(self, d):
+        r = self[d] = self.rs.simple_reflect(d, self.i)
+        return r
+
+
+@lru_cache(maxsize=None)
+def _reflections(rs, i):
+    return _Reflections(rs, i)
+
+
+def _merge(dirs, ticks, more_dirs, more_ticks):
+    """Append the segments (more_dirs, more_ticks) to the run (dirs, ticks),
+    as one segment where the two directions that meet are equal."""
+    if dirs and more_dirs and dirs[-1] == more_dirs[0]:
+        ticks[-1] = more_ticks[0]
+        dirs.extend(more_dirs[1:])
+        ticks.extend(more_ticks[1:])
+    else:
+        dirs.extend(more_dirs)
+        ticks.extend(more_ticks)
+
+
+def _reflect_between(path, i, scale, p, t0, q, t1):
+    """`path` with its directions reflected by s_i exactly on [t0, t1], in
+    normal form: an LSPath interned and validated, or a RawPath.
+
+    Times count units of 1 / (den * scale); t0 lies in segment p
+    (ticks[p] <= t0 < ticks[p + 1]) and t1 in segment q
+    (ticks[q] < t1 <= ticks[q + 1]).  The input is in normal form and s_i
+    moves the direction of a cut segment, so equal directions can meet only
+    where the reflected run starts or ends at a breakpoint of the path;
+    `_merge` joins the segments there.
     """
-    alpha = path.rs.simple_roots[i - 1].fw
-    ticks = path.ticks
-    dirs, brks = [], [ticks[0] * scale]
-
-    def emit(d, b):
-        dirs.append(d)
-        brks.append(b)
-
-    for k, d in enumerate(path.directions):
-        a, b = ticks[k] * scale, ticks[k + 1] * scale
-        lo, hi = max(a, t0), min(b, t1)
-        if lo >= hi:
-            emit(d, b)
-            continue
-        if a < lo:
-            emit(d, lo)
-        emit(tuple(c - d[i - 1] * r for c, r in zip(d, alpha)), hi)
-        if hi < b:
-            emit(d, b)
-    return path._with_segments(tuple(dirs), path.den * scale, tuple(brks))
-
-
-def _cut(tick, rise, slope):
-    """The time tick + rise / slope as (scale, ticks of 1 / (den * scale)),
-    with the least scale that makes it a whole number of ticks."""
-    scale = abs(slope) // gcd(rise, slope)
-    return scale, tick * scale + rise * scale // slope
-
-
-def _validated(path):
-    """Validate an operator result; interned paths are checked only once."""
-    if isinstance(path, LSPath) and not path.checked:
-        problem = path.validate()
+    directions = path.directions
+    ticks = path.ticks if scale == 1 else [t * scale for t in path.ticks]
+    flip = _reflections(path.rs, i)
+    dirs, tks = list(directions[:p]), list(ticks[:p + 1])
+    reflected, reflected_ticks = [flip[d] for d in directions[p:q + 1]], [*ticks[p + 1:q + 1], t1]
+    if t0 > ticks[p]:
+        dirs += directions[p], *reflected
+        tks += t0, *reflected_ticks
+    else:
+        _merge(dirs, tks, reflected, reflected_ticks)
+    if t1 < ticks[q + 1]:
+        dirs += directions[q:]
+        tks += ticks[q + 1:]
+    else:
+        _merge(dirs, tks, directions[q + 1:], ticks[q + 2:])
+    den = path.den * scale
+    g = gcd(den, *tks)
+    if g > 1:
+        den //= g
+        tks = [t // g for t in tks]
+    if not isinstance(path, LSPath):
+        return _raw_path(path.rs, tuple(dirs), den, tuple(tks))
+    out = _intern(path.rs, path.shape, tuple(dirs), den, tuple(tks))
+    if not out.checked:
+        # each distinct path an operator makes is validated once, when first made
+        problem = out.validate()
         if problem is not None:
             raise AssertionError("operator produced an invalid path: %s" % problem)
-        path.checked = True
-    return path
-
-
-def _integral_minimum(path, i, heights):
-    low = min(heights)
-    if low % path.den:
-        raise AssertionError("the %d-height of %r has a non-integral minimum" % (i, path))
-    return low
+        out.checked = True
+    return out
 
 
 def _path_f(path, i):
-    heights = path._heights(i)
-    low = _integral_minimum(path, i, heights)
+    """f_i of a path, 1 <= i <= rank: reflect from the last time the i-height
+    is minimal to the first time after it that the height is one more."""
+    den = path.den
+    heights = path.marks[i - 1::path.rs.rank]
+    low = min(heights)
+    if low % den:
+        raise AssertionError("the %d-height of %r has a non-integral minimum" % (i, path))
     if low == heights[-1]:
         return None
-    ticks = path.ticks
     k0 = len(heights) - 1 - heights[::-1].index(low)
-    target = low + path.den
+    target = low + den
     for j in range(k0 + 1, len(heights)):
         if heights[j] >= target:
-            slope = path.directions[j - 1][i - 1]
-            scale, t1 = _cut(ticks[j - 1], target - heights[j - 1], slope)
-            return _validated(_reflect_between(path, i, scale, ticks[k0] * scale, t1))
+            rise, slope = target - heights[j - 1], path.directions[j - 1][i - 1]
+            scale = slope // gcd(rise, slope)
+            t0, t1 = path.ticks[k0] * scale, path.ticks[j - 1] * scale + rise * scale // slope
+            return _reflect_between(path, i, scale, k0, t0, j - 1, t1)
     raise AssertionError(
-        "the %d-height never reaches %s after %s" % (i, low // path.den + 1, path.breaks[k0])
+        "the %d-height never reaches %s after %s" % (i, low // den + 1, path.breaks[k0])
     )
 
 
 def _path_e(path, i):
-    heights = path._heights(i)
-    low = _integral_minimum(path, i, heights)
+    """e_i of a path, 1 <= i <= rank: reflect from the last time before the
+    first minimum of the i-height that the height is one more, to that
+    minimum."""
+    den = path.den
+    heights = path.marks[i - 1::path.rs.rank]
+    low = min(heights)
+    if low % den:
+        raise AssertionError("the %d-height of %r has a non-integral minimum" % (i, path))
     if low == 0:
         return None
-    ticks = path.ticks
     k1 = heights.index(low)
-    target = low + path.den
+    target = low + den
     for j in range(k1, 0, -1):
         if heights[j - 1] >= target:
-            slope = path.directions[j - 1][i - 1]
-            scale, t0 = _cut(ticks[j - 1], target - heights[j - 1], slope)
-            return _validated(_reflect_between(path, i, scale, t0, ticks[k1] * scale))
+            rise, slope = target - heights[j - 1], path.directions[j - 1][i - 1]
+            scale = -slope // gcd(rise, slope)
+            t0, t1 = path.ticks[j - 1] * scale + rise * scale // slope, path.ticks[k1] * scale
+            return _reflect_between(path, i, scale, j - 1, t0, k1 - 1, t1)
     raise AssertionError(
-        "the %d-height never reaches %s before %s" % (i, low // path.den + 1, path.breaks[k1])
+        "the %d-height never reaches %s before %s" % (i, low // den + 1, path.breaks[k1])
     )
 
 
@@ -279,12 +324,12 @@ class CompiledCrystal:
             for k, y in enumerate(fi):
                 if y >= 0 and ei[y] != k:
                     raise AssertionError("e_%d(f_%d(x)) != x at %r" % (i, i, self.vertices[k]))
-        if [k for k in range(n) if all(ei[k] < 0 for ei in e)] != [self.top]:
+        if [k for k, up in enumerate(zip(*e)) if max(up) < 0] != [self.top]:
             raise AssertionError("B(%r) has a top other than the straight path" % (top.shape,))
         eps_t, phi_t = _string_positions(f, e)
         for i, ep, ph in zip(range(1, rank + 1), eps_t, phi_t):
             for k, x in enumerate(self.vertices):
-                heights = x._heights(i)
+                heights = x.marks[i - 1::rank]
                 low = min(heights)
                 if ep[k] * x.den != -low or ph[k] * x.den != heights[-1] - low:
                     raise AssertionError(
@@ -296,9 +341,8 @@ class CompiledCrystal:
         self.eps_table = tuple(map(tuple, eps_t))
         self.phi_table = tuple(map(tuple, phi_t))
         self.weights = tuple(weight_of(x) for x in self.vertices)
-        self._step_rows = tuple(
-            tuple(y for fi, ei in zip(f, e) for y in (fi[k], ei[k])) for k in range(n)
-        )
+        # row k is (f_1(k), e_1(k), ..., f_r(k), e_r(k))
+        self._step_rows = tuple(zip(*[row for pair in zip(f, e) for row in pair]))
 
     def __len__(self):
         return len(self.vertices)
@@ -559,6 +603,11 @@ def lower_closure(space, ids, i):
 # refuses a larger one before any path is built.
 CRYSTAL_SIZE_LIMIT = 10000
 
+# Largest pair space |B(lam)| * |B(mu)| that `decompose` and
+# `product_report` take on, refused by the same formula before any crystal
+# is built.  The largest of the A2:2, B2:2, G2:1 and A3:1 grids is 6561.
+PAIR_SPACE_LIMIT = 10**6
+
 
 def _refuse_oversized(rs, lam):
     size = weyl_dimension(rs, lam)
@@ -566,6 +615,22 @@ def _refuse_oversized(rs, lam):
         raise ValueError(
             "crystal of highest weight %r for %r too large to generate "
             "(%d elements, the limit is %d)" % (tuple(lam), rs, size, CRYSTAL_SIZE_LIMIT)
+        )
+
+
+@lru_cache(maxsize=None)
+def _pair_space(rs, lam, mu):
+    """|B(lam)| * |B(mu)| by the Weyl dimension formula, memoized: `decompose`
+    checks it on every call."""
+    return weyl_dimension(rs, lam) * weyl_dimension(rs, mu)
+
+
+def _refuse_oversized_product(rs, lam, mu):
+    size = _pair_space(rs, tuple(lam), tuple(mu))
+    if size > PAIR_SPACE_LIMIT:
+        raise ValueError(
+            "product of the crystals of highest weights %r and %r for %r too large "
+            "(%d pairs, the limit is %d)" % (tuple(lam), tuple(mu), rs, size, PAIR_SPACE_LIMIT)
         )
 
 
@@ -580,17 +645,17 @@ def generate_crystal(rs, lam):
     vertices = {start}
     edges = {}
     frontier = [start]
+    alphas = [(i, rs.simple_roots[i - 1].fw) for i in range(1, rs.rank + 1)]
     while frontier:
         nxt = []
         for x in frontier:
-            for i in range(1, rs.rank + 1):
+            wx = weight_of(x)
+            for i, alpha in alphas:
                 y = _path_f(x, i)
                 if y is None:
                     continue
                 edges[(x, i)] = y
-                if weight_of(y) != tuple(
-                    w - a for w, a in zip(weight_of(x), rs.simple_roots[i - 1].fw)
-                ):
+                if weight_of(y) != tuple(map(sub, wx, alpha)):
                     raise AssertionError("f_%d does not lower the weight of %r by a root" % (i, x))
                 if y not in vertices:
                     vertices.add(y)

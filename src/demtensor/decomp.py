@@ -42,6 +42,7 @@ from .cartan import vadd
 from .crystal import (
     PairBox,
     Subset,
+    _refuse_oversized_product,
     compiled_subset,
     generate_crystal,
     induced_component,
@@ -392,11 +393,13 @@ def decompose(group, v, w, lam, mu, oracle=False):
     |B_v(lam)| * |B_w(mu)|, so they cover the product without the product
     set being built.  The biconditional between the group condition and
     all-verdicts-positive is enforced, and under the condition the verdict
-    must agree with the lifted witness.
+    must agree with the lifted witness.  A pair space over
+    `PAIR_SPACE_LIMIT` is refused before any crystal is built.
     """
     rs = group.rs
     if not (rs.is_dominant(lam) and rs.is_dominant(mu)):
         raise ValueError("shapes must be dominant")
+    _refuse_oversized_product(rs, lam, mu)
     cond = condition_check(group, v, w, lam, mu)
     word = lift_word(group, v, w, lam, mu) if cond else None
     product = _product(group, v, w, lam, mu)

@@ -33,7 +33,7 @@ but no component: the reconciliation counts witnesses without one.
 from functools import lru_cache
 
 from .cartan import vadd, vsub
-from .crystal import CharPoly, character, weight_of
+from .crystal import CharPoly, _refuse_oversized_product, character, weight_of
 from .decomp import (
     TheoremViolation,
     condition_check,
@@ -273,7 +273,9 @@ def product_report(group, v, w, lam, mu):
 def _product_report(group, v, w, lam, mu):
     """(left index, right index, coefficients, forward, swapped) of the
     product; v and w are the minimal coset representatives of
-    `product_key`.  A failed check raises, so no failure is ever cached."""
+    `product_key`.  A failed check raises, so no failure is ever cached;
+    a pair space over `PAIR_SPACE_LIMIT` is refused before any work."""
+    _refuse_oversized_product(group.rs, lam, mu)
     left_idx, left = key_of_pair(group, v, lam)
     right_idx, right = key_of_pair(group, w, mu)
     coeffs = expand_in_keys(group, left * right)

@@ -7,7 +7,11 @@ the path itself is the piecewise-linear map with slope nu_k on
 RawPath, which drops the orbit bookkeeping but shares the representation
 and the root-operator machinery.  Paths are immutable and kept in a normal
 form (no zero-length segments, no equal adjacent directions), so structural
-equality is path equality.
+equality is path equality.  The public constructors (`make_path`,
+`RawPath(...)`, `concatenate`) bring their input to normal form with
+`_canonical`.  The root operators of `crystal` emit normal-form fields in
+their one pass and hand them to `_intern` or `_raw_path`, which take the
+fields as they are.
 
 Breakpoints are stored as integer ticks over one denominator: `den` is the
 least common denominator of the a_k and `ticks[k] = a_k * den`, so
@@ -46,7 +50,9 @@ chain searches are memoized.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
+from operator import ge, mod
 
 from .cartan import normalize_coords, vscale
 from .weyl import weyl_group
@@ -99,12 +105,6 @@ def _scaled_marks(directions, ticks, rank):
 def _unscale(values, den):
     """Divide integers by den: ints where exact, Fractions elsewhere."""
     return tuple(v // den if v % den == 0 else Fraction(v, den) for v in values)
-
-
-def _reduced(tick, den):
-    """tick / den in lowest terms, as (numerator, denominator)."""
-    g = gcd(tick, den)
-    return tick // g, den // g
 
 
 class _PathBase:
@@ -185,10 +185,6 @@ class LSPath(_PathBase):
         self.checked = False
         self._hash = hash((shape, directions, ticks))
 
-    def _with_segments(self, directions, den, ticks):
-        """The interned path of the same shape with these segments."""
-        return _intern(self.rs, self.shape, *_canonical(directions, den, ticks))
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -206,8 +202,9 @@ class LSPath(_PathBase):
         return self._hash
 
     def sort_key(self):
-        den = self.den
-        return (self.shape, self.directions, tuple(_reduced(t, den) for t in self.ticks))
+        den, ticks = self.den, self.ticks
+        reduced = [(t // g, den // g) for t, g in zip(ticks, map(gcd, ticks, repeat(den)))]
+        return (self.shape, self.directions, tuple(reduced))
 
     def __repr__(self):
         inner = ", ".join(repr(d) for d in self.directions)
@@ -220,41 +217,48 @@ class LSPath(_PathBase):
 
     def weight(self):
         """The endpoint, asserted integral."""
-        den, end = self.den, self.marks[-self.rs.rank:]
-        if any(c % den for c in end):
+        weight, rest = zip(*map(divmod, self.marks[-self.rs.rank:], repeat(self.den)))
+        if any(rest):
             raise AssertionError("non-integral endpoint on %r" % self)
-        return tuple(c // den for c in end)
+        return weight
 
     def validate(self):
         """None if the path is a valid LS path, else the first violation.
 
         Orbit membership, the order of the directions and their a-chains
-        are read off the Weyl tables (`in_orbit`, `orbit_leq`,
-        `_chain_exists`).
+        are read off the Weyl tables.  Each direction's dominant walk is
+        read once: it must end at the shape (`in_orbit`), and adjacent
+        directions must decrease in Bruhat order on the walks'
+        representatives (`orbit_leq`) with an a-chain between them
+        (`_chain_exists`).
         """
-        rs = self.rs
-        if not rs.is_dominant(self.shape):
-            return "shape %r is not dominant" % (self.shape,)
+        rs, shape, directions = self.rs, self.shape, self.directions
+        if not rs.is_dominant(shape):
+            return "shape %r is not dominant" % (shape,)
         group = weyl_group(rs)
-        if not self.directions:
+        if not directions:
             return "no segments"
-        for d in self.directions:
-            if not in_orbit(group, d, self.shape):
-                return "direction %r is not in the orbit of %r" % (d, self.shape)
+        reps = []
+        for d in directions:
+            walk = _dominant_walk(group, d) if len(d) == rs.rank else None
+            if walk is None or walk[0] != shape:
+                return "direction %r is not in the orbit of %r" % (d, shape)
+            reps.append(walk[1])
         den, ticks = self.den, self.ticks
         if ticks[0] != 0 or ticks[-1] != den:
             return "breakpoints must run from 0 to 1"
-        if any(a >= b for a, b in zip(ticks, ticks[1:])):
+        if any(map(ge, ticks, ticks[1:])):
             return "breakpoints must increase strictly"
-        for k in range(len(self.directions) - 1):
-            hi, lo = self.directions[k], self.directions[k + 1]
+        for k in range(len(directions) - 1):
+            hi, lo = directions[k], directions[k + 1]
             if hi == lo:
                 return "adjacent directions %r repeat" % (hi,)
-            if not orbit_leq(group, lo, hi):
+            if not group.bruhat_leq(reps[k + 1], reps[k]):
                 return "directions %r, %r do not decrease" % (hi, lo)
-            if not _chain_exists(group, hi, lo, *_reduced(ticks[k + 1], den)):
+            g = gcd(ticks[k + 1], den)
+            if not _chain_exists(group, hi, lo, ticks[k + 1] // g, den // g):
                 return "no %s-chain between %r and %r" % (self.breaks[k + 1], hi, lo)
-        if any(c % den for c in self.marks[-rs.rank:]):
+        if any(map(mod, self.marks[-rs.rank:], repeat(den))):
             return "endpoint %r is not a lattice weight" % (self.endpoint(),)
         return None
 
@@ -270,10 +274,6 @@ class RawPath(_PathBase):
     def _set(self, rs, directions, den, ticks):
         self._set_segments(rs, directions, den, ticks)
         self._hash = hash((directions, ticks))
-
-    def _with_segments(self, directions, den, ticks):
-        """The raw path with these segments, in normal form."""
-        return _raw_path(self.rs, directions, den, ticks)
 
     def __eq__(self, other):
         if self is other:
@@ -312,9 +312,9 @@ def _intern(rs, shape, directions, den, ticks):
 
 
 def _raw_path(rs, directions, den, ticks):
-    """The RawPath with these segments, in normal form."""
+    """The RawPath with these normal-form fields."""
     path = RawPath.__new__(RawPath)
-    path._set(rs, *_canonical(directions, den, ticks))
+    path._set(rs, directions, den, ticks)
     return path
 
 
@@ -353,7 +353,7 @@ def concatenate(first, second):
         + tuple(a * t for t in first.ticks[1:])
         + tuple(half + b * t for t in second.ticks[1:])
     )
-    return _raw_path(first.rs, dirs, 2 * half, ticks)
+    return _raw_path(first.rs, *_canonical(dirs, 2 * half, ticks))
 
 
 # -- serialization -----------------------------------------------------------

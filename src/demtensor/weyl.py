@@ -48,10 +48,7 @@ def group_order(rs):
     return GROUP_ORDERS[rs.type_letter](rs.rank)
 
 
-def _too_large(type_letter, rank, size):
-    # a count past 64 bits is named by its bit length: A2000's order alone
-    # has more digits than Python prints from an int
-    count = "%d" % size if size.bit_length() <= 64 else "over 2^%d" % (size.bit_length() - 1)
+def _too_large(type_letter, rank, count):
     return ValueError(
         "Weyl group of RootSystem(%s%d) too large to materialize (%s elements, the limit is %d)"
         % (type_letter, rank, count, GROUP_SIZE_LIMIT)
@@ -60,7 +57,15 @@ def _too_large(type_letter, rank, size):
 
 def refuse_oversized_group(type_letter, rank):
     """Refuse a valid type whose Weyl group, by its closed-form order, is
-    over GROUP_SIZE_LIMIT; its root system need not exist yet."""
+    over GROUP_SIZE_LIMIT; its root system need not exist yet.
+
+    Every type has |W| >= 2^rank, so a rank of the limit's bit length or
+    more is refused as "at least 2^rank" before the closed form is
+    evaluated: factorial(10**6 + 1) alone takes seconds, and an order of
+    more digits than Python prints from an int (A2000) is never formed.
+    """
+    if rank >= GROUP_SIZE_LIMIT.bit_length():
+        raise _too_large(type_letter, rank, "at least 2^%d" % rank)
     order = GROUP_ORDERS[type_letter](rank)
     if order > GROUP_SIZE_LIMIT:
         raise _too_large(type_letter, rank, order)

@@ -87,13 +87,16 @@ def test_oversized_group_exits_one_without_traceback():
         ["check", "--type", "A80", "--v", "", "--w", "", "--lambda", "1", "--mu", "1"],
         ["verify", "--grid", "A160:1"],
         ["verify", "--grid", "A2000:1"],
+        ["check", "--type", "A1000000", "--v", "", "--w", "", "--lambda", "1", "--mu", "1"],
+        ["verify", "--grid", "A1000000:1"],
     ],
-    ids=["check-A80", "verify-A160", "verify-A2000"],
+    ids=["check-A80", "verify-A160", "verify-A2000", "check-A1000000", "verify-A1000000"],
 )
 def test_oversized_rank_refused_before_the_root_closure(capsys, argv):
-    """The closed-form group order refuses the type in `parse_type`; the
-    positive roots of A80 alone took 15 s to close.  An order too long to
-    print (A2000) is named by its bit length."""
+    """`parse_type` refuses the type before its positive roots are closed
+    (those of A80 alone took 15 s), and a rank past the limit's bit length
+    before the closed-form order is evaluated (factorial(10**6 + 1) takes
+    seconds)."""
     import time
 
     start = time.perf_counter()
@@ -422,6 +425,27 @@ def test_oversized_crystal_exits_one_quickly(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "too large" in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["decompose", "expand"])
+def test_oversized_pair_space_exits_one_before_any_crystal(capsys, command, cold_caches):
+    """B(11,11) of A2 is under the crystal limit, but the product of two
+    has 1728^2 pairs: refused from the dimension formula alone, before any
+    crystal is built."""
+    import time
+
+    from demtensor import crystal
+
+    start = time.perf_counter()
+    code = main([command, "--type", "A2", "--v", "1,2,1", "--w", "1,2,1",
+                 "--lambda", "11,11", "--mu", "11,11"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: product of the crystals of highest weights ")
+    assert captured.err.count("\n") == 1 and "too large (2985984 pairs" in captured.err
+    assert crystal.generate_crystal.cache_info().currsize == 0
     assert elapsed < 1.0
 
 

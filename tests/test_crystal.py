@@ -697,3 +697,44 @@ def test_compile_sees_a_second_top():
     edges = {**generation_edges(a), **generation_edges(b)}
     with pytest.raises(AssertionError, match="top other than the straight path"):
         CompiledCrystal(A2, a.vertices + b.vertices, edges, a.vertices[a.top])
+
+
+def merge_skipping_once(monkeypatch):
+    """Patch `_merge` so that the first pair of equal directions it meets
+    stays two segments; every other call is left alone."""
+    from demtensor import crystal as crystal_module
+
+    merge = crystal_module._merge
+    skipped = []
+
+    def broken(dirs, ticks, more_dirs, more_ticks):
+        if not skipped and dirs and more_dirs and dirs[-1] == more_dirs[0]:
+            skipped.append(dirs[-1])
+            dirs.extend(more_dirs)
+            ticks.extend(more_ticks)
+        else:
+            merge(dirs, ticks, more_dirs, more_ticks)
+
+    monkeypatch.setattr(crystal_module, "_merge", broken)
+    return skipped
+
+
+def test_validation_sees_an_unmerged_reflection(monkeypatch, capsys, cold_caches):
+    """One junction left unmerged by the fused reflect-and-merge step: the
+    result is refused by `validate`, and `decompose` exits 2 on one line."""
+    from demtensor.cli import main
+
+    skipped = merge_skipping_once(monkeypatch)
+    with pytest.raises(AssertionError) as caught:
+        generate_crystal(G2, (1, 0))
+    assert len(skipped) == 1
+    problem = "adjacent directions %r repeat" % (skipped[0],)
+    assert str(caught.value) == "operator produced an invalid path: " + problem
+
+    skipped.clear()
+    code = main(["decompose", "--type", "G2", "--v", "1", "--w", "2",
+                 "--lambda", "1,0", "--mu", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and len(skipped) == 1
+    assert captured.err.startswith("structural failure: operator produced an invalid path: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

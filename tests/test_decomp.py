@@ -590,3 +590,26 @@ def test_decompose_reports_do_not_share_their_containers():
     assert again is not first and [_entry_facts(entry) for entry in again.entries] == expected
     other = decompose(WA2, EX1["v"], w2, EX1["lam"], EX1["mu"])
     assert other.w is w2 and [_entry_facts(entry) for entry in other.entries] == expected
+
+
+def test_pair_space_limit_refuses_no_grid_example_or_probe():
+    """By the dimension formula alone: no product of the A2:2, B2:2, G2:1
+    and A3:1 grids, of the README examples or of the probes is over
+    PAIR_SPACE_LIMIT."""
+    from demtensor.cartan import weyl_dimension
+    from demtensor.crystal import PAIR_SPACE_LIMIT
+    from demtensor.verify import parse_grid
+
+    products = []
+    for spec in ("A2:2", "B2:2", "G2:1", "A3:1"):
+        grid = parse_grid(spec)
+        products += [(grid.rs, lam, mu) for lam in grid.shapes for mu in grid.shapes]
+    # README: decompose (twice), check and expand; probes: G2 w0 and E6
+    products += [(A2, (1, 1), (1, 0)), (A2, (2, 1), (1, 2))]
+    products.append((root_system("G", 2), (1, 1), (1, 1)))
+    omega1 = (1, 0, 0, 0, 0, 0)
+    products.append((root_system("E", 6), omega1, omega1))
+    sizes = [weyl_dimension(rs, lam) * weyl_dimension(rs, mu) for rs, lam, mu in products]
+    assert len(products) == 8**2 + 8**2 + 3**2 + 7**2 + 4
+    assert max(sizes) == 6561
+    assert sum(size > PAIR_SPACE_LIMIT for size in sizes) == 0

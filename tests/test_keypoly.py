@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartan_oracle import fundamental_weight
 from demtensor.cartan import root_system, vadd
 from demtensor.crystal import CharPoly, character, generate_crystal, tensor_product_elements
 from demtensor.demazure import generate_demazure
@@ -254,7 +255,7 @@ def test_height_form_is_a_multiple_of_the_fundamental_heights(letter, rank):
 
     rs = root_system(letter, rank)
     form = _height_form(rs)
-    heights = [sum(root_coordinates(rs, rs.fundamental_weight(i))) for i in range(1, rank + 1)]
+    heights = [sum(root_coordinates(rs, fundamental_weight(rs, i))) for i in range(1, rank + 1)]
     ratios = {Fraction(h, height) for h, height in zip(form, heights)}
     assert len(ratios) == 1 and ratios.pop() > 0
     assert all(type(h) is int for h in form)

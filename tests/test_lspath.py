@@ -7,6 +7,7 @@ from fractions import Fraction
 import orbit_oracle
 import path_oracle
 import pytest
+from cartan_oracle import fundamental_weight
 
 from demtensor.cartan import root_system, vadd
 from demtensor.crystal import _path_e, _path_f
@@ -244,7 +245,7 @@ def test_concatenations_match_fraction_oracle():
 
     checked = 0
     for rs in (A2, root_system("B", 2)):
-        fundamentals = [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
+        fundamentals = [fundamental_weight(rs, i) for i in range(1, rs.rank + 1)]
         paths = [pi for lam in fundamentals for pi in generate_crystal(rs, lam)]
         for a in paths:
             for b in paths:
@@ -284,6 +285,36 @@ def test_cut_rescales_to_a_new_denominator():
     assert y.den == 3 and y.ticks == (0, 1, 3) and y.marks == (0, 0, 4, -3, -6, 3)
     assert y.breaks == (F(0), F(1, 3), F(1))
     assert y is path_oracle.path_f(x, 2)
+
+
+def test_rescaling_and_merging_cuts_match_fraction_oracle(monkeypatch):
+    """Every element and colour of G2 B(2,1) and B(3,0), where cut times
+    fall between ticks: the one-pass operators agree with the Fraction
+    oracle, on results that rescale the ticks and on results whose
+    reflected run merges with a neighbouring segment."""
+    from demtensor import crystal
+
+    G2 = root_system("G", 2)
+    counts = {"scaled": 0, "merged": 0}
+    reflect = crystal._reflect_between
+
+    def spy(path, i, scale, p, t0, q, t1):
+        out = reflect(path, i, scale, p, t0, q, t1)
+        # segments before merging: every old one, plus one per cut inside a segment
+        pieces = len(path.directions) + (t0 > path.ticks[p] * scale)
+        pieces += t1 < path.ticks[q + 1] * scale
+        counts["scaled"] += scale > 1
+        counts["merged"] += len(out.directions) < pieces
+        return out
+
+    elements = [pi for lam in ((2, 1), (3, 0)) for pi in crystal.generate_crystal(G2, lam)]
+    assert len(elements) == 189 + 77
+    monkeypatch.setattr(crystal, "_reflect_between", spy)
+    for pi in elements:
+        for i in (1, 2):
+            assert crystal._path_f(pi, i) == path_oracle.path_f(pi, i)
+            assert crystal._path_e(pi, i) == path_oracle.path_e(pi, i)
+    assert counts["scaled"] > 0 and counts["merged"] > 0
 
 
 # -- the orbit order on the Weyl tables against the orbit poset -------------------
