@@ -115,7 +115,7 @@ def _entry_json(entry):
     body = {
         "pi": path_to_json(entry.pi),
         "lambda_plus_wt": list(entry.shifted_shape),
-        "size": len(entry.elements),
+        "size": len(entry.component),
         "demazure": entry.demazure,
         "u": list(entry.expected_witness.word) if entry.expected_witness else None,
     }

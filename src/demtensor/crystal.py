@@ -626,6 +626,10 @@ def _pair_space(rs, lam, mu):
 
 
 def _refuse_oversized_product(rs, lam, mu):
+    """Refuse shapes that are not dominant, then a pair space over
+    `PAIR_SPACE_LIMIT`, both with ValueError."""
+    if not (rs.is_dominant(lam) and rs.is_dominant(mu)):
+        raise ValueError("shapes must be dominant")
     size = _pair_space(rs, tuple(lam), tuple(mu))
     if size > PAIR_SPACE_LIMIT:
         raise ValueError(

@@ -194,9 +194,12 @@ def path_witness(group, pi, w, mu, lam):
 def _interval_recursion(group, pi, wfloor, mu, lam):
     """Recursion over the stabilizer intervals: seed with the identity, fold
     in the Bruhat-maximal coset representative interval by interval from the
-    right, and finish with the two-step maximization over the first interval
-    that keeps the initial direction of pi below wfloor modulo the
-    stabilizer of mu.
+    right, and finish over the first interval: u1 is the Bruhat maximum of
+    its elements that keep the initial direction of pi below wfloor modulo
+    the stabilizer of mu, and the witness is the maximum of {u wj : u <= u1},
+    which is the Demazure product u1 * wj of the 0-Hecke monoid
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4; Knutson-Miller,
+    Adv. Math. 2004), one walk along u1's word.
 
     The identity is admissible whenever pi lies in B_w(mu), so an empty
     admissible set is an internal fault, not malformed input.
@@ -218,8 +221,7 @@ def _interval_recursion(group, pi, wfloor, mu, lam):
     if not admissible:
         raise AssertionError("no admissible element below %r for %r" % (wfloor, pi))
     u1 = group.bruhat_max(admissible)
-    final = {group.multiply(u, wj) for u in first if group.bruhat_leq(u, u1)}
-    return group.bruhat_max(final)
+    return demazure_product(group, u1.word, wj)
 
 
 def demazure_match(group, comp, nu):
@@ -281,9 +283,8 @@ def demazure_product(group, word, start):
     """Fold a word over `start` right to left, keeping only length increases."""
     u = start
     for i in reversed(word):
-        su = group.multiply(group.simple(i), u)
-        if group.length(su) > group.length(u):
-            u = su
+        if i not in group.left_descents(u):
+            u = group.multiply(group.simple(i), u)
     return u
 
 
@@ -393,13 +394,11 @@ def decompose(group, v, w, lam, mu, oracle=False):
     |B_v(lam)| * |B_w(mu)|, so they cover the product without the product
     set being built.  The biconditional between the group condition and
     all-verdicts-positive is enforced, and under the condition the verdict
-    must agree with the lifted witness.  A pair space over
-    `PAIR_SPACE_LIMIT` is refused before any crystal is built.
+    must agree with the lifted witness.  Shapes that are not dominant and a
+    pair space over `PAIR_SPACE_LIMIT` are refused before any crystal is
+    built.
     """
-    rs = group.rs
-    if not (rs.is_dominant(lam) and rs.is_dominant(mu)):
-        raise ValueError("shapes must be dominant")
-    _refuse_oversized_product(rs, lam, mu)
+    _refuse_oversized_product(group.rs, lam, mu)
     cond = condition_check(group, v, w, lam, mu)
     word = lift_word(group, v, w, lam, mu) if cond else None
     product = _product(group, v, w, lam, mu)
@@ -482,9 +481,9 @@ def recursive_component(group, pi, v, i, w, lam, mu):
     its `elements` are read.
     """
     rs = group.rs
-    si = group.simple(i)
-    if group.length(group.multiply(si, v)) <= group.length(v):
+    if i in group.left_descents(v):
         raise ValueError("the color must increase the length of v")
+    si = group.simple(i)
     product = _product(group, v, w, lam, mu)
     space, right_ids = product.space, product.ids.right
     left, right, n = space.left, space.right, space.n
@@ -564,9 +563,9 @@ def leibniz_check(group, v, w, lam, mu, i):
     disjoint.
     """
     rs = group.rs
-    si = group.simple(i)
-    if group.length(group.multiply(si, v)) <= group.length(v):
+    if i in group.left_descents(v):
         raise ValueError("the color must increase the length of v")
+    si = group.simple(i)
     left = generate_demazure(group, v, lam).subset
     right = generate_demazure(group, w, mu).subset
     space = tensor_space(left.space, right.space)

@@ -158,10 +158,9 @@ def f_closure(group, demazure, k):
     fresh generation.
     """
     closed = f_string_closure(demazure.elements, k)
-    sk = group.simple(k)
     w = demazure.witness
-    if group.length(group.multiply(sk, w)) > group.length(w):
-        expected = generate_demazure(group, group.multiply(sk, w), demazure.shape)
+    if k not in group.left_descents(w):
+        expected = generate_demazure(group, group.multiply(group.simple(k), w), demazure.shape)
     else:
         expected = demazure
     if closed != expected.elements:

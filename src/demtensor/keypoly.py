@@ -274,7 +274,8 @@ def _product_report(group, v, w, lam, mu):
     """(left index, right index, coefficients, forward, swapped) of the
     product; v and w are the minimal coset representatives of
     `product_key`.  A failed check raises, so no failure is ever cached;
-    a pair space over `PAIR_SPACE_LIMIT` is refused before any work."""
+    shapes that are not dominant and a pair space over `PAIR_SPACE_LIMIT`
+    are refused before any work."""
     _refuse_oversized_product(group.rs, lam, mu)
     left_idx, left = key_of_pair(group, v, lam)
     right_idx, right = key_of_pair(group, w, mu)

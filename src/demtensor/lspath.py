@@ -8,10 +8,10 @@ RawPath, which drops the orbit bookkeeping but shares the representation
 and the root-operator machinery.  Paths are immutable and kept in a normal
 form (no zero-length segments, no equal adjacent directions), so structural
 equality is path equality.  The public constructors (`make_path`,
-`RawPath(...)`, `concatenate`) bring their input to normal form with
-`_canonical`.  The root operators of `crystal` emit normal-form fields in
-their one pass and hand them to `_intern` or `_raw_path`, which take the
-fields as they are.
+`LSPath(...)`, `RawPath(...)`, `concatenate`) bring their input to normal
+form with `_canonical`.  The root operators of `crystal` emit normal-form
+fields in their one pass and hand them to `_intern` or `_raw_path`, which
+take the fields as they are.
 
 Breakpoints are stored as integer ticks over one denominator: `den` is the
 least common denominator of the a_k and `ticks[k] = a_k * den`, so
@@ -177,7 +177,7 @@ class LSPath(_PathBase):
     )
 
     def __init__(self, rs, shape, directions, breaks):
-        self._set(rs, shape, directions, *_ticks_of(breaks))
+        self._set(rs, normalize_coords(shape), *_normalize_segments(directions, breaks))
 
     def _set(self, rs, shape, directions, den, ticks):
         self._set_segments(rs, directions, den, ticks)

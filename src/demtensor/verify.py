@@ -124,9 +124,8 @@ def _ascent_pairs(group, reps):
     """The (v, i) with v in reps and the simple reflection i lengthening v on the left."""
     out = []
     for v in reps:
-        for i in range(1, group.rs.rank + 1):
-            if group.length(group.multiply(group.simple(i), v)) > group.length(v):
-                out.append((v, i))
+        descents = group.left_descents(v)
+        out += [(v, i) for i in range(1, group.rs.rank + 1) if i not in descents]
     return out
 
 

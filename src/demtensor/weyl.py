@@ -4,18 +4,21 @@ Groups are materialized as explicit element lists (target scale is rank <= 3,
 so enumeration beats cleverness and makes every claim exhaustively checkable).
 An element is identified by its index in `WeylGroup.elements`, and there is
 one `WeylElement` per group element, so equality is identity.  The group
-keeps integer generator tables, built once with it: w*s_i, s_i*w, w^-1 and
-the length of every element.  Products, inverses, lengths, descents, cosets
-and Bruhat comparisons walk these tables, and no coset is enumerated: a
-coset extreme is where a walk by the generators of J stops shortening or
-lengthening (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  An
-element stores one reduced word, the lexicographically least, and `apply`
-reflects along it.  The build keys w by w^-1(rho), rho = (1, ..., 1): rho is
-regular, so the key is injective, and (w s_i)^-1 rho = s_i(w^-1 rho) is one
-reflection.  `WeylElement.matrix` is derived from `apply`, for matrix checks
-outside the package.  No orbit is enumerated either: `lspath.dominant_walk`
-maps a weight to its dominant form and minimal coset representative, and
-the order on an orbit W lam is Bruhat order on those representatives.
+keeps one integer generator table, built once with it, w*s_i, beside w^-1
+and the length of every element.  Products, inverses, lengths, descents,
+cosets and Bruhat comparisons walk these tables with right steps only: a
+left descent of w is a right descent of w^-1, and Bruhat order reads the
+word of the larger element from the right (property Z; Bjorner-Brenti,
+Combinatorics of Coxeter Groups, 2.2.7).  No coset is enumerated: a coset
+extreme is where a walk by the generators of J stops shortening or
+lengthening (ibid., 2.4).  An element stores one reduced word, the
+lexicographically least, and `apply` reflects along it.  The build keys w
+by w^-1(rho), rho = (1, ..., 1): rho is regular, so the key is injective,
+and (w s_i)^-1 rho = s_i(w^-1 rho) is one reflection.  `WeylElement.matrix`
+is derived from `apply`, for matrix checks outside the package.  No orbit
+is enumerated either: `lspath.dominant_walk` maps a weight to its dominant
+form and minimal coset representative, and the order on an orbit W lam is
+Bruhat order on those representatives.
 """
 
 from functools import lru_cache
@@ -147,25 +150,9 @@ class WeylGroup:
         self.identity = self.elements[0]
         self._rmul = rmul
         self._len = [len(w) for w in words]
-        # s_i y and y^-1 in BFS order without a product: for y = p * s_j,
-        # s_i y = (s_i p) s_j and y^-1 = s_j p^-1, where p and every element
-        # of p's length come before y.
-        size = len(words)
-        lmul = [[0] * size for _ in range(n)]
-        inv = [0] * size
-        for c in range(n):
-            lmul[c][0] = rmul[c][0]
-        for y in range(1, size):
-            j = words[y][-1] - 1
-            rj = rmul[j]
-            p = rj[y]
-            for c in range(n):
-                lmul[c][y] = rj[lmul[c][p]]
-            inv[y] = lmul[j][inv[p]]
-        self._lmul = lmul
-        self._inv = inv
+        # w^-1 is w's word read backwards
+        self._inv = [self._walk(0, reversed(w)) for w in words]
         self._check_tables()
-        self._bruhat_cache = {}
 
     def _check_tables(self):
         """Every generator step is an involution that changes the length by
@@ -174,7 +161,7 @@ class WeylGroup:
         for k, j in enumerate(inv):
             if inv[j] != k or length[j] != length[k]:
                 raise AssertionError("inverse table fails at element %d" % k)
-        for table in self._rmul + self._lmul:
+        for table in self._rmul:
             for k, j in enumerate(table):
                 if table[j] != k or abs(length[j] - length[k]) != 1:
                     raise AssertionError("generator table fails at element %d" % k)
@@ -232,11 +219,14 @@ class WeylGroup:
     # -- descents ------------------------------------------------------------
 
     def left_descents(self, w):
-        """Simple indices i with length(s_i w) < length(w)."""
-        k, length = w.index, self._len
-        return frozenset(
-            c + 1 for c, table in enumerate(self._lmul) if length[table[k]] < length[k]
-        )
+        """Simple indices i with length(s_i w) < length(w): the right descents of w^-1."""
+        k, length = self._inv[w.index], self._len
+        # a plain loop: a generator's frame costs more than the scan
+        below, out = length[k], []
+        for c, table in enumerate(self._rmul, 1):
+            if length[table[k]] < below:
+                out.append(c)
+        return frozenset(out)
 
     # -- parabolic subgroups and cosets ---------------------------------------
 
@@ -281,35 +271,16 @@ class WeylGroup:
     # -- Bruhat order ----------------------------------------------------------
 
     def bruhat_leq(self, u, v):
-        """True iff a reduced word of v contains a reduced word of u as a subword."""
-        key = (u.index, v.index)
-        got = self._bruhat_cache.get(key)
-        if got is not None:
-            return got
-        word = v.word
-        length, lmul = self._len, self._lmul
-        memo = {}
-
-        def sub(k, x):
-            if length[x] == 0:
-                return True
-            if len(word) - k < length[x]:
-                return False
-            state = (k, x)
-            if state in memo:
-                return memo[state]
-            ok = False
-            sx = lmul[word[k] - 1][x]
-            if length[sx] < length[x]:
-                ok = sub(k + 1, sx)
-            if not ok:
-                ok = sub(k + 1, x)
-            memo[state] = ok
-            return ok
-
-        got = sub(0, u.index)
-        self._bruhat_cache[key] = got
-        return got
+        """u <= v in Bruhat order, by property Z (Deodhar): for a right
+        descent s of v, u <= v iff min(u, us) <= vs.  Each letter of v's
+        word, read from the right, is a right descent of what is left of v,
+        so u <= v iff stepping u down along them ends at the identity."""
+        k, rmul, length = u.index, self._rmul, self._len
+        for i in reversed(v.word):
+            j = rmul[i - 1][k]
+            if length[j] < length[k]:
+                k = j
+        return k == 0
 
     def bruhat_max(self, elements):
         """The element of the collection dominating all others in Bruhat order."""
@@ -328,8 +299,11 @@ class WeylGroup:
         return winners[0]
 
     def coset_bruhat_max(self, J, w):
-        """Bruhat-maximal element of the coset W_J w: its longest element."""
-        return self.elements[self._walk_extreme(w.index, [self._lmul[j - 1] for j in J], True)]
+        """Bruhat-maximal element of the coset W_J w: its longest element, the
+        inverse of the longest element of w^-1 W_J."""
+        inv = self._inv
+        k = self._walk_extreme(inv[w.index], [self._rmul[j - 1] for j in J], True)
+        return self.elements[inv[k]]
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import demtensor
+from demtensor import decomp
 from demtensor.cartan import root_system
 from demtensor.cli import main
 from demtensor.crystal import MultipleHighestWeights
@@ -49,6 +50,19 @@ def test_decompose_counterexample_instance(capsys):
     witness = bad[0]["witness"]
     assert witness["violated_string_color"] in (1, 2)
     assert 0 < len(witness["inside_component"]) < len(witness["string"])
+
+
+def test_decompose_sizes_components_without_decoding_them(capsys, monkeypatch):
+    """Every component of EX1 is Demazure, so its JSON reads only the
+    component's pair codes and no entry decodes its elements."""
+    _, plain = run(capsys, "decompose", *EX1)
+    decoded = []
+    monkeypatch.setattr(
+        decomp.DecompositionEntry, "elements", property(lambda entry: decoded.append(entry))
+    )
+    code, out = run(capsys, "decompose", *EX1)
+    assert code == 0 and out == plain
+    assert decoded == []
 
 
 def test_decompose_is_deterministic(capsys):
@@ -329,6 +343,37 @@ def test_package_imports_only_the_standard_library():
     for name in names:
         with open(os.path.join(package, name)) as handle:
             found += non_stdlib_imports(handle.read(), name)
+    assert found == []
+
+
+WEYL_TABLES = {"_rmul", "_inv", "_len", "_walk", "_walk_extreme"}
+
+
+def weyl_table_reads(source, name):
+    """Reads of a private `WeylGroup` table in the source, as "name:line attribute"."""
+    return sorted(
+        "%s:%d %s" % (name, node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source, filename=name))
+        if isinstance(node, ast.Attribute) and node.attr in WEYL_TABLES
+    )
+
+
+def test_only_weyl_reads_the_group_tables():
+    """The table format stays behind one module: no module of the package
+    but weyl.py reads `_rmul`, `_inv`, `_len`, `_walk` or `_walk_extreme`."""
+    package = os.path.dirname(demtensor.__file__)
+    names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert {"decomp.py", "demazure.py", "lspath.py", "verify.py", "weyl.py"} <= set(names)
+    # the scan would name a planted read, and weyl.py's own reads
+    probe = "def f(group, w):\n    k = group._inv[w.index]\n    return group.length(w)\n"
+    assert weyl_table_reads(probe, "probe.py") == ["probe.py:2 _inv"]
+    with open(os.path.join(package, "weyl.py")) as handle:
+        assert weyl_table_reads(handle.read(), "weyl.py")
+    found = []
+    for name in names:
+        if name != "weyl.py":
+            with open(os.path.join(package, name)) as handle:
+                found += weyl_table_reads(handle.read(), name)
     assert found == []
 
 

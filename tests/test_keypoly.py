@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cartan_oracle import fundamental_weight
 from demtensor.cartan import root_system, vadd
 from demtensor.crystal import CharPoly, character, generate_crystal, tensor_product_elements
+from demtensor.decomp import decompose
 from demtensor.demazure import generate_demazure
 from demtensor.keypoly import (
     KeyIndex,
@@ -185,6 +186,18 @@ def test_product_report_without_condition_is_integral():
     report = product_report(WA2, el(2, 1), el(2, 1), (1, 1), (1, 1))
     assert not report.condition_forward and not report.condition_swapped
     assert all(isinstance(c, int) for c in report.coefficients.values())
+
+
+def test_product_report_refuses_non_dominant_shapes_as_decompose_does():
+    """A shape that is not dominant is malformed input (ValueError, exit 1),
+    refused by the same check and text as `decompose`, not a structural
+    fault."""
+    e = WA2.identity
+    with pytest.raises(ValueError) as refused:
+        product_report(WA2, e, e, (-1, 0), (1, 0))
+    with pytest.raises(ValueError) as expected:
+        decompose(WA2, e, e, (-1, 0), (1, 0))
+    assert str(refused.value) == str(expected.value) == "shapes must be dominant"
 
 
 def test_character_multiplicativity_with_demazure_factors():

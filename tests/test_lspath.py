@@ -190,6 +190,16 @@ def test_make_path_interns_equal_paths():
     assert straight_path(A2, (1, 0)) is straight_path(A2, (1, 0), (1, 0))
 
 
+def test_direct_construction_brings_the_path_to_normal_form():
+    from demtensor.lspath import LSPath
+
+    args = (A2, (1, 0), ((1, 0), (1, 0)), (0, F(1, 2), 1))
+    direct = LSPath(*args)
+    assert direct == make_path(*args)
+    assert direct.directions == ((1, 0),) and direct.ticks == (0, 1)
+    assert direct.validate() is None
+
+
 def test_directly_built_paths_compare_structurally():
     from demtensor.lspath import LSPath, RawPath
 

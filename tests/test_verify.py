@@ -1,11 +1,12 @@
 """The sweeps of `verify`: coset representatives, ascent pairs, reduced words."""
 
+import functools
 import itertools
 
 import pytest
 
 import coset_oracle
-from demtensor import keypoly, verify
+from demtensor import decomp, keypoly, verify
 from demtensor.cartan import root_system
 from demtensor.decomp import dominant_paths
 from demtensor.verify import _ascent_pairs, _coset_reps, _reduced_words, parse_grid
@@ -104,3 +105,46 @@ def test_recursion_grows_each_component_once(monkeypatch, name):
     }
     assert len(calls) == len(set(calls)) == len(keys)
     assert set(calls) == keys
+
+
+def interval_maximum(group, first, u1, wj):
+    """The finish of the interval recursion as a set maximum: the Bruhat
+    maximum of {u wj : u in the first interval's parabolic, u <= u1}."""
+    return group.bruhat_max({group.multiply(u, wj) for u in first if group.bruhat_leq(u, u1)})
+
+
+@pytest.mark.parametrize("name", ["G2:1", "B2:2"])
+def test_demazure_finish_is_the_interval_maximum(monkeypatch, name):
+    """Every interval recursion of the witness-oracle and biconditional
+    suites finishes with the Demazure product u1 * wj, which is the maximum
+    of {u wj : u <= u1} over the first interval."""
+    grid = parse_grid(name)
+    recursion, product = decomp._interval_recursion.__wrapped__, decomp.demazure_product
+    inside, finishes = [], []
+
+    @functools.lru_cache(maxsize=None)
+    def recorded(group, pi, wfloor, mu, lam):
+        inside.append((pi, lam))
+        try:
+            return recursion(group, pi, wfloor, mu, lam)
+        finally:
+            inside.pop()
+
+    def finish(group, word, start):
+        got = product(group, word, start)
+        if inside:
+            first = group.parabolic(decomp.stabilizer_intervals(group, *inside[-1])[0])
+            u1 = group.from_word(word)
+            finishes.append((u1, start, got, interval_maximum(group, first, u1, start)))
+        return got
+
+    monkeypatch.setattr(decomp, "_interval_recursion", recorded)
+    monkeypatch.setattr(decomp, "demazure_product", finish)
+    assert verify.suite_witness_oracle(grid) is None
+    assert verify.suite_biconditional(grid) is None
+    assert len(finishes) == recorded.cache_info().misses
+    for u1, wj, got, expected in finishes:
+        assert got is expected, (u1, wj)
+    # the finish is not vacuous: both factors are often not the identity
+    group = grid.group
+    assert sum(u1 is not group.identity and wj is not group.identity for u1, wj, _, _ in finishes)
