@@ -47,10 +47,14 @@ def vscale(c, x):
 
 
 def normalize_coords(x):
-    """Collapse integral Fractions to int so equal vectors hash equally."""
+    """Collapse integral Fractions to int so equal vectors hash equally.
+
+    The test is on the exact type: `isinstance` against `Fraction`, an ABC
+    subclass, costs a Python-level `__instancecheck__` call per coordinate.
+    """
     out = []
     for a in x:
-        if isinstance(a, Fraction):
+        if type(a) is Fraction:
             a = int(a) if a.denominator == 1 else a
         out.append(a)
     return tuple(out)

@@ -111,6 +111,13 @@ def _tensor_json(pair):
     return {"left": path_to_json(pair.left), "right": path_to_json(pair.right)}
 
 
+def _inside(entry, string):
+    """The elements of a violated string that lie in the entry's component,
+    tested by pair code, so the component is never decoded."""
+    comp = entry.component
+    return [x for x in string if comp.space._encode(x) in comp]
+
+
 def _entry_json(entry):
     body = {
         "pi": path_to_json(entry.pi),
@@ -126,7 +133,7 @@ def _entry_json(entry):
         body["witness"] = {
             "violated_string_color": color,
             "string": [_tensor_json(x) for x in string],
-            "inside_component": [_tensor_json(x) for x in string if x in entry.elements],
+            "inside_component": [_tensor_json(x) for x in _inside(entry, string)],
         }
     else:
         # no matching crystal and no violated string; report the bare facts
@@ -153,7 +160,7 @@ def cmd_decompose(args):
         for k, entry in enumerate(report.entries):
             highlight = ()
             if not entry.demazure:
-                highlight = [x for x in entry.string_violation[1] if x in entry.elements]
+                highlight = _inside(entry, entry.string_violation[1])
             dot = to_dot(entry.component, name="component_%d" % k, highlight=highlight)
             with open(os.path.join(args.dot_dir, "component_%d.dot" % k), "w") as handle:
                 handle.write(dot)

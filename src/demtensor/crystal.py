@@ -583,17 +583,21 @@ def compiled_subset(elements):
     return Subset(space, frozenset(map(space._encode, members)))
 
 
-def lower_closure(space, ids, i):
+def lower_closure(space, ids, i, within=None):
     """The ids together with all their f_i-powers, the formal zero dropped.
 
     A walk down a string stops at the first id already taken, whose own
-    string is then walked from it or was walked already.
+    string is then walked from it or was walked already.  With `within`, a
+    container of ids, the closure stops at the first id outside it and
+    returns None.
     """
     grown = set(ids)
     f = space._f
     for x in ids:
         x = f(x, i)
         while x >= 0 and x not in grown:
+            if within is not None and x not in within:
+                return None
             grown.add(x)
             x = f(x, i)
     return frozenset(grown)

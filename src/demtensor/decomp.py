@@ -7,15 +7,21 @@ components are named explicitly: each highest weight element sits over a
 dominant path pi, the component of the pair carries the witness u(pi, v)
 obtained by folding a reduced word over the base witness w(pi) with the
 0-Hecke product, and the base witness itself comes out of a recursion over
-the stabilizer intervals of lam + pi(t) (`path_witness`).  An isomorphism
-search (`path_witness_by_search`) provides an independent oracle for the
-same element, and `decompose` certifies every verdict structurally.
+the stabilizer intervals of lam + pi(t) (`path_witness`).  A search that
+reads only weights and closures (`path_witness_by_search`) provides an
+independent oracle for the same element, and `decompose` certifies every
+verdict structurally.
 
 A component can match one Demazure crystal only: B_x(nu) has character
 key(x nu), keys are unitriangular (`keypoly._check_unitriangular`), so the
-component's top-ranked weight x nu names the one B_x(nu) `demazure_match` tests.
-That x, like the recursion's transport of the initial direction, is the
-minimal coset representative `lspath.dominant_walk` returns.
+component's top-ranked weight x nu names the one B_x(nu) `demazure_match`
+tests.  That x, like the recursion's transport of the initial direction, is
+the minimal coset representative `lspath.dominant_walk` returns.  The test
+runs inside the product: the full component through a highest weight pair
+of weight nu is B(nu), so the component is B_x(nu) exactly when it is the
+closure of its top pair under the lowering strings along x's word.  No
+B(nu) is built for it; `verify` checks that each component of
+B(lam) (x) B(mu) is the LS-path B(nu).
 
 The witness work is memoized by what it depends on.  The recursion sees w
 only through its minimal representative modulo the stabilizer of mu, so
@@ -40,17 +46,16 @@ from math import lcm
 
 from .cartan import vadd
 from .crystal import (
+    MultipleHighestWeights,
     PairBox,
     Subset,
     _refuse_oversized_product,
     compiled_subset,
     generate_crystal,
     induced_component,
-    is_isomorphic,
     lower_closure,
     tensor_product_elements,
     tensor_space,
-    unique_top,
     weight_of,
 )
 from .demazure import check_string_property, generate_demazure
@@ -232,28 +237,64 @@ def demazure_match(group, comp, nu):
     weight of top rank in B_x(nu), and in the orbit of nu that rank is the
     length of the minimal representative u that `dominant_walk` gives.
     Isomorphisms keep weights, so only a weight alone at the top rank of the
-    component names a candidate, its u, which goes to `is_isomorphic`;
-    without one, the component's unique top is checked here.
+    component names a candidate x; without one, the answer is None.
+
+    The candidate is decided inside the component's own space, with no
+    B(nu) built.  Two premises are checked, each an AssertionError: the
+    component's unique top t has no raising step at all, and every raising
+    step from the component lands in it or at the formal zero.  Components
+    of a product of Demazure crystals meet both, since Demazure crystals
+    are closed under every e_i and so is their product.  Then t is a
+    highest weight element of weight nu (else None), the full component
+    through t is B(nu) (Kashiwara, Duke Math. J. 1991), and its closure K
+    under the lowering strings along x's word, read right to left, is the
+    image of B_x(nu).  An isomorphism of B_x(nu) onto the component and the
+    isomorphism onto K both send the top to t and commute with the raising
+    arrows inside B_x(nu), which reach every element from the top, so they
+    are equal: the component is B_x(nu) exactly when it equals K.  The
+    closure stops at the first code outside the component.
     """
-    rs = group.rs
     comp = compiled_subset(comp)
-    weights = set(map(comp.space.weights.__getitem__, comp.ids)) if comp.ids else set()
+    tops = comp.tops()
+    if len(tops) != 1:
+        raise MultipleHighestWeights(
+            "expected a unique highest weight vertex, got %d" % len(tops)
+        )
+    space, ids, top = comp.space, comp.ids, tops[0]
     ranked = {}
-    for y in weights:
+    for y in set(map(space.weights.__getitem__, ids)):
         shape, u = dominant_walk(group, y)
         if shape == nu:
             ranked.setdefault(group.length(u), []).append(u)
-    top = ranked[max(ranked)] if ranked else []
-    if len(top) == 1:
-        crystal = generate_demazure(group, top[0], nu)
-        return crystal.witness if is_isomorphic(rs, comp, crystal.subset) else None
-    unique_top(rs, comp)
-    return None
+    candidates = ranked[max(ranked)] if ranked else []
+    if len(candidates) != 1:
+        return None
+    steps = space._steps
+    if max(steps(top)[1::2]) >= 0:
+        raise AssertionError(
+            "the top %r of the component is not a highest weight element" % (space._decode(top),)
+        )
+    for c in ids:
+        for y in steps(c)[1::2]:
+            if y >= 0 and y not in ids:
+                raise AssertionError(
+                    "a raising step leaves the component at %r" % (space._decode(c),)
+                )
+    if space.weights[top] != nu:
+        return None
+    x = candidates[0]
+    closure = frozenset([top])
+    for i in reversed(x.word):
+        closure = lower_closure(space, closure, i, within=ids)
+        if closure is None:
+            return None
+    return x if len(closure) == len(ids) else None
 
 
 def path_witness_by_search(group, pi, w, mu, lam):
     """Independent oracle: the component of (top, pi) by `demazure_match`,
-    which reads weights and tests isomorphism only, never the recursion."""
+    which reads weights and closes the top pair along a word inside the
+    product, never the recursion."""
     product = _product(group, group.identity, w, lam, mu)
     comp = Subset(product.space, _component_codes(product, pi))
     match = demazure_match(group, comp, vadd(lam, weight_of(pi)))
@@ -387,7 +428,8 @@ def decompose(group, v, w, lam, mu, oracle=False):
     """Split the product into components and certify each verdict.
 
     Every component is tested against the one Demazure crystal that
-    `demazure_match` names; a failed test is certified by an i-string
+    `demazure_match` names, by closing its top pair along that crystal's
+    word inside the product; a failed test is certified by an i-string
     through the component that meets it in more than its top but not in
     full.  Components are searched on pair codes and decoded for the
     report.  They must be disjoint with sizes adding up to

@@ -37,8 +37,8 @@ an operator produces is validated exactly once.
 `dominant_walk` is the one orbit map: it sends a weight x to the pair
 (lam, u) of its dominant form and the minimal coset representative u
 with x = u lam, and it is the only orbit memo keyed by weight.  Key
-indices and ranks, the witness recursion's transport, `demazure_match`
-and the orbit order all read it.
+indices and ranks, the witness recursion's transport, the candidate that
+`demazure_match` closes inside a product, and the orbit order all read it.
 
 Validation reads the order on an orbit W lam off the Weyl tables, with no
 orbit structure of its own.  A direction x lies in W lam when its dominant

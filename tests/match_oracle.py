@@ -1,0 +1,37 @@
+"""The LS-path isomorphism matcher, kept as a test oracle for
+`decomp.demazure_match`.
+
+This is how a component was matched before the matcher decided inside the
+product: name the one candidate x from the lone weight of top rank (as the
+matcher still does), generate the Demazure crystal B_x(nu) as ids of a
+freshly compiled LS-path crystal B(nu), and run the colored isomorphism
+test of the component against it.  Nothing here closes anything inside the
+component's own space.
+"""
+
+from demtensor.crystal import compiled_subset, is_isomorphic, unique_top
+from demtensor.demazure import generate_demazure
+from demtensor.lspath import dominant_walk
+
+
+def top_rank_candidates(group, comp, nu):
+    """The minimal representatives u whose weight u nu has the top rank
+    among the component's weights in the orbit of nu."""
+    comp = compiled_subset(comp)
+    ranked = {}
+    for y in set(map(comp.space.weights.__getitem__, comp.ids)):
+        shape, u = dominant_walk(group, y)
+        if shape == nu:
+            ranked.setdefault(group.length(u), []).append(u)
+    return ranked[max(ranked)] if ranked else []
+
+
+def isomorphism_match(group, comp, nu):
+    """x with the component isomorphic to the LS-path B_x(nu), or None."""
+    comp = compiled_subset(comp)
+    candidates = top_rank_candidates(group, comp, nu)
+    if len(candidates) != 1:
+        unique_top(group.rs, comp)
+        return None
+    crystal = generate_demazure(group, candidates[0], nu)
+    return crystal.witness if is_isomorphic(group.rs, comp, crystal.subset) else None

@@ -1,12 +1,14 @@
 """Root system construction, pairings, reflections."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from cartan_oracle import fundamental_weight, root_sign
 from demtensor.cartan import (
     eps_from_weight,
+    normalize_coords,
     parse_type,
     root_system,
     vadd,
@@ -158,3 +160,11 @@ def test_epsilon_rejected_outside_type_a():
     rs = root_system("B", 2)
     with pytest.raises(ValueError):
         eps_from_weight(rs, (1, 0))
+
+
+def test_normalize_coords_collapses_integral_fractions_only():
+    out = normalize_coords([3, Fraction(4, 2), Fraction(-1, 3), -2, Fraction(0)])
+    assert out == (3, 2, Fraction(-1, 3), -2, 0)
+    assert [type(a) for a in out] == [int, int, Fraction, int, int]
+    ints = (5, -7)
+    assert all(a is b for a, b in zip(normalize_coords(ints), ints))

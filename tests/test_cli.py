@@ -65,6 +65,28 @@ def test_decompose_sizes_components_without_decoding_them(capsys, monkeypatch):
     assert decoded == []
 
 
+def test_counterexample_json_tests_string_members_by_pair_code(capsys, monkeypatch, tmp_path):
+    """EX3 has a non-Demazure component; its `inside_component` list and
+    the DOT highlight read the component's pair codes, and no `Subset` is
+    decoded for them."""
+    from demtensor import crystal
+
+    _, plain = run(capsys, "decompose", *EX3)
+    calls = []
+    decode = crystal.Subset.elements
+
+    def counted(subset):
+        calls.append(subset)
+        return decode(subset)
+
+    monkeypatch.setattr(crystal.Subset, "elements", counted)
+    code, out = run(capsys, "decompose", *EX3)
+    assert code == 0 and out == plain
+    code, _ = run(capsys, "decompose", *EX3, "--dot-dir", str(tmp_path))
+    assert code == 0
+    assert calls == []
+
+
 def test_decompose_is_deterministic(capsys):
     _, first = run(capsys, "decompose", *EX2)
     _, second = run(capsys, "decompose", *EX2)

@@ -26,6 +26,7 @@ from demtensor.crystal import (
     generate_crystal,
     induced_component,
     is_isomorphic,
+    lower_closure,
     phi,
     tensor_product_elements,
     tensor_space,
@@ -738,3 +739,18 @@ def test_validation_sees_an_unmerged_reflection(monkeypatch, capsys, cold_caches
     assert code == 2 and captured.out == "" and len(skipped) == 1
     assert captured.err.startswith("structural failure: operator produced an invalid path: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_lower_closure_within_stops_at_the_first_id_outside():
+    """Inside a container that holds the whole closure, `within` changes
+    nothing; once a string leaves it, the closure is None."""
+    crystal = generate_crystal(G2, (1, 1))
+    everything = frozenset(range(len(crystal)))
+    seed = frozenset([crystal.top])
+    for i in (1, 2):
+        closed = lower_closure(crystal, seed, i)
+        assert len(closed) > 1
+        assert lower_closure(crystal, seed, i, within=everything) == closed
+        assert lower_closure(crystal, seed, i, within=closed) == closed
+        assert lower_closure(crystal, seed, i, within=seed) is None
+        assert lower_closure(crystal, seed, i, within=closed - {max(closed - seed)}) is None

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import coset_oracle
+import match_oracle
 from demtensor import decomp, keypoly
 from demtensor.cartan import root_system, vadd
 from demtensor.crystal import TensorElement, f_op, weight_of
@@ -329,23 +330,17 @@ def test_rank_three_decompositions():
     assert rep3.condition_holds and len(rep3.entries) == 2
 
 
-def test_size_filtered_search_matches_exhaustive_sweep(monkeypatch):
-    """`demazure_match` against the isomorphism sweep over every minimal
-    representative, on every component of every distinct coset pair of
-    A2:1, B2:1 and G2:1.  Each of its three branches occurs: the top rank
-    shared (no candidate), the one candidate rejected, and accepted."""
+def test_size_filtered_search_matches_exhaustive_sweep():
+    """`demazure_match` against the LS-path isomorphism oracle and against
+    the isomorphism sweep over every minimal representative, on every
+    component of every distinct coset pair of A2:1, B2:1 and G2:1.  Each of
+    the oracle's three branches occurs: the top rank shared (no candidate),
+    the one candidate rejected, and accepted."""
     from demtensor.crystal import Subset, is_isomorphic
     from demtensor.decomp import demazure_match
     from demtensor.demazure import generate_demazure
     from demtensor.verify import parse_grid
 
-    tried = []
-
-    def spy(rs, comp, crystal):
-        tried.append(is_isomorphic(rs, comp, crystal))
-        return tried[-1]
-
-    monkeypatch.setattr(decomp, "is_isomorphic", spy)
     expected = {"A2:1": (12, 85, 215), "B2:1": (27, 238, 463), "G2:1": (100, 1139, 1635)}
     for name, counts in expected.items():
         grid = parse_grid(name)
@@ -364,25 +359,104 @@ def test_size_filtered_search_matches_exhaustive_sweep(monkeypatch):
                     reps[nu] = coset_oracle.minimal_coset_reps(group, J)
                 sweep = [x for x in reps[nu]
                          if is_isomorphic(grid.rs, comp, generate_demazure(group, x, nu).subset)]
-                tried.clear()
+                oracle = match_oracle.isomorphism_match(group, comp, nu)
                 match = demazure_match(group, comp, nu)
-                assert len(sweep) <= 1 and len(tried) <= 1, (v, w, lam, mu, pi)
-                assert match == (sweep[0] if sweep else None), (v, w, lam, mu, pi)
-                branches["shared" if not tried else "accepted" if tried[0] else "rejected"] += 1
+                assert len(sweep) <= 1, (v, w, lam, mu, pi)
+                assert match == oracle == (sweep[0] if sweep else None), (v, w, lam, mu, pi)
+                shared = len(match_oracle.top_rank_candidates(group, comp, nu)) != 1
+                branches["shared" if shared else "accepted" if oracle else "rejected"] += 1
         assert tuple(branches.values()) == counts, name
 
 
-def test_g2_w0_decompose_builds_one_demazure_crystal_per_shifted_shape(cold_caches):
-    """The two factors and at most one B_x(nu) per shifted shape nu, not one
-    per minimal representative of each nu (109 crystals here)."""
-    from demtensor import demazure
+def test_g2_w0_decompose_builds_only_its_factor_crystal(monkeypatch, cold_caches):
+    """On cold caches the G2 w0 (1,1) x (1,1) decomposition compiles the one
+    crystal B(1,1) of its two factors and runs no isomorphism test: every
+    component is decided inside the product."""
+    from demtensor import crystal, demazure
 
+    def refuse(*args):
+        raise AssertionError("an isomorphism test ran")
+
+    for module in (crystal, decomp, demazure, keypoly):
+        if hasattr(module, "is_isomorphic"):
+            monkeypatch.setattr(module, "is_isomorphic", refuse)
     G2 = weyl_group(root_system("G", 2))
     w0 = G2.longest()
     report = decompose(G2, w0, w0, (1, 1), (1, 1))
-    shapes = {entry.shifted_shape for entry in report.entries}
-    built = demazure._generate_demazure_cached.cache_info().misses
-    assert built <= len(shapes) + 2, (built, len(shapes))
+    assert len(report.entries) == 24 and all(entry.demazure for entry in report.entries)
+    assert crystal.generate_crystal.cache_info().misses == 1
+
+
+def test_demazure_match_needs_the_top_weight_to_be_nu():
+    """B(2,2) of A2 is its own closure along w0, and w0 (1,1) is the one
+    weight of top rank in the orbit of (1,1), but its top has weight
+    (2,2): it is B_w0(2,2), not B_w0(1,1), as the LS-path oracle says."""
+    from demtensor.decomp import demazure_match
+    from demtensor.demazure import generate_demazure
+
+    w0 = WA2.longest()
+    whole = generate_demazure(WA2, w0, (2, 2)).subset
+    assert match_oracle.top_rank_candidates(WA2, whole, (1, 1)) == [w0]
+    assert demazure_match(WA2, whole, (1, 1)) is None
+    assert match_oracle.isomorphism_match(WA2, whole, (1, 1)) is None
+    assert demazure_match(WA2, whole, (2, 2)) == w0
+
+
+def _not_closed_under_e():
+    """Two Subsets of the A2 crystal B(1,1), neither closed under raising,
+    each with its one weight of top rank in the orbit of (1,1), so that
+    `demazure_match` has a candidate: f_1 t alone, whose top is not highest
+    weight, and the crystal without f_1 f_1 f_2 t, whose top is t but
+    whose lowest element e_2 leads to the missing one."""
+    from demtensor.crystal import Subset, generate_crystal
+
+    crystal = generate_crystal(A2, (1, 1))
+    f1, f2 = crystal.f_table
+    top = crystal.top
+    return (
+        Subset(crystal, frozenset([f1[top]])),
+        Subset(crystal, frozenset(range(len(crystal))) - {f1[f1[f2[top]]]}),
+    )
+
+
+def test_demazure_match_refuses_a_subset_not_closed_under_raising():
+    from demtensor.decomp import demazure_match
+
+    headless, gapped = _not_closed_under_e()
+    with pytest.raises(AssertionError, match="not a highest weight element"):
+        demazure_match(WA2, headless, (1, 1))
+    with pytest.raises(AssertionError, match="leaves the component"):
+        demazure_match(WA2, gapped, (1, 1))
+
+
+@pytest.mark.parametrize("which, message", [
+    (0, "not a highest weight element"),
+    (1, "leaves the component"),
+])
+def test_demazure_match_premises_survive_optimized_mode(which, message):
+    import os
+    import subprocess
+    import sys
+
+    import demtensor
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(demtensor.__file__))
+    script = (
+        "import sys; sys.path[:0] = [%r, %r]\n"
+        "import test_decomp as t\n"
+        "from demtensor.decomp import demazure_match\n"
+        "try:\n"
+        "    demazure_match(t.WA2, t._not_closed_under_e()[%d], (1, 1))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        % (src, here, which)
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert message in out.stdout
 
 
 def test_decompose_builds_the_ambient_product_only_when_needed(monkeypatch, cold_caches):

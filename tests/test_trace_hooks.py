@@ -23,7 +23,7 @@ def test_tracer_reports_every_per_layer_metric(monkeypatch, cold_caches):
     from spans import Tracer
 
     import demtensor.cli  # noqa: F401  every layer module must be loaded
-    from demtensor import cartan, decomp, keypoly, weyl
+    from demtensor import cartan, crystal, decomp, demazure, keypoly, weyl
 
     tracer = Tracer()
     tracer.install()
@@ -32,6 +32,11 @@ def test_tracer_reports_every_per_layer_metric(monkeypatch, cold_caches):
         v = w = group.from_word((1, 2))
         report = decomp.decompose(group, v, w, (1, 1), (1, 0))
         keypoly.product_report(group, v, w, (1, 1), (1, 0))
+        # decompose decides inside the product; the LS-path B_x(nu) of a
+        # Demazure verdict is compared here, as `verify` does
+        entry = next(entry for entry in report.entries if entry.demazure)
+        target = demazure.generate_demazure(group, entry.witness, entry.shifted_shape)
+        assert crystal.is_isomorphic(group.rs, entry.component, target.subset)
     finally:
         tracer.uninstall()
     metrics = tracer.metrics(wall_s=1.0)
@@ -46,3 +51,4 @@ def test_tracer_reports_every_per_layer_metric(monkeypatch, cold_caches):
     for name in ("crystal.component_calls", "crystal.iso_tests", "demazure.string_checks",
                  "demazure.generate_calls"):
         assert metrics[name] > 0, name
+    assert metrics["crystal.iso_tests"] == metrics["crystal.iso_matches"] == 1
