@@ -28,13 +28,18 @@ phi against the height function of every element; nothing of the path
 operators' results is kept beyond the arrays.  A pair (a, b) of
 B(lam) (x) B(mu) is the code a * |B(mu)| + b (`TensorCodes`), and the
 tensor rule reads phi of the left id against eps of the right one.
-`f_op`/`e_op` decode the step of an element's code in its compiled space,
-a path's in its B(shape) and a pair's by that rule, and `eps`/`phi` count
-steps along the compiled rows.  Ids follow the sort order, so code order is
-the sort order of the pairs and the least element of a set is its minimum.
-Components, isomorphism tests, closures and DOT output run on these
-integers (`Subset`); paths and `TensorElement`s are decoded only for public
-return values and output.
+
+Both kinds of space hold their steps in rows (`_Rows`): row a lists f_i and
+e_i of the codes a * n .. a * n + n - 1.  A crystal is one row; a product
+fills the row of a left id on first touch, so only the left ids a search
+meets cost anything.  The hot readers (searches, closures, tops, the
+labelling pass of `components_of`, isomorphism and string tests) index the
+rows themselves; `f_op`/`e_op` decode the step of an element's code in its
+compiled space, and `eps`/`phi` count steps along the rows.  Ids follow the
+sort order, so code order is the sort order of the pairs and the least
+element of a set is its minimum.  Components, isomorphism tests, closures
+and DOT output run on these integers (`Subset`); paths and `TensorElement`s
+are decoded only for public return values and output.
 """
 from functools import lru_cache
 from math import gcd
@@ -229,7 +234,7 @@ def weight_of(x):
 def _step(x, k):
     """Entry k of the compiled steps of x, decoded; None for the zero."""
     space = space_of(x)
-    y = space._steps(space._encode(x))[k]
+    y = space._at(space._encode(x), k)
     return None if y < 0 else space._decode(y)
 
 
@@ -251,12 +256,12 @@ def e_op(x, i):
 def _string_steps(x, k):
     """How many times entry k of the compiled steps applies from x."""
     space = space_of(x)
-    steps = space._steps
-    c = steps(space._encode(x))[k]
+    at = space._at
+    c = at(space._encode(x), k)
     n = 0
     while c >= 0:
         n += 1
-        c = steps(c)[k]
+        c = at(c, k)
     return n
 
 
@@ -283,19 +288,50 @@ def f_string_closure(elements, i):
 # -- compiled crystals ------------------------------------------------------------
 
 
-class CompiledCrystal:
+class _Rows:
+    """The steps of a compiled space, held row by row.
+
+    A code c is the pair (a, b) = divmod(c, n).  Row a is a tuple of
+    2 * rank lists (f_1, e_1, ..., f_r, e_r) of length n, and entry b of
+    list k is step k of the code a * n + b, -1 for the formal zero.
+    `_rows[a]` is None until `_row(a)` fills it, so a hot reader takes
+    `rows[a] or fill(a)` once per code and indexes the lists itself;
+    `_at`, `_f` and `_steps` read one code for the cold paths.
+    """
+
+    __slots__ = ()
+
+    def _row(self, a):
+        return self._rows[a]
+
+    def _at(self, c, k):
+        """Step k of code c: f_i at k = 2i - 2, e_i at k = 2i - 1."""
+        a, b = divmod(c, self.n)
+        return (self._rows[a] or self._row(a))[k][b]
+
+    def _f(self, c, i):
+        return self._at(c, 2 * i - 2)
+
+    def _steps(self, c):
+        """(f_1(c), e_1(c), ..., f_r(c), e_r(c)), -1 for the formal zero."""
+        a, b = divmod(c, self.n)
+        return tuple(steps[b] for steps in self._rows[a] or self._row(a))
+
+
+class CompiledCrystal(_Rows):
     """A generated B(lam) with its elements numbered in sort order.
 
     `vertices[k]` is the element with id k, `index` maps back, and `top` is
     the id of the straight path.  Per colour i (at position i - 1), the
     tuples `f_table` and `e_table` give the id of f_i / e_i of every id, -1
     for the formal zero, and `eps_table` / `phi_table` its string position;
-    `weights[k]` is the weight of id k.  The f table is read off `edges`,
-    the (x, i) -> f_i(x) map of the generation, which is not kept; the e
-    table is `_path_e` of every element.  The tables are checked to be
-    mutually inverse partial maps with the top as the only element that e
-    takes to zero in every colour, and the string positions against the
-    height function of every element.  Per-element methods are private, so
+    `weights[k]` is the weight of id k.  The steps are one row (`_Rows`) of
+    length n = |B(lam)|, made of the f and e tables.  The f table is read
+    off `edges`, the (x, i) -> f_i(x) map of the generation, which is not
+    kept; the e table is `_path_e` of every element.  The tables are
+    checked to be mutually inverse partial maps with the top as the only
+    element that e takes to zero in every colour, and the string positions
+    against the height function of every element.  Per-element methods are private, so
     that the benchmark tracer (perfbench/spans.py), which wraps public
     callables, does not time each table lookup.
     """
@@ -341,8 +377,8 @@ class CompiledCrystal:
         self.eps_table = tuple(map(tuple, eps_t))
         self.phi_table = tuple(map(tuple, phi_t))
         self.weights = tuple(weight_of(x) for x in self.vertices)
-        # row k is (f_1(k), e_1(k), ..., f_r(k), e_r(k))
-        self._step_rows = tuple(zip(*[row for pair in zip(f, e) for row in pair]))
+        self.n = n
+        self._rows = (tuple(t for pair in zip(self.f_table, self.e_table) for t in pair),)
 
     def __len__(self):
         return len(self.vertices)
@@ -353,11 +389,12 @@ class CompiledCrystal:
     def __contains__(self, x):
         return x in self.index
 
-    def _f(self, k, i):
-        return self.f_table[i - 1][k]
+    def _weight(self, k):
+        return self.weights[k]
 
-    def _steps(self, k):
-        return self._step_rows[k]
+    def _weights_of(self, ids):
+        """The distinct weights of a set of ids."""
+        return set(map(self.weights.__getitem__, ids))
 
     def _decode(self, k):
         return self.vertices[k]
@@ -394,16 +431,23 @@ def _string_positions(f, e):
     return eps_t, phi_t
 
 
-class TensorCodes:
+class TensorCodes(_Rows):
     """B(lam) (x) B(mu) of two compiled crystals, on pair codes.
 
     The pair of ids (a, b) is the code a * n + b with n = |B(mu)|, so code
     order is the sort order of the pairs.  The tensor rule reads the tables:
     f_i acts on the left factor when phi_i(a) > eps_i(b), e_i when
-    phi_i(a) >= eps_i(b), and on the right factor otherwise.
+    phi_i(a) >= eps_i(b), and on the right factor otherwise.  The steps are
+    kept in rows (`_Rows`), one per left id, each filled on first touch by
+    one list comprehension per colour and direction over the right factor's
+    tables; a row no reader touches is never built.  A pair's weight is the
+    sum of its factors' weights, added once per distinct pair of them.
     """
 
-    __slots__ = ("rs", "rank", "left", "right", "n", "_colours", "_memo", "_weights")
+    __slots__ = (
+        "rs", "rank", "left", "right", "n", "_colours", "_rows",
+        "_left_keys", "_right_keys", "_addends", "_sums",
+    )
 
     def __init__(self, left, right):
         if left.rs != right.rs:
@@ -417,52 +461,58 @@ class TensorCodes:
             left.phi_table, right.eps_table,
             left.f_table, right.f_table, left.e_table, right.e_table,
         ))
-        self._memo = {}
-        self._weights = None
+        self._rows = [None] * len(left.vertices)
+        # a pair's weight is keyed by the numbers of its factors' distinct weights
+        left_w = {x: k for k, x in enumerate(dict.fromkeys(left.weights))}
+        right_w = {x: k for k, x in enumerate(dict.fromkeys(right.weights))}
+        size = len(right_w)
+        self._left_keys = [left_w[x] * size for x in left.weights]
+        self._right_keys = [right_w[x] for x in right.weights]
+        self._addends = (list(left_w), list(right_w), size)
+        self._sums = {}
 
     def __len__(self):
         return len(self.left.vertices) * self.n
 
-    @property
-    def weights(self):
-        """The weight of every code, as `CompiledCrystal.weights` of every id;
-        built on first use, with one tuple per distinct weight."""
-        if self._weights is None:
-            shared = {}
-            sums = (vadd(a, b) for a in self.left.weights for b in self.right.weights)
-            self._weights = [shared.setdefault(x, x) for x in sums]
-        return self._weights
-
-    def _f(self, c, i):
-        return self._steps(c)[2 * i - 2]
-
-    def _steps(self, c):
-        """[f_1(c), e_1(c), ..., f_r(c), e_r(c)], -1 for the formal zero.
-
-        Memoized per code: the same product is searched for many (v, w).
-        """
-        out = self._memo.get(c)
-        if out is not None:
-            return out
+    def _row(self, a):
+        """Fill row a: f_i and e_i of the codes a * n .. a * n + n - 1."""
         n = self.n
-        a, b = divmod(c, n)
-        out = []
+        base = a * n
+        right = range(n)
+        row = []
         for phi_l, eps_r, fl, fr, el, er in self._colours:
-            balance = phi_l[a] - eps_r[b]
-            if balance > 0:
-                y = fl[a]
-                out.append(y if y < 0 else c + (y - a) * n)
-            else:
-                y = fr[b]
-                out.append(y if y < 0 else c + y - b)
-            if balance >= 0:
-                y = el[a]
-                out.append(y if y < 0 else c + (y - a) * n)
-            else:
-                y = er[b]
-                out.append(y if y < 0 else c + y - b)
-        out = self._memo[c] = tuple(out)
-        return out
+            p = phi_l[a]
+            # f_i moves the left factor where phi_i(a) > eps_i(b) >= 0, so
+            # f_i(a) exists there
+            moved = fl[a] * n
+            row.append([
+                moved + b if p > ep else base + y if y >= 0 else -1
+                for b, ep, y in zip(right, eps_r, fr)
+            ])
+            # e_i moves it where phi_i(a) >= eps_i(b), to the zero if eps_i(a) = 0
+            moved = el[a] * n
+            row.append([
+                (moved + b if moved >= 0 else -1) if p >= ep else base + y if y >= 0 else -1
+                for b, ep, y in zip(right, eps_r, er)
+            ])
+        row = self._rows[a] = tuple(row)
+        return row
+
+    def _sum(self, key):
+        s = self._sums.get(key)
+        if s is None:
+            left, right, size = self._addends
+            s = self._sums[key] = vadd(left[key // size], right[key % size])
+        return s
+
+    def _weight(self, c):
+        a, b = divmod(c, self.n)
+        return self._sum(self._left_keys[a] + self._right_keys[b])
+
+    def _weights_of(self, codes):
+        """The distinct weights of a set of codes."""
+        n, lk, rk = self.n, self._left_keys, self._right_keys
+        return set(map(self._sum, {lk[c // n] + rk[c % n] for c in codes}))
 
     def _decode(self, c):
         return TensorElement(self.left.vertices[c // self.n], self.right.vertices[c % self.n])
@@ -505,22 +555,28 @@ class PairBox:
     def __len__(self):
         return len(self.left) * len(self.right)
 
+    def __iter__(self):
+        """The codes in increasing order."""
+        n, right = self.n, sorted(self.right)
+        return (a * n + b for a in sorted(self.left) for b in right)
+
 
 class Subset:
     """Part of a compiled space (a crystal on ids, a product on pair codes).
 
     `ids` is any container of ids whose `in` is membership; searches that
     enumerate it need a finite iterable such as a frozenset or a range.
-    It is not changed after construction: `tops` is scanned once and
-    `elements` decoded once, and both are kept.
+    It is not changed after construction: `tops` is scanned once (or given,
+    by a caller that found them) and `elements` decoded once, and both are
+    kept.
     """
 
     __slots__ = ("space", "ids", "_tops", "_elements")
 
-    def __init__(self, space, ids):
+    def __init__(self, space, ids, tops=None):
         self.space = space
         self.ids = ids
-        self._tops = None
+        self._tops = tops
         self._elements = None
 
     def __len__(self):
@@ -543,13 +599,20 @@ class Subset:
         """
         if self._tops is None:
             ids = self.ids
-            if not ids:
-                self._tops = ()
-            else:
-                steps = self.space._steps
-                self._tops = tuple(
-                    sorted(x for x in ids if all(y not in ids for y in steps(x)[1::2]))
-                )
+            found = []
+            if ids:
+                space = self.space
+                rows, n, fill = space._rows, space.n, space._row
+                raising = range(1, 2 * space.rank, 2)
+                for x in ids:
+                    a = x // n
+                    row, b = rows[a] or fill(a), x % n
+                    for k in raising:
+                        if row[k][b] in ids:
+                            break
+                    else:
+                        found.append(x)
+            self._tops = tuple(sorted(found))
         return list(self._tops)
 
 
@@ -583,24 +646,35 @@ def compiled_subset(elements):
     return Subset(space, frozenset(map(space._encode, members)))
 
 
+def _grow(space, grown, i, within=None):
+    """Add the f_i-powers of the members of the set `grown` to it, reading
+    the rows; False at the first id outside `within`, True otherwise.
+
+    A walk down a string stops at the first id already taken, whose own
+    string is then walked from it or was walked already.
+    """
+    rows, n, fill = space._rows, space.n, space._row
+    k = 2 * i - 2
+    for x in list(grown):
+        while True:
+            a = x // n
+            x = (rows[a] or fill(a))[k][x % n]
+            if x < 0 or x in grown:
+                break
+            if within is not None and x not in within:
+                return False
+            grown.add(x)
+    return True
+
+
 def lower_closure(space, ids, i, within=None):
     """The ids together with all their f_i-powers, the formal zero dropped.
 
-    A walk down a string stops at the first id already taken, whose own
-    string is then walked from it or was walked already.  With `within`, a
-    container of ids, the closure stops at the first id outside it and
-    returns None.
+    With `within`, a container of ids, the closure stops at the first id
+    outside it and returns None.
     """
     grown = set(ids)
-    f = space._f
-    for x in ids:
-        x = f(x, i)
-        while x >= 0 and x not in grown:
-            if within is not None and x not in within:
-                return None
-            grown.add(x)
-            x = f(x, i)
-    return frozenset(grown)
+    return frozenset(grown) if _grow(space, grown, i, within) else None
 
 
 # Largest crystal B(lam) generated by closure; the Weyl dimension formula
@@ -680,11 +754,14 @@ def tensor_product_elements(left_elements, right_elements):
 
 def _search(space, seed, member):
     """The ids reachable from the seed by f and e steps through members."""
-    steps = space._steps
+    rows, n, fill = space._rows, space.n, space._row
     seen = {seed}
     stack = [seed]
     while stack:
-        for y in steps(stack.pop()):
+        x = stack.pop()
+        a, b = x // n, x % n
+        for steps in rows[a] or fill(a):
+            y = steps[b]
             if y >= 0 and y not in seen and member(y):
                 seen.add(y)
                 stack.append(y)
@@ -709,17 +786,77 @@ def induced_component(rs, seed, members):
 
 
 def components_of(rs, members):
-    """All connected components of the induced graph, deterministically ordered."""
+    """All connected components of the induced graph, ordered by their
+    least members, for a set of members closed under every e_i.
+
+    A product of Demazure crystals is such a set, and every component of
+    a full crystal or product of crystals has exactly one highest weight
+    element (Kashiwara, Duke Math. J. 1991).  So one pass labels all
+    components: each member follows its first raising step until it meets
+    a labelled member or a top, a member with no raising step, and the
+    walk takes that label.  The pass then checks, as explicit raises,
+    that every raising step from a member lands in a member (an
+    AssertionError names the first that leaves) of the same label; with
+    that, a lowering step between members, the inverse of a raising one,
+    joins equal labels too, so the labels are the components and each
+    has its label as its one top.
+
+    On a `Subset` the components are Subsets of its space with their tops
+    given; any other `members` is a finite set of crystal elements of one
+    compiled space, and the components are decoded.
+    """
     subset = compiled_subset(members)
-    remaining = set(subset.ids)
-    out = []
-    for x in sorted(subset.ids):
-        if x not in remaining:
+    if not subset.ids:
+        return []
+    space = subset.space
+    order = sorted(subset.ids)
+    inside = set(order)
+    rows, n, fill = space._rows, space.n, space._row
+    raising = range(1, 2 * space.rank, 2)
+    label = {}
+    parts = {}
+    # (member, a raising step from it other than the first it follows)
+    further = []
+    for c in order:
+        if c in label:
             continue
-        comp = induced_component(rs, x, subset)
-        remaining -= comp
-        out.append(subset.space._decoded(comp))
-    return out
+        walk = [c]
+        while True:
+            x = walk[-1]
+            a, b = x // n, x % n
+            row = rows[a] or fill(a)
+            up = -1
+            for k in raising:
+                y = row[k][b]
+                if y >= 0:
+                    if up < 0:
+                        up = y
+                    else:
+                        further.append((x, y))
+            if up < 0:
+                top = x
+                break
+            top = label.get(up)
+            if top is not None:
+                break
+            if up not in inside:
+                raise AssertionError("a raising step leaves the set at %r" % (space._decode(x),))
+            if len(walk) == len(order):
+                raise AssertionError("raising steps from %r run in a cycle" % (space._decode(c),))
+            walk.append(up)
+        for x in walk:
+            label[x] = top
+        parts.setdefault(top, []).extend(walk)
+    for x, y in further:
+        if label.get(y) != label[x]:
+            raise AssertionError("a raising step %s at %r" % (
+                "lands in another component" if y in label else "leaves the set",
+                space._decode(x),
+            ))
+    out = [Subset(space, frozenset(part), (top,)) for top, part in parts.items()]
+    if isinstance(members, Subset):
+        return out
+    return [space._decoded(comp.ids) for comp in out]
 
 
 # -- characters -------------------------------------------------------------------
@@ -831,15 +968,19 @@ def is_isomorphic(rs, a_elements, b_elements):
         )
     if len(a) != len(b):
         return False
-    if a.space.weights[tops_a[0]] != b.space.weights[tops_b[0]]:
+    if a.space._weight(tops_a[0]) != b.space._weight(tops_b[0]):
         return False
     a_ids, b_ids = a.ids, b.ids
-    steps_a, steps_b = a.space._steps, b.space._steps
+    rows_a, n_a, fill_a = a.space._rows, a.space.n, a.space._row
+    rows_b, n_b, fill_b = b.space._rows, b.space.n, b.space._row
     mapping = {tops_a[0]: tops_b[0]}
     stack = [tops_a[0]]
     while stack:
         x = stack.pop()
-        for xa, yb in zip(steps_a(x), steps_b(mapping[x])):
+        y = mapping[x]
+        p, q, r, t = x // n_a, x % n_a, y // n_b, y % n_b
+        for steps_a, steps_b in zip(rows_a[p] or fill_a(p), rows_b[r] or fill_b(r)):
+            xa, yb = steps_a[q], steps_b[t]
             inside_a = xa >= 0 and xa in a_ids
             if inside_a != (yb >= 0 and yb in b_ids):
                 return False

@@ -39,6 +39,18 @@ a * |B(mu)| + b of its ids in the compiled crystals, and membership is
 tested factor by factor against the two Demazure id sets.  Components,
 isomorphism certificates, the recursion and the product rule run on these
 codes; `TensorElement`s are decoded only for the values returned.
+
+`decompose` labels every component of its product in one pass
+(`crystal.components_of`): the product is closed under every e_i, each
+component has one highest weight pair, and each pair walks up raising steps
+to it.  The pass checks the two premises of the closure test, that every
+raising step from the product lands in the product and in the same
+component, as explicit raises, and hands each component over with its top,
+so that `_closure_match` decides it without scanning it again.  Only the
+rows of the left factor's ids are filled, and a pair's weight is added from
+its factors' weights once per distinct pair met.  The single-component
+searches (`component`, the witness oracle, the recursion formula) stay an
+independent computation of the same sets.
 """
 
 from functools import lru_cache
@@ -49,8 +61,10 @@ from .crystal import (
     MultipleHighestWeights,
     PairBox,
     Subset,
+    _grow,
     _refuse_oversized_product,
     compiled_subset,
+    components_of,
     generate_crystal,
     induced_component,
     lower_closure,
@@ -100,13 +114,18 @@ def _product(group, v, w, lam, mu):
     return Subset(space, PairBox(left.ids, right.ids, space.n))
 
 
-def _component_codes(product, pi):
-    """Pair codes of the component of (top path, pi) inside the product."""
+def _pair_code(product, pi):
+    """The pair code of (top path, pi) in the product."""
     space = product.space
     b = space.right.index.get(pi, -1)
     if b < 0 or b not in product.ids.right:
         raise AssertionError("pi is not an element of the right Demazure factor")
-    return induced_component(space.rs, space.left.top * space.n + b, product)
+    return space.left.top * space.n + b
+
+
+def _component_codes(product, pi):
+    """Pair codes of the component of (top path, pi) inside the product."""
+    return induced_component(product.space.rs, _pair_code(product, pi), product)
 
 
 def component(group, pi, v, w, lam, mu):
@@ -233,26 +252,12 @@ def demazure_match(group, comp, nu):
     """The minimal coset representative x with B_x(nu) isomorphic to the
     component (a `Subset` or a set of crystal elements), or None.
 
-    Keys are unitriangular (`keypoly._check_unitriangular`): x nu is the one
-    weight of top rank in B_x(nu), and in the orbit of nu that rank is the
-    length of the minimal representative u that `dominant_walk` gives.
-    Isomorphisms keep weights, so only a weight alone at the top rank of the
-    component names a candidate x; without one, the answer is None.
-
-    The candidate is decided inside the component's own space, with no
-    B(nu) built.  Two premises are checked, each an AssertionError: the
+    Two premises are checked first, each an AssertionError: the
     component's unique top t has no raising step at all, and every raising
     step from the component lands in it or at the formal zero.  Components
     of a product of Demazure crystals meet both, since Demazure crystals
-    are closed under every e_i and so is their product.  Then t is a
-    highest weight element of weight nu (else None), the full component
-    through t is B(nu) (Kashiwara, Duke Math. J. 1991), and its closure K
-    under the lowering strings along x's word, read right to left, is the
-    image of B_x(nu).  An isomorphism of B_x(nu) onto the component and the
-    isomorphism onto K both send the top to t and commute with the raising
-    arrows inside B_x(nu), which reach every element from the top, so they
-    are equal: the component is B_x(nu) exactly when it equals K.  The
-    closure stops at the first code outside the component.
+    are closed under every e_i and so is their product.  `_closure_match`
+    then decides the candidate.
     """
     comp = compiled_subset(comp)
     tops = comp.tops()
@@ -261,32 +266,61 @@ def demazure_match(group, comp, nu):
             "expected a unique highest weight vertex, got %d" % len(tops)
         )
     space, ids, top = comp.space, comp.ids, tops[0]
+    rows, n, fill = space._rows, space.n, space._row
+    a, b = divmod(top, n)
+    row = rows[a] or fill(a)
+    if max(row[k][b] for k in range(1, len(row), 2)) >= 0:
+        raise AssertionError(
+            "the top %r of the component is not a highest weight element" % (space._decode(top),)
+        )
+    for c in ids:
+        a, b = c // n, c % n
+        row = rows[a] or fill(a)
+        for k in range(1, len(row), 2):
+            y = row[k][b]
+            if y >= 0 and y not in ids:
+                raise AssertionError(
+                    "a raising step leaves the component at %r" % (space._decode(c),)
+                )
+    return _closure_match(group, comp, nu)
+
+
+def _closure_match(group, comp, nu):
+    """`demazure_match` on a Subset whose one top and closure under raising
+    are known.
+
+    Keys are unitriangular (`keypoly._check_unitriangular`): x nu is the one
+    weight of top rank in B_x(nu), and in the orbit of nu that rank is the
+    length of the minimal representative u that `dominant_walk` gives.
+    Isomorphisms keep weights, so only a weight alone at the top rank of the
+    component names a candidate x; without one, the answer is None.
+
+    The candidate is decided inside the component's own space, with no
+    B(nu) built.  The top t is a highest weight element of weight nu (else
+    None), the full component through t is B(nu) (Kashiwara, Duke Math. J.
+    1991), and its closure K under the lowering strings along x's word,
+    read right to left, is the image of B_x(nu).  An isomorphism of B_x(nu)
+    onto the component and the isomorphism onto K both send the top to t
+    and commute with the raising arrows inside B_x(nu), which reach every
+    element from the top, so they are equal: the component is B_x(nu)
+    exactly when it equals K.  The closure grows one set along the word,
+    reading the rows, and stops at the first code outside the component.
+    """
+    space, ids, top = comp.space, comp.ids, comp.tops()[0]
+    if space._weight(top) != nu:
+        return None
     ranked = {}
-    for y in set(map(space.weights.__getitem__, ids)):
+    for y in space._weights_of(ids):
         shape, u = dominant_walk(group, y)
         if shape == nu:
             ranked.setdefault(group.length(u), []).append(u)
     candidates = ranked[max(ranked)] if ranked else []
     if len(candidates) != 1:
         return None
-    steps = space._steps
-    if max(steps(top)[1::2]) >= 0:
-        raise AssertionError(
-            "the top %r of the component is not a highest weight element" % (space._decode(top),)
-        )
-    for c in ids:
-        for y in steps(c)[1::2]:
-            if y >= 0 and y not in ids:
-                raise AssertionError(
-                    "a raising step leaves the component at %r" % (space._decode(c),)
-                )
-    if space.weights[top] != nu:
-        return None
     x = candidates[0]
-    closure = frozenset([top])
+    closure = {top}
     for i in reversed(x.word):
-        closure = lower_closure(space, closure, i, within=ids)
-        if closure is None:
+        if not _grow(space, closure, i, within=ids):
             return None
     return x if len(closure) == len(ids) else None
 
@@ -427,14 +461,17 @@ class DecompositionReport:
 def decompose(group, v, w, lam, mu, oracle=False):
     """Split the product into components and certify each verdict.
 
-    Every component is tested against the one Demazure crystal that
-    `demazure_match` names, by closing its top pair along that crystal's
-    word inside the product; a failed test is certified by an i-string
-    through the component that meets it in more than its top but not in
-    full.  Components are searched on pair codes and decoded for the
-    report.  They must be disjoint with sizes adding up to
-    |B_v(lam)| * |B_w(mu)|, so they cover the product without the product
-    set being built.  The biconditional between the group condition and
+    One pass of `components_of` labels every component of the product by
+    its top, walking raising steps on pair codes, and checks as explicit
+    raises that every raising step from the product lands in the product
+    and in the same component.  Each dominant path pi must name the top
+    (top path, pi) of exactly one component and every component must be
+    named, so the dominant paths index the components and the product set
+    is never built.  Every component is tested against the one Demazure
+    crystal that `demazure_match` names, by closing its top pair along
+    that crystal's word inside the product; a failed test is certified by
+    an i-string through the component that meets it in more than its top
+    but not in full.  The biconditional between the group condition and
     all-verdicts-positive is enforced, and under the condition the verdict
     must agree with the lifted witness.  Shapes that are not dominant and a
     pair space over `PAIR_SPACE_LIMIT` are refused before any crystal is
@@ -444,15 +481,19 @@ def decompose(group, v, w, lam, mu, oracle=False):
     cond = condition_check(group, v, w, lam, mu)
     word = lift_word(group, v, w, lam, mu) if cond else None
     product = _product(group, v, w, lam, mu)
+    components = {comp.tops()[0]: comp for comp in components_of(group.rs, product)}
     entries = []
-    covered = set()
+    named = set()
     for pi in dominant_paths(group, w, mu, lam):
-        comp = Subset(product.space, _component_codes(product, pi))
-        if not covered.isdisjoint(comp.ids):
+        top = _pair_code(product, pi)
+        comp = components.get(top)
+        if comp is None:
+            raise TheoremViolation("the pair of %r is not the top of a component" % (pi,))
+        if top in named:
             raise TheoremViolation("components indexed by dominant paths overlap")
-        covered |= comp.ids
+        named.add(top)
         nu = vadd(lam, weight_of(pi))
-        witness = demazure_match(group, comp, nu)
+        witness = _closure_match(group, comp, nu)
         expected = None
         if cond:
             u = lift(group, word, pi, w, mu, lam, oracle)
@@ -475,8 +516,7 @@ def decompose(group, v, w, lam, mu, oracle=False):
             entries.append(
                 DecompositionEntry(pi, comp, nu, False, None, expected, violation)
             )
-    # disjoint components inside the product cover it when their sizes add up
-    if len(covered) != len(product):
+    if len(named) != len(components):
         raise TheoremViolation("dominant-path components do not cover the product")
     if cond != all(entry.demazure for entry in entries):
         raise TheoremViolation(
@@ -493,9 +533,9 @@ def closure_product(group, word, w, lam, mu):
     right = generate_demazure(group, w, mu).subset
     left = generate_crystal(group.rs, tuple(lam))
     space = tensor_space(left, right.space)
-    current = space.pairs((left.top,), right.ids)
+    current = set(space.pairs((left.top,), right.ids))
     for i in reversed(word):
-        current = lower_closure(space, current, i)
+        _grow(space, current, i)
     return space._decoded(current)
 
 

@@ -18,13 +18,13 @@ from functools import lru_cache
 
 from .crystal import (
     Subset,
+    _grow,
     compiled_subset,
     e_op,
     eps,
     f_op,
     f_string_closure,
     generate_crystal,
-    lower_closure,
 )
 from .lspath import in_orbit, orbit_leq, straight_path
 from .weyl import weyl_group
@@ -79,10 +79,10 @@ class DemazureCrystal:
 
 def _word_closure(crystal, word):
     """The ids of the Demazure crystal of a word, closed right to left."""
-    ids = frozenset([crystal.top])
+    ids = {crystal.top}
     for i in reversed(word):
-        ids = lower_closure(crystal, ids, i)
-    return ids
+        _grow(crystal, ids, i)
+    return frozenset(ids)
 
 
 def demazure_elements_for_word(rs, word, lam):
@@ -188,23 +188,26 @@ def check_string_property(subset):
     ids, space = subset.ids, subset.space
     if not ids:
         return None
-    steps = space._steps
+    rows, n, fill = space._rows, space.n, space._row
+    at = space._at
     for i in range(1, space.rank + 1):
         down, up = 2 * i - 2, 2 * i - 1
         strings = {}
         for x in ids:
-            near = steps(x)
+            a, b = x // n, x % n
+            row = rows[a] or fill(a)
+            above, below = row[up][b], row[down][b]
             # a top, or a member with both string neighbours inside
-            if near[up] < 0 or (near[up] in ids and (near[down] < 0 or near[down] in ids)):
+            if above < 0 or (above in ids and (below < 0 or below in ids)):
                 continue
-            while near[up] >= 0:
-                x = near[up]
-                near = steps(x)
+            while above >= 0:
+                x, above = above, at(above, up)
             if x not in strings:
                 string = strings[x] = [x]
-                while near[down] >= 0:
-                    string.append(near[down])
-                    near = steps(near[down])
+                below = at(x, down)
+                while below >= 0:
+                    string.append(below)
+                    below = at(below, down)
         if strings:
             worst = min(strings.values(), key=min)
             return (i, tuple(space._decode(y) for y in worst))

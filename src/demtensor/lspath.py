@@ -398,13 +398,16 @@ def dominant_walk(group, x):
     Each step reflects x in the first simple root it pairs negatively with;
     the word (i_1, ..., i_k) of those steps is a reduced word of u, so
     x = s_{i_1} ... s_{i_k} lam (Deodhar, Invent. Math. 1977).  Memoized by
-    (group, x).
+    (group, x).  An integral Fraction hashes and compares equal to its int,
+    so a tuple is looked up as it is and normalized on a miss only; lam is
+    int-normalized either way.
     """
-    return _dominant_walk(group, normalize_coords(x))
+    return _dominant_walk(group, x if type(x) is tuple else normalize_coords(x))
 
 
 @lru_cache(maxsize=None)
 def _dominant_walk(group, x):
+    x = normalize_coords(x)
     word = []
     while True:
         neg = [i for i in range(group.rs.rank) if x[i] < 0]

@@ -9,7 +9,7 @@ test of the component against it.  Nothing here closes anything inside the
 component's own space.
 """
 
-from demtensor.crystal import compiled_subset, is_isomorphic, unique_top
+from demtensor.crystal import compiled_subset, is_isomorphic, unique_top, weight_of
 from demtensor.demazure import generate_demazure
 from demtensor.lspath import dominant_walk
 
@@ -19,7 +19,7 @@ def top_rank_candidates(group, comp, nu):
     among the component's weights in the orbit of nu."""
     comp = compiled_subset(comp)
     ranked = {}
-    for y in set(map(comp.space.weights.__getitem__, comp.ids)):
+    for y in {weight_of(x) for x in comp.elements()}:
         shape, u = dominant_walk(group, y)
         if shape == nu:
             ranked.setdefault(group.length(u), []).append(u)

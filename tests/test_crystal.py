@@ -219,9 +219,9 @@ def test_concatenation_suite_sees_a_broken_pair_code(monkeypatch, cold_caches):
     first = generate_crystal(A2, grid.shapes[0])
     space = tensor_space(first, first)
     c = len(space) - 1
-    steps = list(space._steps(c))
-    steps[2] = c if steps[2] < 0 else -1  # f_2
-    monkeypatch.setitem(space._memo, c, tuple(steps))
+    a, b = divmod(c, space.n)
+    f2 = space._row(a)[2]
+    f2[b] = c if f2[b] < 0 else -1  # the space is dropped with the cold caches
     expected = "operators disagree at %r color 2" % (space._decode(c),)
     assert suite_tensor_vs_concatenation(grid) == expected
 
@@ -516,8 +516,9 @@ def test_pair_codes_follow_the_tensor_rule(rs):
                     y = op(pair, i)
                     assert steps[2 * i - 2 + k] == (-1 if y is None else space._encode(y))
                 assert space._f(c, i) == steps[2 * i - 2]
-            assert space.weights[c] == weight_of(pair)
-        assert len(space.weights) == len(codes)
+            assert space._weight(c) == weight_of(pair)
+        # one sum per distinct pair of factor weights, no list over the codes
+        assert len(space._sums) == len({(x, y) for x in left.weights for y in right.weights})
         # ids follow the sort order, so codes do too
         assert sorted(codes, key=lambda c: element_sort_key(space._decode(c))) == list(codes)
 
@@ -635,9 +636,13 @@ def test_subset_scans_its_tops_once():
     scanned = []
 
     class Counting:
-        def _steps(self, k):
-            scanned.append(k)
-            return crystal._steps(k)
+        # no row is filled, so each member's row is fetched through _row
+        n, rank = crystal.n, crystal.rank
+        _rows = [None]
+
+        def _row(self, a):
+            scanned.append(a)
+            return crystal._row(a)
 
     subset = Subset(Counting(), frozenset(range(len(crystal))))
     first = subset.tops()

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -511,6 +512,165 @@ def test_components_never_build_the_product(monkeypatch, cold_caches):
     assert recursive_component(WA2, pi, el(), 1, EX1["w"], EX1["lam"], EX1["mu"])
 
 
+def test_labelling_pass_matches_a_search_from_each_dominant_pair():
+    """On every distinct coset pair of A2:1, B2:1 and G2:1, `components_of`
+    labels the components `induced_component` finds from each (top, pi),
+    each with (top, pi) as its one top, ordered by least member; and on
+    every full B(lam) (x) B(mu) there its components partition the pair
+    codes, with the pairs of the dominant paths as their tops."""
+    from demtensor.crystal import Subset, components_of, generate_crystal, tensor_space
+    from demtensor.verify import parse_grid
+
+    products = 0
+    for name in ("A2:1", "B2:1", "G2:1"):
+        grid = parse_grid(name)
+        group = weyl_group(grid.rs)
+        keys = {keypoly.product_key(group, v, w, lam, mu)
+                for lam, mu, v, w in itertools.product(grid.shapes, grid.shapes, group, group)}
+        for _, v, w, lam, mu in sorted(keys, key=repr):
+            product = decomp._product(group, v, w, lam, mu)
+            comps = components_of(grid.rs, product)
+            labelled = {}
+            for comp in comps:
+                (top,) = comp.tops()
+                assert Subset(product.space, comp.ids).tops() == [top], (v, w, lam, mu)
+                labelled[top] = comp.ids
+            searched = {
+                decomp._pair_code(product, pi): decomp._component_codes(product, pi)
+                for pi in dominant_paths(group, w, mu, lam)
+            }
+            assert labelled == searched, (v, w, lam, mu)
+            least = [min(comp.ids) for comp in comps]
+            assert least == sorted(least)
+            products += 1
+        for lam, mu in itertools.product(grid.shapes, repeat=2):
+            left, right = generate_crystal(grid.rs, lam), generate_crystal(grid.rs, mu)
+            space = tensor_space(left, right)
+            comps = components_of(grid.rs, Subset(space, range(len(space))))
+            assert sum(map(len, comps)) == len(space)
+            assert frozenset().union(*(comp.ids for comp in comps)) == frozenset(range(len(space)))
+            assert sorted(comp.tops()[0] for comp in comps) == [
+                left.top * space.n + b for b, pi in enumerate(right) if pi.is_dominant_for(lam)
+            ]
+    assert products > 100
+
+
+def _corrupt_a_raising_step(where):
+    """Corrupt one raising step in the EX1 product (B_w(mu) is all of
+    B(1,0), B_v(1,1) is not all of B(1,1)) and return the message the
+    labelling pass raises.  "first": e_1 of the top pair of a component, its
+    only raising step, points outside the product.  "further" and "other":
+    e_2 of a pair whose e_1 stays inside points outside the product, or at
+    a pair of another component.  "cycle": e_1 of a pair points at the
+    pair itself.  The tensor space is memoized, so every later decompose
+    reads the corrupted row."""
+    product = decomp._product(WA2, **EX1)
+    space, n = product.space, product.space.n
+    paths = dominant_paths(WA2, EX1["w"], EX1["mu"], EX1["lam"])
+    first, second = (decomp._component_codes(product, pi) for pi in paths[:2])
+    outside = min(set(range(len(space.left))) - product.ids.left)
+    if where == "first":
+        c = min(c for c in first if max(space._steps(c)[1::2]) < 0)
+        k, y = 1, outside * n + c % n
+    elif where == "cycle":
+        c = min(c for c in first if space._at(c, 1) >= 0)
+        k, y = 1, c
+    else:
+        c = min(c for c in first if space._at(c, 1) >= 0)
+        k, y = 3, outside * n + c % n if where == "further" else min(second)
+    space._row(c // n)[k][c % n] = y
+    if where == "other":
+        return "a raising step lands in another component"
+    if where == "cycle":
+        return "raising steps from .* run in a cycle"
+    return "a raising step leaves the set"
+
+
+@pytest.mark.parametrize("where", ["first", "further", "other", "cycle"])
+def test_decompose_refuses_a_raising_step_out_of_its_component(where, capsys, cold_caches):
+    from demtensor.cli import main
+
+    message = _corrupt_a_raising_step(where)
+    with pytest.raises(AssertionError, match=message):
+        decompose(WA2, **EX1)
+    argv = ["decompose", "--type", "A2", "--v", "1,2", "--w", "1,2,1", "--lambda", "1,1",
+            "--mu", "1,0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.match("structural failure: " + message, captured.err)
+
+
+@pytest.mark.parametrize("entry", ["decompose", "cli"])
+def test_labelling_premise_survives_optimized_mode(entry):
+    import os
+    import subprocess
+    import sys
+
+    import demtensor
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(demtensor.__file__))
+    call = {
+        "decompose": "t.decompose(t.WA2, **t.EX1)",
+        "cli": "print('exit', main(['decompose', '--type', 'A2', '--v', '1,2', '--w', '1,2,1',"
+               " '--lambda', '1,1', '--mu', '1,0']))",
+    }[entry]
+    script = (
+        "import sys; sys.path[:0] = [%r, %r]\n"
+        "import test_decomp as t\n"
+        "from demtensor.cli import main\n"
+        "t._corrupt_a_raising_step('further')\n"
+        "try:\n"
+        "    %s\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        % (src, here, call)
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    if entry == "cli":
+        assert out.stdout == "exit 2\n"
+        assert out.stderr.startswith("structural failure: a raising step leaves the set")
+    else:
+        assert out.stdout.startswith("a raising step leaves the set")
+
+
+def test_sparse_decompose_fills_only_the_rows_of_its_left_factor(cold_caches):
+    """B_s1(9,9) (x) B_s2(9,9) has 100 pairs in a space of 10^6: decompose
+    fills the 10 rows of its left factor's ids and adds one weight per
+    distinct pair of factor weights it meets, with no list over the
+    space."""
+    from demtensor.crystal import generate_crystal, tensor_space
+    from demtensor.demazure import generate_demazure
+
+    report = decompose(WA2, el(1), el(2), (9, 9), (9, 9))
+    assert sum(map(len, (entry.component for entry in report.entries))) == 100
+    crystal = generate_crystal(A2, (9, 9))
+    space = tensor_space(crystal, crystal)
+    left = generate_demazure(WA2, el(1), (9, 9)).subset.ids
+    assert len(left) == 10
+    assert [a for a, row in enumerate(space._rows) if row is not None] == sorted(left)
+    assert not hasattr(space, "weights")
+    assert len(space._sums) <= 100
+
+
+def test_g2_w0_decompose_labels_in_one_pass_and_searches_nothing(monkeypatch, capsys, cold_caches):
+    from demtensor import crystal
+    from demtensor.cli import main
+
+    searches, passes = [], []
+    search, label = crystal._search, decomp.components_of
+    monkeypatch.setattr(crystal, "_search", lambda *args: searches.append(args) or search(*args))
+    monkeypatch.setattr(decomp, "components_of", lambda *args: passes.append(args) or label(*args))
+    w0 = "1,2,1,2,1,2"
+    argv = ["decompose", "--type", "G2", "--v", w0, "--w", w0, "--lambda", "1,1", "--mu", "1,1"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out) > 0
+    assert searches == [] and len(passes) == 1
+
+
 def test_decompose_checks_disjoint_cover(monkeypatch, cold_caches):
     import demtensor.decomp as decomp
 
@@ -523,6 +683,20 @@ def test_decompose_checks_disjoint_cover(monkeypatch, cold_caches):
         with pytest.raises(decomp.TheoremViolation, match=message):
             decompose(WA2, **EX1)
         assert reached
+
+
+def test_decompose_refuses_a_path_whose_pair_is_not_a_top(monkeypatch, cold_caches):
+    """A path of the right factor that is not dominant for lam names a pair
+    inside some component but not its top."""
+    import demtensor.decomp as decomp
+
+    case = dict(v=el(1, 2), w=el(1, 2, 1), lam=(1, 0), mu=(1, 1))
+    paths = dominant_paths(WA2, case["w"], case["mu"], case["lam"])
+    right = decomp.generate_demazure(WA2, case["w"], case["mu"])
+    stray = next(pi for pi in right if not pi.is_dominant_for(case["lam"]))
+    monkeypatch.setattr(decomp, "dominant_paths", lambda *args: paths + [stray])
+    with pytest.raises(decomp.TheoremViolation, match="not the top of a component"):
+        decompose(WA2, **case)
 
 
 def test_orbit_transport_is_the_minimal_scanned_element():

@@ -164,6 +164,27 @@ def test_dominant_walk():
     assert dominant_walk(group, (F(-1), F(1))) == ((1, 0), group.simple(1))
 
 
+def test_dominant_walk_normalizes_on_a_miss_only(monkeypatch, cold_caches):
+    """A tuple is looked up as it is: an integral Fraction hashes and
+    compares as its int, so the walk normalizes once, on the miss, and a
+    lam returned to a Fraction caller first is still int-normalized."""
+    import demtensor.lspath as lspath
+
+    normalize = lspath.normalize_coords
+    calls = []
+    monkeypatch.setattr(lspath, "normalize_coords", lambda x: calls.append(x) or normalize(x))
+    group = weyl_group(A2)
+    first = dominant_walk(group, (F(-1), F(1)))
+    assert first == ((1, 0), group.simple(1))
+    assert [type(c) for c in first[0]] == [int, int]
+    assert dominant_walk(group, (-1, 1)) is first
+    assert dominant_walk(group, (F(-1), F(1))) is first
+    assert len(calls) == 1
+    # anything but a tuple is normalized before the lookup
+    assert dominant_walk(group, [F(-1), 1]) is first
+    assert len(calls) == 2
+
+
 def test_height_local_minima_are_integers():
     from demtensor.crystal import generate_crystal
 
