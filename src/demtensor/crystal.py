@@ -936,17 +936,6 @@ def character(elements):
 # -- isomorphism -------------------------------------------------------------------
 
 
-def unique_top(rs, elements):
-    """The single element of the set that no raising operator stays inside."""
-    subset = compiled_subset(elements)
-    tops = subset.tops()
-    if len(tops) != 1:
-        raise MultipleHighestWeights(
-            "expected a unique highest weight vertex, got %d" % len(tops)
-        )
-    return subset.space._decode(tops[0])
-
-
 def is_isomorphic(rs, a_elements, b_elements):
     """Colored, weight-preserving isomorphism of two anchored subcrystals.
 

@@ -144,11 +144,13 @@ def component(group, pi, v, w, lam, mu):
 def condition_check(group, v, w, lam, mu):
     """Is the minimal representative of v modulo the stabilizer of lam inside
     the left-descent parabolic of the maximal representative of w modulo the
-    stabilizer of mu?  An element is in W_I when its reduced word's letters are.
+    stabilizer of mu?  An element is in W_I when its reduced word's letters
+    are, so the test is one mask operation: no letter of vfloor's support
+    lies outside the left-descent mask of wceil.
     """
     vfloor = group.coset_min_weight(v, lam)
     wceil = group.coset_max_weight(w, mu)
-    return set(vfloor.word) <= group.left_descents(wceil)
+    return not group._support_mask(vfloor) & ~group._left_descent_mask(wceil)
 
 
 # -- the base witness of a dominant path ----------------------------------------------
@@ -358,7 +360,7 @@ def demazure_product(group, word, start):
     """Fold a word over `start` right to left, keeping only length increases."""
     u = start
     for i in reversed(word):
-        if i not in group.left_descents(u):
+        if not group._left_descent_mask(u) & 1 << (i - 1):
             u = group.multiply(group.simple(i), u)
     return u
 
@@ -563,7 +565,7 @@ def recursive_component(group, pi, v, i, w, lam, mu):
     its `elements` are read.
     """
     rs = group.rs
-    if i in group.left_descents(v):
+    if group._left_descent_mask(v) & 1 << (i - 1):
         raise ValueError("the color must increase the length of v")
     si = group.simple(i)
     product = _product(group, v, w, lam, mu)
@@ -645,7 +647,7 @@ def leibniz_check(group, v, w, lam, mu, i):
     disjoint.
     """
     rs = group.rs
-    if i in group.left_descents(v):
+    if group._left_descent_mask(v) & 1 << (i - 1):
         raise ValueError("the color must increase the length of v")
     si = group.simple(i)
     left = generate_demazure(group, v, lam).subset

@@ -159,7 +159,7 @@ def f_closure(group, demazure, k):
     """
     closed = f_string_closure(demazure.elements, k)
     w = demazure.witness
-    if k not in group.left_descents(w):
+    if not group._left_descent_mask(w) & 1 << (k - 1):
         expected = generate_demazure(group, group.multiply(group.simple(k), w), demazure.shape)
     else:
         expected = demazure

@@ -111,8 +111,10 @@ def parse_grid(text):
 
 
 def _coset_reps(group, lam):
-    """The minimal representatives of the cosets w W_lam, in index order."""
-    return [w for w in group if group.coset_min_weight(w, lam) is w]
+    """The minimal representatives of the cosets w W_lam, in index order:
+    the elements with no right descent in the stabilizer of lam."""
+    stabilizer = group._mask(group.stabilizer_indices(lam))
+    return [w for w in group if not group._right_descent_mask(w) & stabilizer]
 
 
 def _coset_pairs(group, lam, mu):
@@ -124,8 +126,8 @@ def _ascent_pairs(group, reps):
     """The (v, i) with v in reps and the simple reflection i lengthening v on the left."""
     out = []
     for v in reps:
-        descents = group.left_descents(v)
-        out += [(v, i) for i in range(1, group.rs.rank + 1) if i not in descents]
+        descents = group._left_descent_mask(v)
+        out += [(v, i) for i in range(1, group.rs.rank + 1) if not descents & 1 << (i - 1)]
     return out
 
 

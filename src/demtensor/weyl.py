@@ -4,19 +4,24 @@ Groups are materialized as explicit element lists (target scale is rank <= 3,
 so enumeration beats cleverness and makes every claim exhaustively checkable).
 An element is identified by its index in `WeylGroup.elements`, and there is
 one `WeylElement` per group element, so equality is identity.  The group
-keeps one integer generator table, built once with it, w*s_i, beside w^-1
-and the length of every element.  Products, inverses, lengths, descents,
-cosets and Bruhat comparisons walk these tables with right steps only: a
-left descent of w is a right descent of w^-1, and Bruhat order reads the
-word of the larger element from the right (property Z; Bjorner-Brenti,
-Combinatorics of Coxeter Groups, 2.2.7).  No coset is enumerated: a coset
-extreme is where a walk by the generators of J stops shortening or
-lengthening (ibid., 2.4).  An element stores one reduced word, the
-lexicographically least, and `apply` reflects along it.  The build keys w
-by w^-1(rho), rho = (1, ..., 1): rho is regular, so the key is injective,
-and (w s_i)^-1 rho = s_i(w^-1 rho) is one reflection.  `WeylElement.matrix`
-is derived from `apply`, for matrix checks outside the package.  No orbit
-is enumerated either: `lspath.dominant_walk` maps a weight to its dominant
+keeps one integer generator table, built once with it, w*s_i, beside w^-1,
+the length and two bit masks of every element: its right descents and the
+support of its reduced words (bit i - 1 for the letter i).  Products,
+inverses, lengths and Bruhat comparisons walk these tables with right steps
+only, and descents, cosets and parabolic subgroups are mask operations: a
+left descent of w is a right descent of w^-1, and w lies in W_J when its
+support is inside J.  Bruhat order reads the word of the larger element
+from the right (property Z; Bjorner-Brenti, Combinatorics of Coxeter
+Groups, 2.2.7).  No coset is enumerated: a coset extreme is where a walk by
+the generators of J stops, the minimum at the first element with no right
+descent in J, the maximum at the first with all of J (ibid., 2.4).  An
+element stores one reduced word, the lexicographically least, and `apply`
+reflects along it.  The build keys w by w^-1(rho), rho = (1, ..., 1): rho
+is regular, so the key is injective, (w s_i)^-1 rho = s_i(w^-1 rho) is one
+reflection, and the right descents of w are the negative coordinates of the
+key (ibid., ch. 4), read as the build meets it.  `WeylElement.matrix` is
+derived from `apply`, for matrix checks outside the package.  No orbit is
+enumerated either: `lspath.dominant_walk` maps a weight to its dominant
 form and minimal coset representative, and the order on an orbit W lam is
 Bruhat order on those representatives.
 """
@@ -128,20 +133,29 @@ class WeylGroup:
         keys = [(1,) * n]
         index = {keys[0]: 0}
         words = [()]
+        support = [0]
+        rdes = []
         rmul = [[] for _ in range(n)]
+        steps = [(c, alpha, 1 << c) for c, alpha in enumerate(self._alphas)]
         # Queue BFS over right multiplication, generators in increasing
         # order: each element is first reached by its lexicographically
         # least reduced word, so discovery order is (length, word) order.
         # `keys` grows while it is walked.
         for k, key in enumerate(keys):
-            for c, alpha in enumerate(self._alphas):
+            # the negative coordinates of the key are w's right descents
+            descents = 0
+            for c, alpha, bit in steps:
+                if key[c] < 0:
+                    descents |= bit
                 key2 = _right_step(key, c, alpha)
                 j = index.get(key2)
                 if j is None:
                     j = index[key2] = len(keys)
                     keys.append(key2)
                     words.append(words[k] + (c + 1,))
+                    support.append(support[k] | bit)
                 rmul[c].append(j)
+            rdes.append(descents)
             if len(keys) > GROUP_SIZE_LIMIT:
                 raise _too_large(rs.type_letter, rs.rank, len(keys))
         if len(keys) != order:
@@ -150,21 +164,43 @@ class WeylGroup:
         self.identity = self.elements[0]
         self._rmul = rmul
         self._len = [len(w) for w in words]
-        # w^-1 is w's word read backwards
-        self._inv = [self._walk(0, reversed(w)) for w in words]
+        self._rdes = rdes
+        self._support = support
+        # w^-1 is w's word read backwards, walked from the identity
+        tables = [None] + rmul
+        self._inv = inv = []
+        for w in words:
+            k = 0
+            for i in reversed(w):
+                k = tables[i][k]
+            inv.append(k)
+        # memos of the masks of index sets, their sets and the stabilizers
+        self._masks = {}
+        self._index_sets = {}
+        self._stabilizers = {}
         self._check_tables()
 
     def _check_tables(self):
         """Every generator step is an involution that changes the length by
-        one, and inversion is an involution that keeps it."""
-        length, inv = self._len, self._inv
+        one, down exactly at the right descents; inversion is an involution
+        that keeps it; and the support of each element is that of its word
+        without its last letter, plus that letter."""
+        length, inv, rdes, support = self._len, self._inv, self._rdes, self._support
         for k, j in enumerate(inv):
             if inv[j] != k or length[j] != length[k]:
                 raise AssertionError("inverse table fails at element %d" % k)
-        for table in self._rmul:
+        for c, table in enumerate(self._rmul):
+            bit = 1 << c
             for k, j in enumerate(table):
-                if table[j] != k or abs(length[j] - length[k]) != 1:
-                    raise AssertionError("generator table fails at element %d" % k)
+                if table[j] != k or length[j] - length[k] != (-1 if rdes[k] & bit else 1):
+                    raise AssertionError("generator or descent table fails at element %d" % k)
+        if support[0]:
+            raise AssertionError("support table fails at element 0")
+        rmul = self._rmul
+        for w in self.elements[1:]:
+            c = w.word[-1] - 1
+            if support[w.index] != support[rmul[c][w.index]] | 1 << c:
+                raise AssertionError("support table fails at element %d" % w.index)
 
     def __len__(self):
         return len(self.elements)
@@ -216,17 +252,39 @@ class WeylGroup:
     def length(self, w):
         return self._len[w.index]
 
-    # -- descents ------------------------------------------------------------
+    # -- descents and masks ----------------------------------------------------
+
+    def _mask(self, J):
+        """The bit mask of a frozenset J of simple indices, memoized per set."""
+        got = self._masks.get(J)
+        if got is None:
+            got = self._masks[J] = sum(1 << (j - 1) for j in J)
+        return got
+
+    def _indices(self, mask):
+        """The frozenset of simple indices of a bit mask, one per mask."""
+        got = self._index_sets.get(mask)
+        if got is None:
+            got = self._index_sets[mask] = frozenset(
+                c + 1 for c in range(self.rs.rank) if mask >> c & 1
+            )
+        return got
+
+    def _right_descent_mask(self, w):
+        """Bit i - 1 set for each i with length(w s_i) < length(w)."""
+        return self._rdes[w.index]
+
+    def _left_descent_mask(self, w):
+        """Bit i - 1 set for each i with length(s_i w) < length(w)."""
+        return self._rdes[self._inv[w.index]]
+
+    def _support_mask(self, w):
+        """Bit i - 1 set for each letter i of w's reduced words."""
+        return self._support[w.index]
 
     def left_descents(self, w):
         """Simple indices i with length(s_i w) < length(w): the right descents of w^-1."""
-        k, length = self._inv[w.index], self._len
-        # a plain loop: a generator's frame costs more than the scan
-        below, out = length[k], []
-        for c, table in enumerate(self._rmul, 1):
-            if length[table[k]] < below:
-                out.append(c)
-        return frozenset(out)
+        return self._indices(self._rdes[self._inv[w.index]])
 
     # -- parabolic subgroups and cosets ---------------------------------------
 
@@ -234,32 +292,47 @@ class WeylGroup:
     def parabolic(self, J):
         """All elements of the standard parabolic subgroup W_J, J a frozenset:
         those whose reduced word uses only letters of J."""
-        return tuple(w for w in self.elements if J.issuperset(w.word))
+        outside = ~self._mask(J)
+        return tuple(w for w, s in zip(self.elements, self._support) if not s & outside)
 
     def stabilizer_indices(self, lam):
-        """Simple indices whose reflection fixes the dominant weight lam."""
-        return frozenset(i for i in range(1, self.rs.rank + 1) if lam[i - 1] == 0)
+        """Simple indices whose reflection fixes the dominant weight lam; one
+        frozenset per weight, memoized on tuple(lam)."""
+        lam = tuple(lam)
+        got = self._stabilizers.get(lam)
+        if got is None:
+            got = self._stabilizers[lam] = frozenset(
+                i for i in range(1, self.rs.rank + 1) if lam[i - 1] == 0
+            )
+        return got
 
-    def _walk_extreme(self, k, tables, up):
-        """Step from element k along the tables while a step lengthens it
-        (up) or shortens it; each step is strict, so the walk ends."""
-        length = self._len
-        while True:
-            for table in tables:
-                j = table[k]
-                if (length[j] > length[k]) if up else (length[j] < length[k]):
-                    k = j
-                    break
-            else:
-                return k
+    def _coset_floor(self, k, J):
+        """Index of the minimal element of elements[k] W_J, J a mask: step by
+        a right descent in J while there is one; each step shortens."""
+        rdes, rmul = self._rdes, self._rmul
+        m = rdes[k] & J
+        while m:
+            k = rmul[(m & -m).bit_length() - 1][k]
+            m = rdes[k] & J
+        return k
+
+    def _coset_ceiling(self, k, J):
+        """Index of the maximal element of elements[k] W_J, J a mask: step by
+        a right ascent in J while there is one; each step lengthens."""
+        rdes, rmul = self._rdes, self._rmul
+        m = J & ~rdes[k]
+        while m:
+            k = rmul[(m & -m).bit_length() - 1][k]
+            m = J & ~rdes[k]
+        return k
 
     def coset_min(self, w, J):
-        """Minimal-length representative of the coset w W_J."""
-        return self.elements[self._walk_extreme(w.index, [self._rmul[j - 1] for j in J], False)]
+        """Minimal-length representative of the coset w W_J, J a frozenset."""
+        return self.elements[self._coset_floor(w.index, self._mask(J))]
 
     def coset_max(self, w, J):
-        """Maximal-length representative of the coset w W_J."""
-        return self.elements[self._walk_extreme(w.index, [self._rmul[j - 1] for j in J], True)]
+        """Maximal-length representative of the coset w W_J, J a frozenset."""
+        return self.elements[self._coset_ceiling(w.index, self._mask(J))]
 
     def coset_min_weight(self, w, lam):
         """Minimal-length representative of w modulo the stabilizer of lam."""
@@ -302,8 +375,7 @@ class WeylGroup:
         """Bruhat-maximal element of the coset W_J w: its longest element, the
         inverse of the longest element of w^-1 W_J."""
         inv = self._inv
-        k = self._walk_extreme(inv[w.index], [self._rmul[j - 1] for j in J], True)
-        return self.elements[inv[k]]
+        return self.elements[inv[self._coset_ceiling(inv[w.index], self._mask(J))]]
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,20 @@ test of the component against it.  Nothing here closes anything inside the
 component's own space.
 """
 
-from demtensor.crystal import compiled_subset, is_isomorphic, unique_top, weight_of
+from demtensor.crystal import MultipleHighestWeights, compiled_subset, is_isomorphic, weight_of
 from demtensor.demazure import generate_demazure
 from demtensor.lspath import dominant_walk
+
+
+def unique_top(elements):
+    """The single element of the set that no raising operator stays inside."""
+    subset = compiled_subset(elements)
+    tops = subset.tops()
+    if len(tops) != 1:
+        raise MultipleHighestWeights(
+            "expected a unique highest weight vertex, got %d" % len(tops)
+        )
+    return subset.space._decode(tops[0])
 
 
 def top_rank_candidates(group, comp, nu):
@@ -31,7 +42,7 @@ def isomorphism_match(group, comp, nu):
     comp = compiled_subset(comp)
     candidates = top_rank_candidates(group, comp, nu)
     if len(candidates) != 1:
-        unique_top(group.rs, comp)
+        unique_top(comp)
         return None
     crystal = generate_demazure(group, candidates[0], nu)
     return crystal.witness if is_isomorphic(group.rs, comp, crystal.subset) else None

@@ -368,7 +368,9 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
-WEYL_TABLES = {"_rmul", "_inv", "_len", "_walk", "_walk_extreme"}
+WEYL_TABLES = {
+    "_rmul", "_inv", "_len", "_rdes", "_support", "_walk", "_coset_floor", "_coset_ceiling",
+}
 
 
 def weyl_table_reads(source, name):
@@ -382,7 +384,9 @@ def weyl_table_reads(source, name):
 
 def test_only_weyl_reads_the_group_tables():
     """The table format stays behind one module: no module of the package
-    but weyl.py reads `_rmul`, `_inv`, `_len`, `_walk` or `_walk_extreme`."""
+    but weyl.py reads `_rmul`, `_inv`, `_len`, the descent and support masks
+    `_rdes` and `_support`, or walks them with `_walk`, `_coset_floor` or
+    `_coset_ceiling`; the others read masks through weyl's helpers."""
     package = os.path.dirname(demtensor.__file__)
     names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
     assert {"decomp.py", "demazure.py", "lspath.py", "verify.py", "weyl.py"} <= set(names)

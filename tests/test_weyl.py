@@ -15,6 +15,7 @@ from cartan_oracle import root_sign
 from demtensor import weyl
 from demtensor.cartan import root_system
 from demtensor.decomp import condition_check
+from demtensor.verify import _coset_reps
 from demtensor.weyl import NonUniqueMaximum, WeylGroup, group_order, weyl_group
 
 
@@ -417,21 +418,98 @@ def test_cosets_and_descents_match_matrix_oracle(letter, rank):
             assert group.coset_max(w, J).matrix == coset[-1][1]
 
 
-@pytest.mark.parametrize("table", ["rmul", "inv", "len"])
-def test_table_check_catches_a_corrupted_entry(table):
-    group = WeylGroup(root_system("A", 2))
-    group._check_tables()
-    # Elements of A2 by index: e, s1, s2, s1s2, s2s1, s1s2s1.  Each line
-    # writes a false entry: a generator step never fixes an element, s1s2
-    # is not its own inverse, and s1s2s1 has length 3.
+TABLES = ["rmul", "inv", "len", "rdes", "support"]
+
+
+def corrupt_a2_table(group, table):
+    """Write one false entry into a table of a fresh A2 group.
+
+    Elements of A2 by index: e, s1, s2, s1s2, s2s1, s1s2s1.  Each line
+    writes a false entry: a generator step never fixes an element, s1s2
+    is not its own inverse, s1s2s1 has length 3, the right descents of
+    s1s2 are {2}, not {1}, and the letters of s1s2 are {1, 2}, not {2}.
+    """
     if table == "rmul":
         group._rmul[0][3] = 3
     elif table == "inv":
         group._inv[3] = 3
-    else:
+    elif table == "len":
         group._len[5] = 2
+    elif table == "rdes":
+        group._rdes[3] = 0b01
+    else:
+        group._support[3] = 0b10
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_table_check_catches_a_corrupted_entry(table):
+    group = WeylGroup(root_system("A", 2))
+    group._check_tables()
+    corrupt_a2_table(group, table)
     with pytest.raises(AssertionError):
         group._check_tables()
+
+
+def test_table_check_survives_optimized_mode():
+    """The table check raises explicitly, so `python -O` keeps it."""
+    import subprocess
+    import sys
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = (
+        "import sys; sys.path[:0] = [%r, %r]\n"
+        "import test_weyl as t\n"
+        "for table in t.TABLES:\n"
+        "    group = t.WeylGroup(t.root_system('A', 2))\n"
+        "    t.corrupt_a2_table(group, table)\n"
+        "    try:\n"
+        "        group._check_tables()\n"
+        "    except AssertionError:\n"
+        "        print(table, 'caught')\n"
+        % (os.path.join(ROOT, "src"), here)
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "".join("%s caught\n" % table for table in TABLES)
+
+
+# -- descent and support masks against words and products -------------------
+
+MASK_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+
+
+@pytest.mark.parametrize("letter,rank", MASK_TYPES)
+def test_left_descents_match_products(letter, rank):
+    group = weyl_group(root_system(letter, rank))
+    for w in group:
+        below = group.length(w)
+        descents = {
+            i for i in range(1, rank + 1)
+            if group.length(group.multiply(group.simple(i), w)) < below
+        }
+        assert group.left_descents(w) == descents, w
+
+
+@pytest.mark.parametrize("letter,rank", MASK_TYPES)
+def test_parabolics_match_the_word_filter(letter, rank):
+    group = weyl_group(root_system(letter, rank))
+    for J in all_subsets(rank):
+        assert group.parabolic(J) == tuple(w for w in group if J.issuperset(w.word)), J
+
+
+@pytest.mark.parametrize("letter,rank", MASK_TYPES)
+def test_coset_reps_match_the_walk_and_stabilizers_are_shared(letter, rank):
+    """verify's minimal representatives, read off the descent masks, are the
+    elements the coset walk fixes; a stabilizer is one shared frozenset
+    whether its weight comes as a list or a tuple."""
+    group = weyl_group(root_system(letter, rank))
+    for lam in product((0, 1), repeat=rank):
+        if any(lam):
+            walked = [w for w in group if group.coset_min_weight(w, lam) is w]
+            assert _coset_reps(group, lam) == walked, lam
+            assert group.stabilizer_indices(list(lam)) is group.stabilizer_indices(lam)
 
 
 def test_group_order_closed_form():
