@@ -10,6 +10,8 @@ exact (int / Fraction); no floats anywhere.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul, sub
 
 
 # Number of positive roots per type, used as a construction-time sanity check.
@@ -35,15 +37,15 @@ VALID_RANKS = {
 
 
 def vadd(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def vsub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))
 
 
 def vscale(c, x):
-    return tuple(c * a for a in x)
+    return tuple(map(mul, repeat(c), x))
 
 
 def normalize_coords(x):

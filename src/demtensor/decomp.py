@@ -48,9 +48,12 @@ raising step from the product lands in the product and in the same
 component, as explicit raises, and hands each component over with its top,
 so that `_closure_match` decides it without scanning it again.  Only the
 rows of the left factor's ids are filled, and a pair's weight is added from
-its factors' weights once per distinct pair met.  The single-component
-searches (`component`, the witness oracle, the recursion formula) stay an
-independent computation of the same sets.
+its factors' weights once per distinct pair met.  The witness oracle and
+the recursion formula read their components off the same labels, one pass
+per product (`_labelled_component`), kept in a dict whose lifetime the
+caller chooses: `verify` keeps one per (lam, mu, w) loop, and a call
+without one labels its products itself.  `component` finds one component
+by a search from its pair, an independent computation of the same sets.
 """
 
 from functools import lru_cache
@@ -68,7 +71,6 @@ from .crystal import (
     generate_crystal,
     induced_component,
     lower_closure,
-    tensor_product_elements,
     tensor_space,
     weight_of,
 )
@@ -91,19 +93,19 @@ class NoDemazureMatch(Exception):
 # -- product sets and components ------------------------------------------------
 
 
-def tensor_demazure(group, v, w, lam, mu):
-    """All pairs from the two Demazure crystals, as a frozenset."""
-    left = generate_demazure(group, v, lam)
-    right = generate_demazure(group, w, mu)
-    return tensor_product_elements(left.elements, right.elements)
-
-
 def dominant_paths(group, w, mu, lam):
     """Paths of the right factor that stay dominant after shifting by lam.
 
     These index the connected components; the order is the canonical one.
     """
     return [pi for pi in generate_demazure(group, w, mu) if pi.is_dominant_for(lam)]
+
+
+def product_key(group, v, w, lam, mu):
+    """What B_v(lam) (x) B_w(mu) depends on: (group, v mod W_lam, w mod W_mu,
+    lam, mu), the cosets as minimal representatives, the shapes as tuples."""
+    lam, mu = tuple(lam), tuple(mu)
+    return group, group.coset_min_weight(v, lam), group.coset_min_weight(w, mu), lam, mu
 
 
 def _product(group, v, w, lam, mu):
@@ -123,19 +125,43 @@ def _pair_code(product, pi):
     return space.left.top * space.n + b
 
 
-def _component_codes(product, pi):
-    """Pair codes of the component of (top path, pi) inside the product."""
-    return induced_component(product.space.rs, _pair_code(product, pi), product)
-
-
 def component(group, pi, v, w, lam, mu):
-    """Connected component of the product through the pair (top path, pi).
+    """Connected component of the product through the pair (top path, pi),
+    found by a search from that pair.
 
     Membership in the product is tested on the two cached Demazure
     crystals, so the product set itself is never built.
     """
     product = _product(group, v, w, lam, mu)
-    return product.space._decoded(_component_codes(product, pi))
+    space = product.space
+    return space._decoded(induced_component(space.rs, _pair_code(product, pi), product))
+
+
+def _components_by_top(group, product):
+    """Every component of the product as a Subset, keyed by its one top,
+    from one `components_of` pass."""
+    return {comp.tops()[0]: comp for comp in components_of(group.rs, product)}
+
+
+def _labelled_component(group, pi, v, w, lam, mu, labels):
+    """The component of (top path, pi) in the product, read off its labels.
+
+    `labels` maps the `product_key` of a product to the product and its
+    components by top; a product met for the first time is labelled once
+    and added.  A caller that reads many components of a few products
+    passes one dict and drops it when done.  A pair that is not the top of
+    a labelled component raises TheoremViolation.
+    """
+    key = product_key(group, v, w, lam, mu)
+    labelled = labels.get(key)
+    if labelled is None:
+        product = _product(group, v, w, lam, mu)
+        labelled = labels[key] = product, _components_by_top(group, product)
+    product, tops = labelled
+    comp = tops.get(_pair_code(product, pi))
+    if comp is None:
+        raise TheoremViolation("the pair of %r is not the top of a labelled component" % (pi,))
+    return comp
 
 
 # -- the decomposition condition ---------------------------------------------------
@@ -327,24 +353,33 @@ def _closure_match(group, comp, nu):
     return x if len(closure) == len(ids) else None
 
 
-def path_witness_by_search(group, pi, w, mu, lam):
+def path_witness_by_search(group, pi, w, mu, lam, labels=None):
     """Independent oracle: the component of (top, pi) by `demazure_match`,
     which reads weights and closes the top pair along a word inside the
-    product, never the recursion."""
-    product = _product(group, group.identity, w, lam, mu)
-    comp = Subset(product.space, _component_codes(product, pi))
+    product, never the recursion.
+
+    The component is read off the labels of B(lam) (x) B_w(mu)
+    (`_labelled_component`): from `labels` when the product is in it, else
+    from one `components_of` pass added there.  Without `labels` the call
+    labels the product itself.  A pair that is not a labelled top raises
+    TheoremViolation.
+    """
+    if labels is None:
+        labels = {}
+    comp = _labelled_component(group, pi, group.identity, w, lam, mu, labels)
     match = demazure_match(group, comp, vadd(lam, weight_of(pi)))
     if match is None:
         raise NoDemazureMatch("component of %r matched no Demazure crystal" % (pi,))
     return match
 
 
-def checked_path_witness(group, pi, w, mu, lam):
-    """The interval-recursion witness, verified against the search oracle."""
+def checked_path_witness(group, pi, w, mu, lam, labels=None):
+    """The interval-recursion witness, verified against the search oracle,
+    which reads and extends `labels` (see `path_witness_by_search`)."""
     witness = path_witness(group, pi, w, mu, lam)
     nu = vadd(lam, weight_of(pi))
     normalized = group.coset_min_weight(witness, nu)
-    oracle = path_witness_by_search(group, pi, w, mu, lam)
+    oracle = path_witness_by_search(group, pi, w, mu, lam, labels)
     if normalized != oracle:
         raise OracleMismatch(
             "interval recursion gave %r but the isomorphism search gave %r on %r"
@@ -384,10 +419,12 @@ def lift_word(group, v, w, lam, mu, word=None):
     return word
 
 
-def lift(group, word, pi, w, mu, lam, oracle=False):
-    """The Demazure product of a `lift_word` over the base witness of pi."""
+def lift(group, word, pi, w, mu, lam, oracle=False, labels=None):
+    """The Demazure product of a `lift_word` over the base witness of pi;
+    with `oracle`, the base witness is checked against the search oracle,
+    which reads and extends `labels` (see `path_witness_by_search`)."""
     if oracle:
-        base = checked_path_witness(group, pi, w, mu, lam)
+        base = checked_path_witness(group, pi, w, mu, lam, labels)
     else:
         base = path_witness(group, pi, w, mu, lam)
     return demazure_product(group, word, base)
@@ -483,7 +520,9 @@ def decompose(group, v, w, lam, mu, oracle=False):
     cond = condition_check(group, v, w, lam, mu)
     word = lift_word(group, v, w, lam, mu) if cond else None
     product = _product(group, v, w, lam, mu)
-    components = {comp.tops()[0]: comp for comp in components_of(group.rs, product)}
+    components = _components_by_top(group, product)
+    # the oracle's labels of B(lam) (x) B_w(mu), shared by the dominant paths
+    labels = {}
     entries = []
     named = set()
     for pi in dominant_paths(group, w, mu, lam):
@@ -498,7 +537,7 @@ def decompose(group, v, w, lam, mu, oracle=False):
         witness = _closure_match(group, comp, nu)
         expected = None
         if cond:
-            u = lift(group, word, pi, w, mu, lam, oracle)
+            u = lift(group, word, pi, w, mu, lam, oracle, labels)
             expected = group.coset_min_weight(u, nu)
         if witness is not None:
             if cond and witness != expected:
@@ -532,13 +571,21 @@ def decompose(group, v, w, lam, mu, oracle=False):
 
 def closure_product(group, word, w, lam, mu):
     """Close (top of lam) x (crystal of w, mu) under lowering strings of a word."""
+    space, codes = _closure_codes(group, word, w, lam, mu)
+    return space._decoded(codes)
+
+
+def _closure_codes(group, word, w, lam, mu):
+    """`closure_product` on pair codes: the tensor space of B(lam) and
+    B(mu), and the set of codes grown from (top of lam) x B_w(mu) along
+    the lowering strings of the word, read right to left."""
     right = generate_demazure(group, w, mu).subset
     left = generate_crystal(group.rs, tuple(lam))
     space = tensor_space(left, right.space)
-    current = set(space.pairs((left.top,), right.ids))
+    codes = set(space.pairs((left.top,), right.ids))
     for i in reversed(word):
-        _grow(space, current, i)
-    return space._decoded(current)
+        _grow(space, codes, i)
+    return space, codes
 
 
 # -- the recursion formula -------------------------------------------------------------
@@ -553,29 +600,34 @@ def _f_power(table, x, m):
     return x
 
 
-def recursive_component(group, pi, v, i, w, lam, mu):
+def recursive_component(group, pi, v, i, w, lam, mu, labels=None):
     """Grow the component of (top, pi) from v to s_i v without a fresh search.
 
     Close the component under the i-lowering strings, then remove the pairs
     whose right factor has been lowered out of the right Demazure crystal;
     those are exactly the fully lowered left factors against the escaped
-    lowerings of the right factors.  The result is asserted against the
-    directly computed component.  All of it runs on pair codes, and the
-    grown component is returned as a `Subset` of them, decoded only when
-    its `elements` are read.
+    lowerings of the right factors.  The result is compared with the
+    component of (top, pi) in the product of s_i v, and a difference raises
+    TheoremViolation.  Both components are read off the labels of their
+    products (`_labelled_component`): from `labels` when a product is in
+    it, else from one `components_of` pass added there.  Without `labels`
+    the call labels the two products itself.  All of it runs on pair codes,
+    and the grown component is returned as a `Subset` of them, decoded only
+    when its `elements` are read.
     """
     rs = group.rs
     if group._left_descent_mask(v) & 1 << (i - 1):
         raise ValueError("the color must increase the length of v")
     si = group.simple(i)
-    product = _product(group, v, w, lam, mu)
-    space, right_ids = product.space, product.ids.right
+    if labels is None:
+        labels = {}
+    comp = _labelled_component(group, pi, v, w, lam, mu, labels)
+    space, right_ids = comp.space, generate_demazure(group, w, mu).subset.ids
     left, right, n = space.left, space.right, space.n
     fl, fr = left.f_table[i - 1], right.f_table[i - 1]
-    comp = _component_codes(product, pi)
-    grown = lower_closure(space, comp, i)
+    grown = lower_closure(space, comp.ids, i)
     removed = set()
-    for c in comp:
+    for c in comp.ids:
         a, b = divmod(c, n)
         if left.eps_table[i - 1][a] != 0:
             continue
@@ -593,8 +645,8 @@ def recursive_component(group, pi, v, i, w, lam, mu):
                 )
             removed.add(lowered_left * n + lowered)
     result = grown - removed
-    expected = _component_codes(_product(group, group.multiply(si, v), w, lam, mu), pi)
-    if result != expected:
+    expected = _labelled_component(group, pi, group.multiply(si, v), w, lam, mu, labels)
+    if result != expected.ids:
         raise TheoremViolation(
             "recursion formula disagrees with the direct component on %r" % (pi,)
         )

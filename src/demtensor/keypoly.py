@@ -40,6 +40,7 @@ from .decomp import (
     dominant_paths,
     lift,
     lift_word,
+    product_key,
 )
 from .demazure import generate_demazure
 from .lspath import dominant_walk
@@ -222,13 +223,6 @@ def expand_in_keys(group, f):
 
 
 # -- the product report -------------------------------------------------------------
-
-
-def product_key(group, v, w, lam, mu):
-    """The memo key of key(v lam) * key(w mu): (group, v mod W_lam, w mod W_mu,
-    lam, mu), the cosets as minimal representatives, the shapes as tuples."""
-    lam, mu = tuple(lam), tuple(mu)
-    return group, group.coset_min_weight(v, lam), group.coset_min_weight(w, mu), lam, mu
 
 
 class ProductReport:

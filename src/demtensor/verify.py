@@ -10,10 +10,21 @@ witnesses, the recursion and the product rule: the suites built on them
 sweep minimal coset representatives (`_coset_reps`).  No ascent is lost,
 since s_i v > v gives s_i v0 > v0 for v0 the minimal representative of
 v W_lam (Bjorner-Brenti, GTM 231, ch. 2).  The membership criterion reads
-w itself and sweeps all of W.
+w itself and sweeps all of W.  The representatives are scanned once per
+group and stabilizer mask.
+
+Each suite meets a product's facts once.  tensor-vs-concatenation
+concatenates every pair of B(lam) (x) B(mu) once and compares the path
+operators on each concatenation with the concatenation at the code the
+tensor rule steps to.  The witness oracle and the recursion formula read
+their components off one `components_of` labelling per product, kept in a
+dict for one (lam, mu, w) loop and dropped with it, so no labels outlive a
+suite; the formula itself still grows the component of v by closure and
+removal.  word-closure compares pair codes, with no pair decoded.
 """
 
 import itertools
+from functools import lru_cache
 
 from .cartan import UnparsableType, parse_type, root_system, vadd, weyl_dimension
 from .crystal import (
@@ -33,14 +44,13 @@ from .crystal import (
 from .decomp import (
     OracleMismatch,
     TheoremViolation,
+    _closure_codes,
     checked_path_witness,
-    closure_product,
     condition_check,
     decompose,
     dominant_paths,
     leibniz_check,
     recursive_component,
-    tensor_demazure,
 )
 from .demazure import (
     check_string_property,
@@ -113,8 +123,13 @@ def parse_grid(text):
 def _coset_reps(group, lam):
     """The minimal representatives of the cosets w W_lam, in index order:
     the elements with no right descent in the stabilizer of lam."""
-    stabilizer = group._mask(group.stabilizer_indices(lam))
-    return [w for w in group if not group._right_descent_mask(w) & stabilizer]
+    return list(_reps_by_mask(group, group._mask(group.stabilizer_indices(lam))))
+
+
+@lru_cache(maxsize=None)
+def _reps_by_mask(group, stabilizer):
+    """`_coset_reps` for a stabilizer mask, one scan of the group per mask."""
+    return tuple(w for w in group if not group._right_descent_mask(w) & stabilizer)
 
 
 def _coset_pairs(group, lam, mu):
@@ -201,19 +216,13 @@ def suite_tensor_vs_concatenation(grid):
     for lam in grid.shapes:
         for mu in grid.shapes:
             space = tensor_space(generate_crystal(grid.rs, lam), generate_crystal(grid.rs, mu))
-            for c in range(len(space)):
-                pair = space._decode(c)
-                raw = concatenate(pair.left, pair.right)
+            raws = [concatenate(pair.left, pair.right) for pair in map(space._decode, range(len(space)))]
+            for c, raw in enumerate(raws):
                 steps = space._steps(c)
                 for i in range(1, grid.rs.rank + 1):
                     for op, y in zip((_path_f, _path_e), steps[2 * i - 2:2 * i]):
-                        if y < 0:
-                            expected = None
-                        else:
-                            lifted = space._decode(y)
-                            expected = concatenate(lifted.left, lifted.right)
-                        if op(raw, i) != expected:
-                            return "operators disagree at %r color %d" % (pair, i)
+                        if op(raw, i) != (raws[y] if y >= 0 else None):
+                            return "operators disagree at %r color %d" % (space._decode(c), i)
     return None
 
 
@@ -262,9 +271,10 @@ def suite_witness_oracle(grid):
     for lam in grid.shapes:
         for mu in grid.shapes:
             for w in _coset_reps(grid.group, mu):
+                labels = {}
                 for pi in dominant_paths(grid.group, w, mu, lam):
                     try:
-                        checked_path_witness(grid.group, pi, w, mu, lam)
+                        checked_path_witness(grid.group, pi, w, mu, lam, labels=labels)
                     except OracleMismatch as caught:
                         return "w=%r lam=%r mu=%r: %s" % (w, lam, mu, caught)
     return None
@@ -278,9 +288,10 @@ def suite_word_closure(grid):
             for v, w in _coset_pairs(grid.group, lam, mu):
                 if not condition_check(grid.group, v, w, lam, mu):
                     continue
-                closed = closure_product(grid.group, v.word, w, lam, mu)
-                full = tensor_demazure(grid.group, v, w, lam, mu)
-                if closed != full:
+                space, closed = _closure_codes(grid.group, v.word, w, lam, mu)
+                left = generate_demazure(grid.group, v, lam).subset
+                right = generate_demazure(grid.group, w, mu).subset
+                if closed != space.pairs(left.ids, right.ids):
                     return "closure misses the product at v=%r w=%r" % (v, w)
     return None
 
@@ -292,10 +303,11 @@ def suite_recursion(grid):
         for mu in grid.shapes:
             for w in _coset_reps(grid.group, mu):
                 paths = dominant_paths(grid.group, w, mu, lam)
+                labels = {}
                 for v, i in ascents:
                     for pi in paths:
                         try:
-                            recursive_component(grid.group, pi, v, i, w, lam, mu)
+                            recursive_component(grid.group, pi, v, i, w, lam, mu, labels=labels)
                         except TheoremViolation as caught:
                             return "v=%r i=%d w=%r lam=%r mu=%r: %s" % (v, i, w, lam, mu, caught)
     return None

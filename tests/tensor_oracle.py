@@ -6,10 +6,12 @@ left factor when phi_i(left) > eps_i(right) and on the right one otherwise,
 e_i on the left factor when phi_i(left) >= eps_i(right), with eps and phi of
 a pair by their closed forms.  On a path, f and e are the cutting
 construction (`_path_f`/`_path_e`), and eps and phi count its steps.
-Nothing here reads ids, tables or pair codes.
+`tensor_demazure` builds a product of two Demazure crystals pair by pair,
+as a set of `TensorElement`s.  Nothing here reads ids, tables or pair codes.
 """
 
-from demtensor.crystal import TensorElement, _path_e, _path_f, weight_of
+from demtensor.crystal import TensorElement, _path_e, _path_f, tensor_product_elements, weight_of
+from demtensor.demazure import generate_demazure
 
 
 def _count(op, x, i):
@@ -60,3 +62,11 @@ def emax(x, i):
     for _ in range(eps(x, i)):
         x = e(x, i)
     return x
+
+
+def tensor_demazure(group, v, w, lam, mu):
+    """B_v(lam) (x) B_w(mu) as the frozenset of all `TensorElement`s of the
+    two Demazure crystals' elements, built pair by pair."""
+    left = generate_demazure(group, v, lam)
+    right = generate_demazure(group, w, mu)
+    return tensor_product_elements(left.elements, right.elements)

@@ -581,7 +581,7 @@ def test_empty_admissible_set_is_structural(monkeypatch, capsys, cold_caches):
 
 
 def _first_call_fails(failure, seen):
-    def broken(group, *args):
+    def broken(group, *args, **kwargs):
         seen.append(args)
         raise failure("injected")
 

@@ -9,9 +9,10 @@ import pytest
 
 import coset_oracle
 import match_oracle
+from tensor_oracle import tensor_demazure
 from demtensor import decomp, keypoly
 from demtensor.cartan import root_system, vadd
-from demtensor.crystal import TensorElement, f_op, weight_of
+from demtensor.crystal import TensorElement, f_op, induced_component, weight_of
 from demtensor.decomp import (
     checked_path_witness,
     closure_product,
@@ -26,7 +27,6 @@ from demtensor.decomp import (
     path_witness_by_search,
     recursive_component,
     stabilizer_intervals,
-    tensor_demazure,
 )
 from demtensor.lspath import make_path, straight_path
 from demtensor.weyl import weyl_group
@@ -34,6 +34,12 @@ from demtensor.weyl import weyl_group
 A2 = root_system("A", 2)
 WA2 = weyl_group(A2)
 F = Fraction
+
+
+def searched_codes(product, pi):
+    """The pair codes of the component of (top path, pi) in the product,
+    found by a search from that pair."""
+    return induced_component(product.space.rs, decomp._pair_code(product, pi), product)
 
 
 def el(*word):
@@ -353,7 +359,7 @@ def test_size_filtered_search_matches_exhaustive_sweep():
         for _, v, w, lam, mu in keys:
             product = decomp._product(group, v, w, lam, mu)
             for pi in dominant_paths(group, w, mu, lam):
-                comp = Subset(product.space, decomp._component_codes(product, pi))
+                comp = Subset(product.space, searched_codes(product, pi))
                 nu = vadd(lam, weight_of(pi))
                 if nu not in reps:
                     J = group.stabilizer_indices(nu)
@@ -461,7 +467,7 @@ def test_demazure_match_premises_survive_optimized_mode(which, message):
 
 
 def test_decompose_builds_the_ambient_product_only_when_needed(monkeypatch, cold_caches):
-    import demtensor.decomp as decomp
+    from demtensor import crystal
 
     report = decompose(WA2, **EX1)
     assert report.condition_holds and all(entry.demazure for entry in report.entries)
@@ -470,8 +476,7 @@ def test_decompose_builds_the_ambient_product_only_when_needed(monkeypatch, cold
     def refuse(*args):
         raise AssertionError("a product set was built")
 
-    monkeypatch.setattr(decomp, "tensor_demazure", refuse)
-    monkeypatch.setattr(decomp, "tensor_product_elements", refuse)
+    monkeypatch.setattr(crystal, "tensor_product_elements", refuse)
     report = decompose(WA2, **EX3)
     bad = [entry for entry in report.entries if not entry.demazure]
     assert len(bad) == 1
@@ -498,13 +503,12 @@ def test_stabilizer_intervals_match_fraction_oracle():
 
 
 def test_components_never_build_the_product(monkeypatch, cold_caches):
-    import demtensor.decomp as decomp
+    from demtensor import crystal
 
     def refuse(*args):
         raise AssertionError("the product set was built")
 
-    monkeypatch.setattr(decomp, "tensor_demazure", refuse)
-    monkeypatch.setattr(decomp, "tensor_product_elements", refuse)
+    monkeypatch.setattr(crystal, "tensor_product_elements", refuse)
     report = decompose(WA2, oracle=True, **EX1)
     assert sorted(len(e.elements) for e in report.entries) == [2, 6, 7]
     pi = report.entries[0].pi
@@ -536,7 +540,7 @@ def test_labelling_pass_matches_a_search_from_each_dominant_pair():
                 assert Subset(product.space, comp.ids).tops() == [top], (v, w, lam, mu)
                 labelled[top] = comp.ids
             searched = {
-                decomp._pair_code(product, pi): decomp._component_codes(product, pi)
+                decomp._pair_code(product, pi): searched_codes(product, pi)
                 for pi in dominant_paths(group, w, mu, lam)
             }
             assert labelled == searched, (v, w, lam, mu)
@@ -567,7 +571,7 @@ def _corrupt_a_raising_step(where):
     product = decomp._product(WA2, **EX1)
     space, n = product.space, product.space.n
     paths = dominant_paths(WA2, EX1["w"], EX1["mu"], EX1["lam"])
-    first, second = (decomp._component_codes(product, pi) for pi in paths[:2])
+    first, second = (searched_codes(product, pi) for pi in paths[:2])
     outside = min(set(range(len(space.left))) - product.ids.left)
     if where == "first":
         c = min(c for c in first if max(space._steps(c)[1::2]) < 0)

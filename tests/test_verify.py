@@ -1,16 +1,22 @@
 """The sweeps of `verify`: coset representatives, ascent pairs, reduced words."""
 
 import functools
+import gc
 import itertools
+import os
+import subprocess
+import sys
+import weakref
 
 import pytest
 
 import coset_oracle
-from demtensor import decomp, keypoly, verify
+from demtensor import crystal, decomp, keypoly, verify
 from demtensor.cartan import root_system
+from demtensor.crystal import Subset, generate_crystal, tensor_space
 from demtensor.decomp import dominant_paths
 from demtensor.verify import _ascent_pairs, _coset_reps, _reduced_words, parse_grid
-from demtensor.weyl import weyl_group
+from demtensor.weyl import WeylGroup, weyl_group
 
 GRIDS = ["A3:1", "B2:2", "G2:1"]
 
@@ -22,6 +28,35 @@ def test_coset_reps_are_the_scanned_minimal_representatives(name):
     for lam in grid.shapes:
         expected = coset_oracle.minimal_coset_reps(group, group.stabilizer_indices(lam))
         assert tuple(_coset_reps(group, lam)) == expected, lam
+
+
+def test_coset_reps_scan_the_group_once_per_stabilizer_mask(monkeypatch):
+    """The representatives are memoized by (group, stabilizer mask): every
+    shape of a grid, asked twice, costs one scan of the group per distinct
+    mask, and the memo holds what that scan finds."""
+    verify._reps_by_mask.cache_clear()
+    original = WeylGroup._right_descent_mask
+    scanned = []
+
+    def counted(group, w):
+        scanned.append(group)
+        return original(group, w)
+
+    monkeypatch.setattr(WeylGroup, "_right_descent_mask", counted)
+    grids = [parse_grid(name) for name in GRIDS] + verify.default_grids()
+    masks = set()
+    for grid in grids * 2:
+        group = grid.group
+        for lam in grid.shapes:
+            mask = group._mask(group.stabilizer_indices(lam))
+            masks.add((group, mask))
+            assert _coset_reps(group, lam) == list(verify._reps_by_mask(group, mask))
+    assert len(scanned) == sum(len(group) for group, _ in masks)
+    monkeypatch.undo()
+    for group, mask in masks:
+        scan = [w for w in group if not group._right_descent_mask(w) & mask]
+        assert list(verify._reps_by_mask(group, mask)) == scan
+    assert len(masks) < sum(len(grid.shapes) for grid in grids)
 
 
 @pytest.mark.parametrize("name", GRIDS)
@@ -56,13 +91,14 @@ def test_reduced_words_equal_the_brute_force_filter(letter, rank):
 
 
 def _spy(monkeypatch, name, key):
-    """Wrap verify's `name`, recording the key of every call."""
+    """Wrap verify's `name`, recording the key of its positional arguments
+    on every call; keyword arguments are passed through."""
     original = getattr(verify, name)
     calls = []
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(key(*args))
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(verify, name, spy)
     return calls
@@ -148,3 +184,128 @@ def test_demazure_finish_is_the_interval_maximum(monkeypatch, name):
     # the finish is not vacuous: both factors are often not the identity
     group = grid.group
     assert sum(u1 is not group.identity and wj is not group.identity for u1, wj, _, _ in finishes)
+
+
+def test_concatenation_suite_concatenates_each_pair_code_once(monkeypatch):
+    """tensor-vs-concatenation concatenates every pair of every product of
+    the grid once, and reads the steps' targets off those concatenations."""
+    calls = _spy(monkeypatch, "concatenate", lambda left, right: (left, right))
+    grids = verify.default_grids()
+    for grid in grids:
+        assert verify.suite_tensor_vs_concatenation(grid) is None
+    expected = []
+    for grid in grids:
+        for lam, mu in itertools.product(grid.shapes, repeat=2):
+            space = tensor_space(generate_crystal(grid.rs, lam), generate_crystal(grid.rs, mu))
+            expected += [(pair.left, pair.right) for pair in map(space._decode, range(len(space)))]
+    assert calls == expected
+    assert len(expected) == 277
+
+
+class _Tracked(Subset):
+    """A labelled component that a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _track_labels(monkeypatch):
+    """Wrap `components_of` in decomp: each component it hands out is
+    followed by a weak reference, one list of them per labelling pass."""
+    label = decomp.components_of
+    passes = []
+
+    def tracked(rs, members):
+        comps = [_Tracked(comp.space, comp.ids, tuple(comp.tops())) for comp in label(rs, members)]
+        passes.append([weakref.ref(comp) for comp in comps])
+        return comps
+
+    monkeypatch.setattr(decomp, "components_of", tracked)
+    return passes
+
+
+def _recursion_products(grid):
+    """The number of distinct products labelled by suite_recursion: per
+    (lam, mu, w), the products of v and s_i v over the ascents (v, i)."""
+    group = grid.group
+    count = 0
+    for lam, mu in itertools.product(grid.shapes, repeat=2):
+        ascents = _ascent_pairs(group, _coset_reps(group, lam))
+        for w in _coset_reps(group, mu):
+            count += len({
+                keypoly.product_key(group, u, w, lam, mu)
+                for v, i in ascents
+                for u in (v, group.multiply(group.simple(i), v))
+            })
+    return count
+
+
+@pytest.mark.parametrize("name", ["B2:1", "G2:1"])
+def test_recursion_and_witness_oracle_search_nothing(monkeypatch, name):
+    """Both suites read their components off one labelling per product
+    and per (lam, mu, w) loop, with no single-component search; the labels
+    are dropped with the loop, so none survives the suite and a second
+    run labels the same products again."""
+    grid = parse_grid(name)
+    searches, search = [], crystal._search
+    monkeypatch.setattr(crystal, "_search", lambda *args: searches.append(args) or search(*args))
+    passes = _track_labels(monkeypatch)
+    loops = sum(len(_coset_reps(grid.group, mu)) for mu in grid.shapes) * len(grid.shapes)
+    for suite, labelled in [
+        (verify.suite_recursion, _recursion_products(grid)),
+        (verify.suite_witness_oracle, loops),
+    ]:
+        for _ in range(2):
+            del passes[:]
+            assert suite(grid) is None
+            gc.collect()
+            assert len(passes) == labelled, suite.__name__
+            refs = [ref for comps in passes for ref in comps]
+            assert refs and all(ref() is None for ref in refs), suite.__name__
+    assert searches == []
+
+
+def test_unlabelled_pair_fails_structurally_under_optimized_mode():
+    """When a dominant pair is not the top of a labelled component, the
+    recursion suite names its instance and the witness oracle raises
+    TheoremViolation, so `verify` exits 2, also under python -O."""
+    import demtensor
+
+    src = os.path.dirname(os.path.dirname(demtensor.__file__))
+    script = (
+        "import sys; sys.path[:0] = [%r]\n"
+        "from demtensor import decomp, verify\n"
+        "from demtensor.cli import main\n"
+        "label = decomp.components_of\n"
+        "decomp.components_of = lambda rs, members: label(rs, members)[:-1]\n"
+        "print(verify.suite_recursion(verify.parse_grid('A2:1')))\n"
+        "print('exit', main(['verify', '--grid', 'A2:1']))\n"
+        % src
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    message = "is not the top of a labelled component"
+    assert lines[0].startswith("v=") and lines[0].endswith(message)
+    assert lines[-1] == "exit 2"
+    assert out.stderr.startswith("structural failure: the pair of ")
+    assert out.stderr.rstrip().endswith(message)
+
+
+def test_word_closure_suite_sees_a_missing_pair(monkeypatch):
+    """A closure that misses one pair of the product fails word-closure at
+    the first coset pair under the condition, named in the message."""
+    grid = parse_grid("A2:1")
+    closure = verify._closure_codes
+    seen = []
+
+    def short(group, word, w, lam, mu):
+        space, codes = closure(group, word, w, lam, mu)
+        seen.append(group.from_word(word))
+        seen.append(w)
+        return space, codes - {max(codes)}
+
+    monkeypatch.setattr(verify, "_closure_codes", short)
+    assert verify.suite_word_closure(grid) == "closure misses the product at v=%r w=%r" % tuple(seen[:2])
+    assert len(seen) == 2
