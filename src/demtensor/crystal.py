@@ -32,9 +32,13 @@ tensor rule reads phi of the left id against eps of the right one.
 Both kinds of space hold their steps in rows (`_Rows`): row a lists f_i and
 e_i of the codes a * n .. a * n + n - 1.  A crystal is one row; a product
 fills the row of a left id on first touch, so only the left ids a search
-meets cost anything.  The hot readers (searches, closures, tops, the
+meets cost anything.  The hot readers (searches, the closure, tops, the
 labelling pass of `components_of`, isomorphism and string tests) index the
-rows themselves; `f_op`/`e_op` decode the step of an element's code in its
+rows themselves.  `lower_closure` is the one closure of the package: it
+grows a set of ids along the lowering strings of a word, read right to
+left.  Demazure crystals, the word closures of products, the grown side
+of the recursion formula and the closed side of the product rule are its
+results.  `f_op`/`e_op` decode the step of an element's code in its
 compiled space, and `eps`/`phi` count steps along the rows.  Ids follow the
 sort order, so code order is the sort order of the pairs and the least
 element of a set is its minimum.  Components, isomorphism tests, closures
@@ -275,14 +279,6 @@ def eps(x, i):
 def phi(x, i):
     """Number of lowering steps to the bottom of the i-string through x."""
     return _string_steps(x, 2 * i - 2)
-
-
-def f_string_closure(elements, i):
-    """Union of all lowering powers of a set, the formal zero dropped."""
-    subset = compiled_subset(elements)
-    if not subset.ids:
-        return set()
-    return set(subset.space._decoded(lower_closure(subset.space, subset.ids, i)))
 
 
 # -- compiled crystals ------------------------------------------------------------
@@ -646,35 +642,26 @@ def compiled_subset(elements):
     return Subset(space, frozenset(map(space._encode, members)))
 
 
-def _grow(space, grown, i, within=None):
-    """Add the f_i-powers of the members of the set `grown` to it, reading
-    the rows; False at the first id outside `within`, True otherwise.
-
-    A walk down a string stops at the first id already taken, whose own
-    string is then walked from it or was walked already.
-    """
+def lower_closure(space, seeds, word, within=None):
+    """The seeds grown along the lowering strings of the word, its letters
+    read right to left: per letter i, the f_i string from each id taken so
+    far is walked on the rows down to the formal zero or the first id
+    already taken.  A frozenset of ids (or pair codes); with `within`, a
+    container of ids, None at the first id outside it."""
     rows, n, fill = space._rows, space.n, space._row
-    k = 2 * i - 2
-    for x in list(grown):
-        while True:
-            a = x // n
-            x = (rows[a] or fill(a))[k][x % n]
-            if x < 0 or x in grown:
-                break
-            if within is not None and x not in within:
-                return False
-            grown.add(x)
-    return True
-
-
-def lower_closure(space, ids, i, within=None):
-    """The ids together with all their f_i-powers, the formal zero dropped.
-
-    With `within`, a container of ids, the closure stops at the first id
-    outside it and returns None.
-    """
-    grown = set(ids)
-    return frozenset(grown) if _grow(space, grown, i, within) else None
+    grown = set(seeds)
+    for i in reversed(word):
+        k = 2 * i - 2
+        for x in list(grown):
+            while True:
+                a = x // n
+                x = (rows[a] or fill(a))[k][x % n]
+                if x < 0 or x in grown:
+                    break
+                if within is not None and x not in within:
+                    return None
+                grown.add(x)
+    return frozenset(grown)
 
 
 # Largest crystal B(lam) generated by closure; the Weyl dimension formula
@@ -768,24 +755,15 @@ def _search(space, seed, member):
     return frozenset(seen)
 
 
-def induced_component(rs, seed, members):
-    """Connected component of the induced graph through the seed.
-
-    On a `Subset` the seed is an id (or pair code) of its space and so is
-    the result.  Any other `members` is a finite set of crystal elements of
-    one compiled space; it is encoded, the search runs on its codes, and
-    the result is decoded.
-    """
+def induced_component(seed, members):
+    """Connected component through the seed of the graph induced on a
+    `Subset`: the seed and the result are ids (or pair codes) of its space."""
     if seed not in members:
         raise ValueError("seed does not satisfy the membership predicate")
-    if isinstance(members, Subset):
-        return _search(members.space, seed, members.ids.__contains__)
-    subset = compiled_subset(members)
-    space = subset.space
-    return space._decoded(induced_component(rs, space._encode(seed), subset))
+    return _search(members.space, seed, members.ids.__contains__)
 
 
-def components_of(rs, members):
+def components_of(members):
     """All connected components of the induced graph, ordered by their
     least members, for a set of members closed under every e_i.
 
@@ -801,15 +779,13 @@ def components_of(rs, members):
     joins equal labels too, so the labels are the components and each
     has its label as its one top.
 
-    On a `Subset` the components are Subsets of its space with their tops
-    given; any other `members` is a finite set of crystal elements of one
-    compiled space, and the components are decoded.
+    The members are a `Subset`, and the components are Subsets of its space
+    with their tops given.
     """
-    subset = compiled_subset(members)
-    if not subset.ids:
+    if not members.ids:
         return []
-    space = subset.space
-    order = sorted(subset.ids)
+    space = members.space
+    order = sorted(members.ids)
     inside = set(order)
     rows, n, fill = space._rows, space.n, space._row
     raising = range(1, 2 * space.rank, 2)
@@ -853,10 +829,7 @@ def components_of(rs, members):
                 "lands in another component" if y in label else "leaves the set",
                 space._decode(x),
             ))
-    out = [Subset(space, frozenset(part), (top,)) for top, part in parts.items()]
-    if isinstance(members, Subset):
-        return out
-    return [space._decoded(comp.ids) for comp in out]
+    return [Subset(space, frozenset(part), (top,)) for top, part in parts.items()]
 
 
 # -- characters -------------------------------------------------------------------

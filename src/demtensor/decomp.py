@@ -38,7 +38,10 @@ The product B_v(lam) (x) B_w(mu) is never built: a pair is the integer code
 a * |B(mu)| + b of its ids in the compiled crystals, and membership is
 tested factor by factor against the two Demazure id sets.  Components,
 isomorphism certificates, the recursion and the product rule run on these
-codes; `TensorElement`s are decoded only for the values returned.
+codes; `TensorElement`s are decoded only for the values returned.  Every
+closure here is `crystal.lower_closure`: the test of a component along
+x's word, the word closure of a product (`closure_product`), and the
+i-closures of the recursion formula and the product rule.
 
 `decompose` labels every component of its product in one pass
 (`crystal.components_of`): the product is closed under every e_i, each
@@ -64,11 +67,9 @@ from .crystal import (
     MultipleHighestWeights,
     PairBox,
     Subset,
-    _grow,
     _refuse_oversized_product,
     compiled_subset,
     components_of,
-    generate_crystal,
     induced_component,
     lower_closure,
     tensor_space,
@@ -134,13 +135,13 @@ def component(group, pi, v, w, lam, mu):
     """
     product = _product(group, v, w, lam, mu)
     space = product.space
-    return space._decoded(induced_component(space.rs, _pair_code(product, pi), product))
+    return space._decoded(induced_component(_pair_code(product, pi), product))
 
 
-def _components_by_top(group, product):
+def _components_by_top(product):
     """Every component of the product as a Subset, keyed by its one top,
     from one `components_of` pass."""
-    return {comp.tops()[0]: comp for comp in components_of(group.rs, product)}
+    return {comp.tops()[0]: comp for comp in components_of(product)}
 
 
 def _labelled_component(group, pi, v, w, lam, mu, labels):
@@ -156,7 +157,7 @@ def _labelled_component(group, pi, v, w, lam, mu, labels):
     labelled = labels.get(key)
     if labelled is None:
         product = _product(group, v, w, lam, mu)
-        labelled = labels[key] = product, _components_by_top(group, product)
+        labelled = labels[key] = product, _components_by_top(product)
     product, tops = labelled
     comp = tops.get(_pair_code(product, pi))
     if comp is None:
@@ -331,8 +332,8 @@ def _closure_match(group, comp, nu):
     onto the component and the isomorphism onto K both send the top to t
     and commute with the raising arrows inside B_x(nu), which reach every
     element from the top, so they are equal: the component is B_x(nu)
-    exactly when it equals K.  The closure grows one set along the word,
-    reading the rows, and stops at the first code outside the component.
+    exactly when it equals K.  `lower_closure` grows K inside the
+    component and stops at the first code outside it.
     """
     space, ids, top = comp.space, comp.ids, comp.tops()[0]
     if space._weight(top) != nu:
@@ -346,11 +347,8 @@ def _closure_match(group, comp, nu):
     if len(candidates) != 1:
         return None
     x = candidates[0]
-    closure = {top}
-    for i in reversed(x.word):
-        if not _grow(space, closure, i, within=ids):
-            return None
-    return x if len(closure) == len(ids) else None
+    closure = lower_closure(space, (top,), x.word, within=ids)
+    return x if closure is not None and len(closure) == len(ids) else None
 
 
 def path_witness_by_search(group, pi, w, mu, lam, labels=None):
@@ -358,7 +356,8 @@ def path_witness_by_search(group, pi, w, mu, lam, labels=None):
     which reads weights and closes the top pair along a word inside the
     product, never the recursion.
 
-    The component is read off the labels of B(lam) (x) B_w(mu)
+    The component is read off the labels of b_lam (x) B_w(mu), the one
+    path b_lam of B_e(lam) against B_w(mu), so |B_w(mu)| pairs
     (`_labelled_component`): from `labels` when the product is in it, else
     from one `components_of` pass added there.  Without `labels` the call
     labels the product itself.  A pair that is not a labelled top raises
@@ -520,8 +519,8 @@ def decompose(group, v, w, lam, mu, oracle=False):
     cond = condition_check(group, v, w, lam, mu)
     word = lift_word(group, v, w, lam, mu) if cond else None
     product = _product(group, v, w, lam, mu)
-    components = _components_by_top(group, product)
-    # the oracle's labels of B(lam) (x) B_w(mu), shared by the dominant paths
+    components = _components_by_top(product)
+    # the oracle's labels of b_lam (x) B_w(mu), shared by the dominant paths
     labels = {}
     entries = []
     named = set()
@@ -570,22 +569,11 @@ def decompose(group, v, w, lam, mu, oracle=False):
 
 
 def closure_product(group, word, w, lam, mu):
-    """Close (top of lam) x (crystal of w, mu) under lowering strings of a word."""
-    space, codes = _closure_codes(group, word, w, lam, mu)
-    return space._decoded(codes)
-
-
-def _closure_codes(group, word, w, lam, mu):
-    """`closure_product` on pair codes: the tensor space of B(lam) and
-    B(mu), and the set of codes grown from (top of lam) x B_w(mu) along
-    the lowering strings of the word, read right to left."""
-    right = generate_demazure(group, w, mu).subset
-    left = generate_crystal(group.rs, tuple(lam))
-    space = tensor_space(left, right.space)
-    codes = set(space.pairs((left.top,), right.ids))
-    for i in reversed(word):
-        _grow(space, codes, i)
-    return space, codes
+    """The closure of (top of lam) x B_w(mu) under the lowering strings of
+    the word, read right to left, as a Subset of the pair codes of
+    B(lam) (x) B(mu)."""
+    seeds = _product(group, group.identity, w, lam, mu)
+    return Subset(seeds.space, lower_closure(seeds.space, seeds.ids, word))
 
 
 # -- the recursion formula -------------------------------------------------------------
@@ -625,7 +613,7 @@ def recursive_component(group, pi, v, i, w, lam, mu, labels=None):
     space, right_ids = comp.space, generate_demazure(group, w, mu).subset.ids
     left, right, n = space.left, space.right, space.n
     fl, fr = left.f_table[i - 1], right.f_table[i - 1]
-    grown = lower_closure(space, comp.ids, i)
+    grown = lower_closure(space, comp.ids, (i,))
     removed = set()
     for c in comp.ids:
         a, b = divmod(c, n)
@@ -693,29 +681,31 @@ class LeibnizResult:
 def leibniz_check(group, v, w, lam, mu, i):
     """Both sides of the product rule for the i-lowering closure.
 
-    Closing the whole product under the i-strings equals the product with
-    the left factor grown, plus the reflected tops of the left factor
-    against the freshly grown part of the right factor; the two parts are
-    disjoint.
+    Closing the whole product under the i-strings (`lower_closure` along
+    the word (i,)) equals the product with the left factor grown, `first`,
+    plus the reflected tops of the left factor against the freshly grown
+    part of the right factor, `second`.  The two parts are disjoint by
+    construction: the right ids of `first` lie in B_w(mu), and those of
+    `second` in B_{s_i w}(mu) minus B_w(mu).  The equality is the identity
+    under test; `disjoint` is kept as a check of the construction.
     """
     rs = group.rs
     if group._left_descent_mask(v) & 1 << (i - 1):
         raise ValueError("the color must increase the length of v")
     si = group.simple(i)
-    left = generate_demazure(group, v, lam).subset
-    right = generate_demazure(group, w, mu).subset
-    space = tensor_space(left.space, right.space)
-    lhs = lower_closure(space, space.pairs(left.ids, right.ids), i)
+    product = _product(group, v, w, lam, mu)
+    space, box = product.space, product.ids
+    lhs = lower_closure(space, box, (i,))
     grown_left = generate_demazure(group, group.multiply(si, v), lam).subset
-    first = space.pairs(grown_left.ids, right.ids)
-    crystal = left.space
+    first = space.pairs(grown_left.ids, box.right)
+    crystal = space.left
     e, f = crystal.e_table[i - 1], crystal.f_table[i - 1]
     lifted_tops = set()
-    for b in left.ids:
-        while e[b] >= 0:
-            b = e[b]
+    for a in box.left:
+        while e[a] >= 0:
+            a = e[a]
         # at the top of its string the pairing is phi, so the lift is f^phi
-        lifted_tops.add(_f_power(f, b, rs.pairing(crystal.weights[b], i)))
+        lifted_tops.add(_f_power(f, a, rs.pairing(crystal.weights[a], i)))
     grown_right = generate_demazure(group, group.multiply(si, w), mu).subset
-    second = space.pairs(lifted_tops, grown_right.ids - right.ids)
+    second = space.pairs(lifted_tops, grown_right.ids - box.right)
     return LeibnizResult(space, lhs, first, second)

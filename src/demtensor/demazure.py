@@ -2,9 +2,10 @@
 
 A Demazure crystal is generated from the straight dominant path by closing
 under one lowering operator at a time along a reduced word, processed right
-to left.  The closure runs on the ids of the compiled crystal B(lam): a
-Demazure crystal is a frozenset of ids, closed along its witness word on
-the f arrays, and its paths are decoded only when `elements` is read.  Its
+to left.  The closure is `crystal.lower_closure` on the ids of the compiled
+crystal B(lam), and so is `f_closure`'s growth by one letter: a Demazure
+crystal is a frozenset of ids, closed along its witness word on the f
+arrays, and its paths are decoded only when `elements` is read.  Its
 element set only depends on the coset of the word's element modulo the
 shape stabilizer, so the stored witness is always the minimal coset
 representative, making equality of generated crystals decidable by
@@ -18,13 +19,12 @@ from functools import lru_cache
 
 from .crystal import (
     Subset,
-    _grow,
     compiled_subset,
     e_op,
     eps,
     f_op,
-    f_string_closure,
     generate_crystal,
+    lower_closure,
 )
 from .lspath import in_orbit, orbit_leq, straight_path
 from .weyl import weyl_group
@@ -77,24 +77,16 @@ class DemazureCrystal:
         )
 
 
-def _word_closure(crystal, word):
-    """The ids of the Demazure crystal of a word, closed right to left."""
-    ids = {crystal.top}
-    for i in reversed(word):
-        _grow(crystal, ids, i)
-    return frozenset(ids)
-
-
 def demazure_elements_for_word(rs, word, lam):
     """Close the straight path under lowering strings along the word, right to left."""
     crystal = generate_crystal(rs, tuple(lam))
-    return crystal._decoded(_word_closure(crystal, word))
+    return crystal._decoded(lower_closure(crystal, (crystal.top,), word))
 
 
 @lru_cache(maxsize=None)
 def _generate_demazure_cached(group, witness, lam):
     crystal = generate_crystal(group.rs, lam)
-    subset = Subset(crystal, _word_closure(crystal, witness.word))
+    subset = Subset(crystal, lower_closure(crystal, (crystal.top,), witness.word))
     if subset.tops() != [crystal.top]:
         raise AssertionError(
             "the Demazure crystal of %r has a top other than the straight path" % (witness,)
@@ -155,15 +147,16 @@ def f_closure(group, demazure, k):
 
     The result is again a Demazure crystal: the witness grows by s_k exactly
     when that increases its length; both branches are asserted against a
-    fresh generation.
+    fresh generation, on ids.
     """
-    closed = f_string_closure(demazure.elements, k)
+    subset = demazure.subset
+    closed = lower_closure(subset.space, subset.ids, (k,))
     w = demazure.witness
     if not group._left_descent_mask(w) & 1 << (k - 1):
         expected = generate_demazure(group, group.multiply(group.simple(k), w), demazure.shape)
     else:
         expected = demazure
-    if closed != expected.elements:
+    if closed != expected.subset.ids:
         raise AssertionError("lowering closure disagrees with the generated crystal")
     return expected
 

@@ -44,8 +44,8 @@ from .crystal import (
 from .decomp import (
     OracleMismatch,
     TheoremViolation,
-    _closure_codes,
     checked_path_witness,
+    closure_product,
     condition_check,
     decompose,
     dominant_paths,
@@ -238,7 +238,7 @@ def suite_full_tensor_partition(grid):
             for b, pi in enumerate(right):
                 if not pi.is_dominant_for(lam):
                     continue
-                comp = induced_component(grid.rs, left.top * space.n + b, members)
+                comp = induced_component(left.top * space.n + b, members)
                 if covered & comp:
                     return "components overlap at %r" % (pi,)
                 covered |= comp
@@ -288,10 +288,10 @@ def suite_word_closure(grid):
             for v, w in _coset_pairs(grid.group, lam, mu):
                 if not condition_check(grid.group, v, w, lam, mu):
                     continue
-                space, closed = _closure_codes(grid.group, v.word, w, lam, mu)
+                closed = closure_product(grid.group, v.word, w, lam, mu)
                 left = generate_demazure(grid.group, v, lam).subset
                 right = generate_demazure(grid.group, w, mu).subset
-                if closed != space.pairs(left.ids, right.ids):
+                if closed.ids != closed.space.pairs(left.ids, right.ids):
                     return "closure misses the product at v=%r w=%r" % (v, w)
     return None
 

@@ -368,6 +368,43 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
+def unused_imports(source, name):
+    """Names an import binds in the source that no expression reads and
+    `__all__` does not list, as "name:line binding"."""
+    tree = ast.parse(source, filename=name)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return ["%s:%d %s" % (name, line, binding) for line, binding in bound if binding not in used]
+
+
+def test_every_import_of_the_package_is_used():
+    """A deletion leaves no import behind: every name a module of the
+    package imports is read in it or listed in its `__all__`."""
+    package = os.path.dirname(demtensor.__file__)
+    names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert {"__init__.py", "crystal.py", "decomp.py", "demazure.py", "verify.py"} <= set(names)
+    # the scan names a planted unused import, and passes a used, an exported
+    # and an attribute-only one
+    probe = (
+        "import os.path\nfrom .weyl import weyl_group, WeylGroup as W\n"
+        "from .cartan import vadd\n__all__ = ['W']\nos.sep\nvadd((), ())\n"
+    )
+    assert unused_imports(probe, "probe.py") == ["probe.py:2 weyl_group"]
+    found = []
+    for name in names:
+        with open(os.path.join(package, name)) as handle:
+            found += unused_imports(handle.read(), name)
+    assert found == []
+
+
 WEYL_TABLES = {
     "_rmul", "_inv", "_len", "_rdes", "_support", "_walk", "_coset_floor", "_coset_ceiling",
 }

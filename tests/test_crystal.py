@@ -12,6 +12,7 @@ from demtensor.cartan import root_system, vadd, vsub
 from demtensor.crystal import (
     CharPoly,
     MultipleHighestWeights,
+    PairBox,
     Subset,
     TensorElement,
     _path_e,
@@ -22,7 +23,6 @@ from demtensor.crystal import (
     element_sort_key,
     eps,
     f_op,
-    f_string_closure,
     generate_crystal,
     induced_component,
     is_isomorphic,
@@ -231,36 +231,35 @@ def test_full_tensor_partition_into_dominant_components():
     lam, mu = (1, 1), (1, 0)
     left = generate_crystal(A2, lam)
     right = generate_crystal(A2, mu)
-    prod = tensor_product_elements(left.vertices, right.vertices)
-    dominant = [b for b in right if b.is_dominant_for(lam)]
-    top = straight_path(A2, lam)
+    space = tensor_space(left, right)
+    prod = Subset(space, range(len(space)))
     comps = []
-    for piel in dominant:
-        comp = induced_component(A2, TensorElement(top, piel), prod)
+    for b, piel in enumerate(right):
+        if not piel.is_dominant_for(lam):
+            continue
+        comp = induced_component(left.top * space.n + b, prod)
         comps.append(comp)
         # and each component matches the full crystal of the shifted weight
         target = generate_crystal(A2, vadd(lam, weight_of(piel)))
-        assert is_isomorphic(A2, comp, frozenset(target.vertices))
+        assert is_isomorphic(A2, Subset(space, comp), frozenset(target.vertices))
     assert sum(len(c) for c in comps) == len(prod)
-    assert frozenset().union(*comps) == prod
-    assert comps == components_of(A2, prod)[: len(comps)] or len(comps) == len(
-        components_of(A2, prod)
-    )
+    assert frozenset().union(*comps) == frozenset(prod.ids)
+    assert [comp.ids for comp in components_of(prod)] == sorted(comps, key=min)
 
 
 def test_induced_component_whole_crystal():
     crystal = generate_crystal(A2, (1, 1))
-    members = frozenset(crystal.vertices)
-    comp = induced_component(A2, crystal.vertices[0], members)
-    assert comp == members
+    members = Subset(crystal, range(len(crystal)))
+    assert induced_component(crystal.top, members) == frozenset(members.ids)
     with pytest.raises(ValueError):
-        induced_component(A2, straight_path(A2, (5, 5)), members)
+        induced_component(len(crystal), members)
 
 
-def test_f_string_closure():
+def test_lower_closure_of_one_letter():
+    crystal = generate_crystal(A2, (1, 0))
     x = straight_path(A2, (1, 0))
-    closure = f_string_closure([x], 1)
-    assert closure == {x, f_op(x, 1)}
+    closure = lower_closure(crystal, (crystal.top,), (1,))
+    assert crystal._decoded(closure) == {x, f_op(x, 1)}
 
 
 def test_is_isomorphic_self_and_shifted():
@@ -753,9 +752,89 @@ def test_lower_closure_within_stops_at_the_first_id_outside():
     everything = frozenset(range(len(crystal)))
     seed = frozenset([crystal.top])
     for i in (1, 2):
-        closed = lower_closure(crystal, seed, i)
+        closed = lower_closure(crystal, seed, (i,))
         assert len(closed) > 1
-        assert lower_closure(crystal, seed, i, within=everything) == closed
-        assert lower_closure(crystal, seed, i, within=closed) == closed
-        assert lower_closure(crystal, seed, i, within=seed) is None
-        assert lower_closure(crystal, seed, i, within=closed - {max(closed - seed)}) is None
+        assert lower_closure(crystal, seed, (i,), within=everything) == closed
+        assert lower_closure(crystal, seed, (i,), within=closed) == closed
+        assert lower_closure(crystal, seed, (i,), within=seed) is None
+        assert lower_closure(crystal, seed, (i,), within=closed - {max(closed - seed)}) is None
+
+
+def _closure_by_definition(space, seeds, word):
+    """The seeds with every f_i-power of every id taken so far, for the
+    letters i of the word read right to left, stepping one f at a time."""
+    ids = set(seeds)
+    for i in reversed(word):
+        for x in list(ids):
+            y = space._f(x, i)
+            while y >= 0:
+                ids.add(y)
+                y = space._f(y, i)
+    return frozenset(ids)
+
+
+def _closure_cases():
+    """(space, seeds) on B(1,1) of B2 from its top, and on B(1,1) (x) B(0,1)
+    from B_{s_1}(1,1) (x) B_{s_2}(0,1) as a PairBox; every word of length
+    at most 4 over both letters."""
+    from demtensor.demazure import generate_demazure
+
+    group = weyl_group(B2)
+    crystal = generate_crystal(B2, (1, 1))
+    assert max(map(max, crystal.phi_table)) >= 2  # a one-step walk would be seen
+    left = generate_demazure(group, group.simple(1), (1, 1)).subset
+    right = generate_demazure(group, group.simple(2), (0, 1)).subset
+    space = tensor_space(left.space, right.space)
+    words = [w for k in range(5) for w in itertools.product((1, 2), repeat=k)]
+    return [(crystal, (crystal.top,)), (space, PairBox(left.ids, right.ids, space.n))], words
+
+
+def test_lower_closure_is_the_composition_of_its_letters():
+    """On a crystal and on a product space, a word's closure is its
+    one-letter closures applied right to left, and is the closure by
+    definition; the order of the letters matters."""
+    cases, words = _closure_cases()
+    for space, seeds in cases:
+        for word in words:
+            closed = lower_closure(space, seeds, word)
+            step = frozenset(seeds)
+            for i in reversed(word):
+                step = lower_closure(space, step, (i,))
+            assert closed == step == _closure_by_definition(space, seeds, word), word
+        assert lower_closure(space, seeds, (1, 2)) != lower_closure(space, seeds, (2, 1))
+
+
+def test_lower_closure_of_pair_box_seeds_and_of_the_empty_word():
+    """PairBox seeds close to the same set as the same seeds as a
+    frozenset, and the empty word returns the seeds."""
+    cases, words = _closure_cases()
+    for space, seeds in cases:
+        assert lower_closure(space, seeds, ()) == frozenset(seeds)
+        for word in words:
+            assert lower_closure(space, seeds, word) == lower_closure(space, frozenset(seeds), word)
+
+
+class _Watched:
+    """A `within` container that records every membership query."""
+
+    def __init__(self, ids):
+        self.ids = ids
+        self.asked = []
+
+    def __contains__(self, c):
+        self.asked.append(c)
+        return c in self.ids
+
+
+def test_lower_closure_within_returns_none_at_the_first_pair_code_outside():
+    """On the product space, taking any grown code out of `within` makes
+    the closure None, and it asks about no code after the first outside."""
+    (_, (space, seeds)), _ = _closure_cases()
+    word = (1, 2, 1)
+    closed = lower_closure(space, seeds, word)
+    grown = closed - frozenset(seeds)
+    assert grown and lower_closure(space, seeds, word, within=closed) == closed
+    for c in grown:
+        within = _Watched(closed - {c})
+        assert lower_closure(space, seeds, word, within=within) is None
+        assert within.asked[-1] == c and c not in within.asked[:-1]

@@ -39,7 +39,7 @@ F = Fraction
 def searched_codes(product, pi):
     """The pair codes of the component of (top path, pi) in the product,
     found by a search from that pair."""
-    return induced_component(product.space.rs, decomp._pair_code(product, pi), product)
+    return induced_component(decomp._pair_code(product, pi), product)
 
 
 def el(*word):
@@ -242,7 +242,24 @@ def test_closure_product_matches_product_under_condition():
     kw = EX1
     vfloor = WA2.coset_min_weight(kw["v"], kw["lam"])
     closed = closure_product(WA2, vfloor.word, kw["w"], kw["lam"], kw["mu"])
-    assert closed == tensor_demazure(WA2, kw["v"], kw["w"], kw["lam"], kw["mu"])
+    assert closed.elements() == tensor_demazure(WA2, kw["v"], kw["w"], kw["lam"], kw["mu"])
+
+
+def test_witness_oracle_labels_the_straight_path_against_b_w():
+    """The oracle labels b_lam (x) B_w(mu): the left factor of its product
+    is B_e(lam), the straight path alone, so the product has |B_w(mu)|
+    pairs, one per element of the right factor."""
+    from demtensor.demazure import generate_demazure
+
+    lam, mu = (1, 1), (1, 1)
+    for w in WA2:
+        right = generate_demazure(WA2, w, mu)
+        for pi in dominant_paths(WA2, w, mu, lam):
+            labels = {}
+            path_witness_by_search(WA2, pi, w, mu, lam, labels)
+            ((product, tops),) = labels.values()
+            assert set(product.ids.left) == {product.space.left.top}
+            assert len(product) == len(right) == sum(map(len, tops.values()))
 
 
 def test_recursive_component_reaches_example3():
@@ -533,7 +550,7 @@ def test_labelling_pass_matches_a_search_from_each_dominant_pair():
                 for lam, mu, v, w in itertools.product(grid.shapes, grid.shapes, group, group)}
         for _, v, w, lam, mu in sorted(keys, key=repr):
             product = decomp._product(group, v, w, lam, mu)
-            comps = components_of(grid.rs, product)
+            comps = components_of(product)
             labelled = {}
             for comp in comps:
                 (top,) = comp.tops()
@@ -550,7 +567,7 @@ def test_labelling_pass_matches_a_search_from_each_dominant_pair():
         for lam, mu in itertools.product(grid.shapes, repeat=2):
             left, right = generate_crystal(grid.rs, lam), generate_crystal(grid.rs, mu)
             space = tensor_space(left, right)
-            comps = components_of(grid.rs, Subset(space, range(len(space))))
+            comps = components_of(Subset(space, range(len(space))))
             assert sum(map(len, comps)) == len(space)
             assert frozenset().union(*(comp.ids for comp in comps)) == frozenset(range(len(space)))
             assert sorted(comp.tops()[0] for comp in comps) == [

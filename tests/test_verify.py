@@ -214,8 +214,8 @@ def _track_labels(monkeypatch):
     label = decomp.components_of
     passes = []
 
-    def tracked(rs, members):
-        comps = [_Tracked(comp.space, comp.ids, tuple(comp.tops())) for comp in label(rs, members)]
+    def tracked(members):
+        comps = [_Tracked(comp.space, comp.ids, tuple(comp.tops())) for comp in label(members)]
         passes.append([weakref.ref(comp) for comp in comps])
         return comps
 
@@ -276,7 +276,7 @@ def test_unlabelled_pair_fails_structurally_under_optimized_mode():
         "from demtensor import decomp, verify\n"
         "from demtensor.cli import main\n"
         "label = decomp.components_of\n"
-        "decomp.components_of = lambda rs, members: label(rs, members)[:-1]\n"
+        "decomp.components_of = lambda members: label(members)[:-1]\n"
         "print(verify.suite_recursion(verify.parse_grid('A2:1')))\n"
         "print('exit', main(['verify', '--grid', 'A2:1']))\n"
         % src
@@ -297,15 +297,49 @@ def test_word_closure_suite_sees_a_missing_pair(monkeypatch):
     """A closure that misses one pair of the product fails word-closure at
     the first coset pair under the condition, named in the message."""
     grid = parse_grid("A2:1")
-    closure = verify._closure_codes
+    closure = verify.closure_product
     seen = []
 
     def short(group, word, w, lam, mu):
-        space, codes = closure(group, word, w, lam, mu)
+        closed = closure(group, word, w, lam, mu)
         seen.append(group.from_word(word))
         seen.append(w)
-        return space, codes - {max(codes)}
+        return Subset(closed.space, closed.ids - {max(closed.ids)})
 
-    monkeypatch.setattr(verify, "_closure_codes", short)
+    monkeypatch.setattr(verify, "closure_product", short)
     assert verify.suite_word_closure(grid) == "closure misses the product at v=%r w=%r" % tuple(seen[:2])
     assert len(seen) == 2
+
+
+def _one_step_closure(space, seeds, word, within=None):
+    """A faulty `lower_closure` that walks each string at most one step
+    per letter."""
+    grown = set(seeds)
+    for i in reversed(word):
+        for x in list(grown):
+            y = space._f(x, i)
+            if y < 0 or y in grown:
+                continue
+            if within is not None and y not in within:
+                return None
+            grown.add(y)
+    return frozenset(grown)
+
+
+def test_one_step_closure_fails_every_closure_suite(monkeypatch, capsys, cold_caches):
+    """With the closure walking one step per string, in every module that
+    imports it and on cold caches, `verify --grid B2:1` exits 2 with FAIL
+    lines for the suites built on the closure.  B2:1 has an i-string of
+    length 2, so the fault is reachable."""
+    from demtensor.cli import main
+
+    grid = parse_grid("B2:1")
+    assert max(max(map(max, generate_crystal(grid.rs, lam).phi_table)) for lam in grid.shapes) >= 2
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("demtensor") and getattr(m, "lower_closure", None) is crystal.lower_closure]
+    assert {m.__name__ for m in modules} >= {"demtensor.crystal", "demtensor.demazure", "demtensor.decomp"}
+    for module in modules:
+        monkeypatch.setattr(module, "lower_closure", _one_step_closure)
+    assert main(["verify", "--grid", "B2:1"]) == 2
+    failed = {line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")}
+    assert failed >= {"string-property", "word-closure", "component-recursion", "lowering-product-rule"}
