@@ -17,7 +17,6 @@ from .cartan import parse_type
 from .crystal import MultipleHighestWeights, generate_crystal, to_dot
 from .decomp import (
     NoDemazureMatch,
-    OracleMismatch,
     TheoremViolation,
     condition_check,
     decompose,
@@ -34,7 +33,6 @@ STRUCTURAL_FAILURES = (
     MultipleHighestWeights,
     NoDemazureMatch,
     NonUniqueMaximum,
-    OracleMismatch,
     TheoremViolation,
 )
 
@@ -258,7 +256,7 @@ def build_parser():
     p = sub.add_parser("decompose", help="decompose a product of two Demazure crystals")
     add_instance_flags(p)
     p.add_argument("--dot-dir", default=None, help="write one DOT file per component")
-    p.add_argument("--oracle", action="store_true", help="cross-check witnesses by search")
+    p.add_argument("--oracle", action="store_true", help="certify the base witnesses by decompose at v = e")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("check", help="evaluate the decomposition condition")

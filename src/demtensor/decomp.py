@@ -7,10 +7,12 @@ components are named explicitly: each highest weight element sits over a
 dominant path pi, the component of the pair carries the witness u(pi, v)
 obtained by folding a reduced word over the base witness w(pi) with the
 0-Hecke product, and the base witness itself comes out of a recursion over
-the stabilizer intervals of lam + pi(t) (`path_witness`).  A search that
-reads only weights and closures (`path_witness_by_search`) provides an
-independent oracle for the same element, and `decompose` certifies every
-verdict structurally.
+the stabilizer intervals of lam + pi(t) (`path_witness`).  `decompose`
+certifies every verdict structurally, and it is the one place that
+certifies witnesses: at v = e the condition holds and u(pi, e) is the base
+witness, so `decompose` at v = e compares every base witness of
+b_lam (x) B_w(mu) with a test that reads only weights and closures.  That
+is the witness oracle, which `oracle=True` runs first.
 
 A component can match one Demazure crystal only: B_x(nu) has character
 key(x nu), keys are unitriangular (`keypoly._check_unitriangular`), so the
@@ -51,12 +53,13 @@ raising step from the product lands in the product and in the same
 component, as explicit raises, and hands each component over with its top,
 so that `_closure_match` decides it without scanning it again.  Only the
 rows of the left factor's ids are filled, and a pair's weight is added from
-its factors' weights once per distinct pair met.  The witness oracle and
-the recursion formula read their components off the same labels, one pass
-per product (`_labelled_component`), kept in a dict whose lifetime the
-caller chooses: `verify` keeps one per (lam, mu, w) loop, and a call
-without one labels its products itself.  `component` finds one component
-by a search from its pair, an independent computation of the same sets.
+its factors' weights once per distinct pair met.  The recursion formula
+reads its two components off the same labels (`_labelled`), one pass per
+product: `recursive_component` labels the products of v and s_i v, and
+`verify` labels each product once per (lam, mu, w) loop and hands the
+labelled products to the same step (`_recursion_step`).  `component`
+finds one component by a search from its pair, an independent
+computation of the same sets.
 """
 
 from functools import lru_cache
@@ -83,10 +86,6 @@ class TheoremViolation(Exception):
     """A structural, positivity or counting identity failed on concrete data."""
 
 
-class OracleMismatch(Exception):
-    """The interval recursion and the isomorphism search disagreed."""
-
-
 class NoDemazureMatch(Exception):
     """A highest-component search found no matching Demazure crystal."""
 
@@ -100,13 +99,6 @@ def dominant_paths(group, w, mu, lam):
     These index the connected components; the order is the canonical one.
     """
     return [pi for pi in generate_demazure(group, w, mu) if pi.is_dominant_for(lam)]
-
-
-def product_key(group, v, w, lam, mu):
-    """What B_v(lam) (x) B_w(mu) depends on: (group, v mod W_lam, w mod W_mu,
-    lam, mu), the cosets as minimal representatives, the shapes as tuples."""
-    lam, mu = tuple(lam), tuple(mu)
-    return group, group.coset_min_weight(v, lam), group.coset_min_weight(w, mu), lam, mu
 
 
 def _product(group, v, w, lam, mu):
@@ -138,26 +130,16 @@ def component(group, pi, v, w, lam, mu):
     return space._decoded(induced_component(_pair_code(product, pi), product))
 
 
-def _components_by_top(product):
-    """Every component of the product as a Subset, keyed by its one top,
+def _labelled(group, v, w, lam, mu):
+    """The product and its components as Subsets keyed by their one top,
     from one `components_of` pass."""
-    return {comp.tops()[0]: comp for comp in components_of(product)}
+    product = _product(group, v, w, lam, mu)
+    return product, {comp.tops()[0]: comp for comp in components_of(product)}
 
 
-def _labelled_component(group, pi, v, w, lam, mu, labels):
-    """The component of (top path, pi) in the product, read off its labels.
-
-    `labels` maps the `product_key` of a product to the product and its
-    components by top; a product met for the first time is labelled once
-    and added.  A caller that reads many components of a few products
-    passes one dict and drops it when done.  A pair that is not the top of
-    a labelled component raises TheoremViolation.
-    """
-    key = product_key(group, v, w, lam, mu)
-    labelled = labels.get(key)
-    if labelled is None:
-        product = _product(group, v, w, lam, mu)
-        labelled = labels[key] = product, _components_by_top(product)
+def _top_component(labelled, pi):
+    """The component of (top path, pi) in a `_labelled` product.  A pair
+    that is not the top of a labelled component raises TheoremViolation."""
     product, tops = labelled
     comp = tops.get(_pair_code(product, pi))
     if comp is None:
@@ -348,43 +330,23 @@ def _closure_match(group, comp, nu):
         return None
     x = candidates[0]
     closure = lower_closure(space, (top,), x.word, within=ids)
-    return x if closure is not None and len(closure) == len(ids) else None
+    return x if closure == ids else None
 
 
-def path_witness_by_search(group, pi, w, mu, lam, labels=None):
-    """Independent oracle: the component of (top, pi) by `demazure_match`,
+def path_witness_by_search(group, pi, w, mu, lam):
+    """The component of (top, pi) in b_lam (x) B_w(mu) by `demazure_match`,
     which reads weights and closes the top pair along a word inside the
     product, never the recursion.
 
-    The component is read off the labels of b_lam (x) B_w(mu), the one
-    path b_lam of B_e(lam) against B_w(mu), so |B_w(mu)| pairs
-    (`_labelled_component`): from `labels` when the product is in it, else
-    from one `components_of` pass added there.  Without `labels` the call
-    labels the product itself.  A pair that is not a labelled top raises
-    TheoremViolation.
+    b_lam is the one path of B_e(lam), so the product has |B_w(mu)|
+    pairs; it is labelled by one `components_of` pass.  A pair that is not
+    a labelled top raises TheoremViolation.
     """
-    if labels is None:
-        labels = {}
-    comp = _labelled_component(group, pi, group.identity, w, lam, mu, labels)
+    comp = _top_component(_labelled(group, group.identity, w, lam, mu), pi)
     match = demazure_match(group, comp, vadd(lam, weight_of(pi)))
     if match is None:
         raise NoDemazureMatch("component of %r matched no Demazure crystal" % (pi,))
     return match
-
-
-def checked_path_witness(group, pi, w, mu, lam, labels=None):
-    """The interval-recursion witness, verified against the search oracle,
-    which reads and extends `labels` (see `path_witness_by_search`)."""
-    witness = path_witness(group, pi, w, mu, lam)
-    nu = vadd(lam, weight_of(pi))
-    normalized = group.coset_min_weight(witness, nu)
-    oracle = path_witness_by_search(group, pi, w, mu, lam, labels)
-    if normalized != oracle:
-        raise OracleMismatch(
-            "interval recursion gave %r but the isomorphism search gave %r on %r"
-            % (witness, oracle, pi)
-        )
-    return witness
 
 
 # -- the lifted witness of a component ---------------------------------------------
@@ -418,24 +380,23 @@ def lift_word(group, v, w, lam, mu, word=None):
     return word
 
 
-def lift(group, word, pi, w, mu, lam, oracle=False, labels=None):
-    """The Demazure product of a `lift_word` over the base witness of pi;
-    with `oracle`, the base witness is checked against the search oracle,
-    which reads and extends `labels` (see `path_witness_by_search`)."""
-    if oracle:
-        base = checked_path_witness(group, pi, w, mu, lam, labels)
-    else:
-        base = path_witness(group, pi, w, mu, lam)
-    return demazure_product(group, word, base)
+def lift(group, word, pi, w, mu, lam):
+    """The Demazure product of a `lift_word` over the base witness of pi."""
+    return demazure_product(group, word, path_witness(group, pi, w, mu, lam))
 
 
 def lifted_witness(group, pi, v, w, lam, mu, word=None, oracle=False):
     """The witness u(pi, v) of the component of (top, pi) in the product.
 
     Defined when the decomposition condition holds; `word` may fix a
-    particular reduced word of the minimal representative of v.
+    particular reduced word of the minimal representative of v.  With
+    `oracle`, `decompose` at v = e first certifies every base witness of
+    b_lam (x) B_w(mu) against its component.
     """
-    return lift(group, lift_word(group, v, w, lam, mu, word), pi, w, mu, lam, oracle)
+    word = lift_word(group, v, w, lam, mu, word)
+    if oracle:
+        decompose(group, group.identity, w, lam, mu)
+    return lift(group, word, pi, w, mu, lam)
 
 
 # -- full decomposition reports -----------------------------------------------------
@@ -514,14 +475,19 @@ def decompose(group, v, w, lam, mu, oracle=False):
     must agree with the lifted witness.  Shapes that are not dominant and a
     pair space over `PAIR_SPACE_LIMIT` are refused before any crystal is
     built.
+
+    At v = e the condition holds, the lift word is empty and the lifted
+    witness is the base witness, so this check is the witness oracle.
+    With `oracle`, a call whose lift word is not empty first runs it:
+    `decompose` at v = e certifies every base witness of
+    b_lam (x) B_w(mu) against its component.
     """
     _refuse_oversized_product(group.rs, lam, mu)
     cond = condition_check(group, v, w, lam, mu)
     word = lift_word(group, v, w, lam, mu) if cond else None
-    product = _product(group, v, w, lam, mu)
-    components = _components_by_top(product)
-    # the oracle's labels of b_lam (x) B_w(mu), shared by the dominant paths
-    labels = {}
+    if oracle and word:
+        decompose(group, group.identity, w, lam, mu)
+    product, components = _labelled(group, v, w, lam, mu)
     entries = []
     named = set()
     for pi in dominant_paths(group, w, mu, lam):
@@ -536,7 +502,7 @@ def decompose(group, v, w, lam, mu, oracle=False):
         witness = _closure_match(group, comp, nu)
         expected = None
         if cond:
-            u = lift(group, word, pi, w, mu, lam, oracle, labels)
+            u = lift(group, word, pi, w, mu, lam)
             expected = group.coset_min_weight(u, nu)
         if witness is not None:
             if cond and witness != expected:
@@ -588,29 +554,35 @@ def _f_power(table, x, m):
     return x
 
 
-def recursive_component(group, pi, v, i, w, lam, mu, labels=None):
-    """Grow the component of (top, pi) from v to s_i v without a fresh search.
-
-    Close the component under the i-lowering strings, then remove the pairs
-    whose right factor has been lowered out of the right Demazure crystal;
-    those are exactly the fully lowered left factors against the escaped
-    lowerings of the right factors.  The result is compared with the
-    component of (top, pi) in the product of s_i v, and a difference raises
-    TheoremViolation.  Both components are read off the labels of their
-    products (`_labelled_component`): from `labels` when a product is in
-    it, else from one `components_of` pass added there.  Without `labels`
-    the call labels the two products itself.  All of it runs on pair codes,
-    and the grown component is returned as a `Subset` of them, decoded only
-    when its `elements` are read.
-    """
-    rs = group.rs
+def recursive_component(group, pi, v, i, w, lam, mu):
+    """Grow the component of (top, pi) from v to s_i v without a fresh
+    search and compare it with the direct component (`_recursion_step`),
+    labelling the products of v and s_i v once each."""
     if group._left_descent_mask(v) & 1 << (i - 1):
         raise ValueError("the color must increase the length of v")
-    si = group.simple(i)
-    if labels is None:
-        labels = {}
-    comp = _labelled_component(group, pi, v, w, lam, mu, labels)
-    space, right_ids = comp.space, generate_demazure(group, w, mu).subset.ids
+    up = group.multiply(group.simple(i), v)
+    return _recursion_step(
+        group, pi, i, _labelled(group, v, w, lam, mu), _labelled(group, up, w, lam, mu)
+    )
+
+
+def _recursion_step(group, pi, i, here, there):
+    """The recursion formula on the `_labelled` products of v and s_i v.
+
+    Close the component of (top, pi) under the i-lowering strings, then
+    remove the pairs whose right factor has been lowered out of the right
+    Demazure crystal; those are exactly the fully lowered left factors
+    against the escaped lowerings of the right factors, read in one walk
+    down each escaped string.  The result is compared with the component
+    of (top, pi) in the product of s_i v, and a difference raises
+    TheoremViolation.  All of it runs on pair codes, and the grown
+    component is returned as a `Subset` of them, decoded only when its
+    `elements` are read.
+    """
+    rs = group.rs
+    product = here[0]
+    comp = _top_component(here, pi)
+    space, right_ids = product.space, product.ids.right
     left, right, n = space.left, space.right, space.n
     fl, fr = left.f_table[i - 1], right.f_table[i - 1]
     grown = lower_closure(space, comp.ids, (i,))
@@ -625,16 +597,16 @@ def recursive_component(group, pi, v, i, w, lam, mu, labels=None):
         lowered_left = _f_power(fl, a, rs.pairing(left.weights[a], i))
         if lowered_left < 0:
             raise AssertionError("f_%d vanishes on %r within its string" % (i, left.vertices[a]))
+        lowered = b
         for k in range(1, rs.pairing(right.weights[b], i) + 1):
-            lowered = _f_power(fr, b, k)
+            lowered = fr[lowered]
             if lowered < 0:
                 raise AssertionError(
                     "f_%d^%d vanishes on %r within its string" % (i, k, right.vertices[b])
                 )
             removed.add(lowered_left * n + lowered)
     result = grown - removed
-    expected = _labelled_component(group, pi, group.multiply(si, v), w, lam, mu, labels)
-    if result != expected.ids:
+    if result != _top_component(there, pi).ids:
         raise TheoremViolation(
             "recursion formula disagrees with the direct component on %r" % (pi,)
         )

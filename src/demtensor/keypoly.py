@@ -40,7 +40,6 @@ from .decomp import (
     dominant_paths,
     lift,
     lift_word,
-    product_key,
 )
 from .demazure import generate_demazure
 from .lspath import dominant_walk
@@ -244,6 +243,13 @@ class ProductReport:
         self.condition_forward = forward
         self.condition_swapped = swapped
         self.all_nonnegative = all(c >= 0 for c in coefficients.values())
+
+
+def product_key(group, v, w, lam, mu):
+    """What B_v(lam) (x) B_w(mu) depends on: (group, v mod W_lam, w mod W_mu,
+    lam, mu), the cosets as minimal representatives, the shapes as tuples."""
+    lam, mu = tuple(lam), tuple(mu)
+    return group, group.coset_min_weight(v, lam), group.coset_min_weight(w, mu), lam, mu
 
 
 def product_report(group, v, w, lam, mu):

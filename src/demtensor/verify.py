@@ -16,11 +16,14 @@ group and stabilizer mask.
 Each suite meets a product's facts once.  tensor-vs-concatenation
 concatenates every pair of B(lam) (x) B(mu) once and compares the path
 operators on each concatenation with the concatenation at the code the
-tensor rule steps to.  The witness oracle and the recursion formula read
-their components off one `components_of` labelling per product, kept in a
-dict for one (lam, mu, w) loop and dropped with it, so no labels outlive a
-suite; the formula itself still grows the component of v by closure and
-removal.  word-closure compares pair codes, with no pair decoded.
+tensor rule steps to.  The witness oracle is `decompose` at v = e, once
+per (lam, mu, w): it labels b_lam (x) B_w(mu) once and compares every
+closure match with its base witness.  The recursion formula reads its
+components off one `components_of` labelling per product, kept in a dict
+keyed by the minimal representative of v W_lam for one (lam, mu, w) loop
+and dropped with it, so no labels outlive a suite; the formula itself
+still grows the component of v by closure and removal.  word-closure
+compares pair codes, with no pair decoded.
 """
 
 import itertools
@@ -42,15 +45,14 @@ from .crystal import (
     weight_of,
 )
 from .decomp import (
-    OracleMismatch,
     TheoremViolation,
-    checked_path_witness,
+    _labelled,
+    _recursion_step,
     closure_product,
     condition_check,
     decompose,
     dominant_paths,
     leibniz_check,
-    recursive_component,
 )
 from .demazure import (
     check_string_property,
@@ -261,22 +263,21 @@ def suite_biconditional(grid):
             for v, w in _coset_pairs(grid.group, lam, mu):
                 try:
                     decompose(grid.group, v, w, lam, mu)
-                except (TheoremViolation, OracleMismatch) as caught:
+                except TheoremViolation as caught:
                     return "v=%r w=%r lam=%r mu=%r: %s" % (v, w, lam, mu, caught)
     return None
 
 
 def suite_witness_oracle(grid):
-    """Interval recursion equals isomorphism search on every dominant path."""
+    """Interval recursion equals the closure match on every dominant path:
+    `decompose` at v = e, where the lifted witness is the base witness."""
     for lam in grid.shapes:
         for mu in grid.shapes:
             for w in _coset_reps(grid.group, mu):
-                labels = {}
-                for pi in dominant_paths(grid.group, w, mu, lam):
-                    try:
-                        checked_path_witness(grid.group, pi, w, mu, lam, labels=labels)
-                    except OracleMismatch as caught:
-                        return "w=%r lam=%r mu=%r: %s" % (w, lam, mu, caught)
+                try:
+                    decompose(grid.group, grid.group.identity, w, lam, mu)
+                except TheoremViolation as caught:
+                    return "w=%r lam=%r mu=%r: %s" % (w, lam, mu, caught)
     return None
 
 
@@ -298,16 +299,23 @@ def suite_word_closure(grid):
 
 def suite_recursion(grid):
     """The recursion formula equals the direct component for every ascent."""
+    group = grid.group
     for lam in grid.shapes:
-        ascents = _ascent_pairs(grid.group, _coset_reps(grid.group, lam))
+        ascents = [
+            (v, i, group.coset_min_weight(group.multiply(group.simple(i), v), lam))
+            for v, i in _ascent_pairs(group, _coset_reps(group, lam))
+        ]
         for mu in grid.shapes:
-            for w in _coset_reps(grid.group, mu):
-                paths = dominant_paths(grid.group, w, mu, lam)
-                labels = {}
-                for v, i in ascents:
+            for w in _coset_reps(group, mu):
+                paths = dominant_paths(group, w, mu, lam)
+                labelled = {}
+                for v, i, up in ascents:
+                    for u in (v, up):
+                        if u not in labelled:
+                            labelled[u] = _labelled(group, u, w, lam, mu)
                     for pi in paths:
                         try:
-                            recursive_component(grid.group, pi, v, i, w, lam, mu, labels=labels)
+                            _recursion_step(group, pi, i, labelled[v], labelled[up])
                         except TheoremViolation as caught:
                             return "v=%r i=%d w=%r lam=%r mu=%r: %s" % (v, i, w, lam, mu, caught)
     return None

@@ -11,7 +11,6 @@ from fractions import Fraction
 from demtensor.cartan import root_system, vadd
 from demtensor.crystal import TensorElement, f_op, weight_of
 from demtensor.decomp import (
-    checked_path_witness,
     decompose,
     leibniz_check,
     lifted_witness,
@@ -141,13 +140,13 @@ def test_criterion_07_witness_oracle_agreement():
     # the published base witnesses of the first worked decomposition
     w, mu, lam = el(1, 2, 1), (1, 0), (1, 1)
     expected = {(1, 0): WA2.identity, (-1, 1): el(1), (0, -1): el(2)}
+    # the oracle: at v = e each closure match is compared with its base witness
+    matched = {entry.pi: entry.witness for entry in decompose(WA2, WA2.identity, w, lam, mu).entries}
     for target, value in expected.items():
         pi = straight_path(A2, mu, target)
+        normalized = WA2.coset_min_weight(value, vadd(lam, weight_of(pi)))
         assert path_witness(WA2, pi, w, mu, lam) == value
-        assert path_witness_by_search(WA2, pi, w, mu, lam) == WA2.coset_min_weight(
-            value, vadd(lam, weight_of(pi))
-        )
-        checked_path_witness(WA2, pi, w, mu, lam)
+        assert path_witness_by_search(WA2, pi, w, mu, lam) == normalized == matched[pi]
     report_line(7, "witness recursion matches isomorphism search")
 
 

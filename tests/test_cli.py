@@ -13,7 +13,7 @@ from demtensor import decomp
 from demtensor.cartan import root_system
 from demtensor.cli import main
 from demtensor.crystal import MultipleHighestWeights
-from demtensor.decomp import NoDemazureMatch, OracleMismatch, TheoremViolation
+from demtensor.decomp import NoDemazureMatch, TheoremViolation
 from demtensor.weyl import NonUniqueMaximum
 
 EX1 = ["--type", "A2", "--v", "1,2", "--w", "1,2,1", "--lambda", "1,1", "--mu", "1,0"]
@@ -419,6 +419,42 @@ def weyl_table_reads(source, name):
     )
 
 
+def unraised(classes, sources):
+    """The names in `classes` that no `raise` statement of the sources
+    (a dict of file name to source) raises, by name or attribute, called or
+    not."""
+    raised = set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source, filename=name)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return [name for name in classes if name not in raised]
+
+
+def test_every_structural_failure_is_raised_in_the_package():
+    """Exit code 2 stands for no dead class: every class of
+    `cli.STRUCTURAL_FAILURES` but AssertionError is raised somewhere in
+    the package."""
+    from demtensor.cli import STRUCTURAL_FAILURES
+
+    package = os.path.dirname(demtensor.__file__)
+    sources = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as handle:
+                sources[name] = handle.read()
+    # the scan names a planted class that nothing raises, and passes raised ones
+    probe = (
+        "class Planted(Exception):\n    pass\n\n"
+        "def f(x):\n    if x:\n        raise errors.Raised('x')\n    raise Bare\n"
+    )
+    assert unraised(["Planted", "Raised", "Bare"], {"probe.py": probe}) == ["Planted"]
+    classes = [cls.__name__ for cls in STRUCTURAL_FAILURES if cls is not AssertionError]
+    assert len(classes) == len(STRUCTURAL_FAILURES) - 1
+    assert unraised(classes, sources) == []
+
+
 def test_only_weyl_reads_the_group_tables():
     """The table format stays behind one module: no module of the package
     but weyl.py reads `_rmul`, `_inv`, `_len`, the descent and support masks
@@ -482,7 +518,7 @@ def test_structural_check_survives_optimize_and_exits_two(flags):
 @pytest.mark.parametrize(
     "failure",
     [AssertionError, MultipleHighestWeights, NoDemazureMatch, NonUniqueMaximum,
-     OracleMismatch, TheoremViolation],
+     TheoremViolation],
     ids=lambda failure: failure.__name__,
 )
 def test_structural_failures_exit_two(monkeypatch, capsys, failure, cold_caches):
@@ -626,27 +662,45 @@ def _first_call_fails(failure, seen):
 
 
 def test_witness_oracle_failure_names_its_instance(monkeypatch, capsys):
+    """`decompose` failing everywhere fails the biconditional at its first
+    coset pair and the witness oracle, `decompose` at v = e, at its first
+    (lam, mu, w), each named in its FAIL line."""
     from demtensor import verify
 
     seen = []
-    monkeypatch.setattr(verify, "checked_path_witness", _first_call_fails(OracleMismatch, seen))
+    monkeypatch.setattr(verify, "decompose", _first_call_fails(TheoremViolation, seen))
     code = main(["verify", "--grid", "A2:1"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 2
-    _, w, mu, lam = seen[0]
-    expected = "FAIL %-28s A2: w=%r lam=%r mu=%r: injected" % ("witness-oracle", w, lam, mu)
-    assert [line for line in lines if line.startswith("FAIL")] == [expected]
+    (v, w, lam, mu), (e, w_e, lam_e, mu_e) = seen
+    assert e is verify.parse_grid("A2:1").group.identity
+    expected = [
+        "FAIL %-28s A2: v=%r w=%r lam=%r mu=%r: injected"
+        % ("decomposition-biconditional", v, w, lam, mu),
+        "FAIL %-28s A2: w=%r lam=%r mu=%r: injected" % ("witness-oracle", w_e, lam_e, mu_e),
+    ]
+    assert [line for line in lines if line.startswith("FAIL")] == expected
 
 
 def test_recursion_failure_names_its_instance(monkeypatch, capsys):
+    """The recursion step fails at the first ascent of the first
+    (lam, mu, w), and the FAIL line names that instance."""
     from demtensor import verify
+    from demtensor.demazure import generate_demazure
 
     seen = []
-    monkeypatch.setattr(verify, "recursive_component", _first_call_fails(TheoremViolation, seen))
+    monkeypatch.setattr(verify, "_recursion_step", _first_call_fails(TheoremViolation, seen))
     code = main(["verify", "--grid", "A2:1"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 2
-    _, v, i, w, lam, mu = seen[0]
+    grid = verify.parse_grid("A2:1")
+    group = grid.group
+    lam = mu = grid.shapes[0]
+    (v, i), w = verify._ascent_pairs(group, verify._coset_reps(group, lam))[0], group.identity
+    pi, got_i, here, there = seen[0]
+    assert (pi, got_i) == (decomp.dominant_paths(group, w, mu, lam)[0], i)
+    assert here[0].ids.left == generate_demazure(group, v, lam).subset.ids
+    assert here[0].ids.right == generate_demazure(group, w, mu).subset.ids
     expected = "FAIL %-28s A2: v=%r i=%d w=%r lam=%r mu=%r: injected" % (
         "component-recursion", v, i, w, lam, mu)
     assert [line for line in lines if line.startswith("FAIL")] == [expected]

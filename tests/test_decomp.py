@@ -14,7 +14,7 @@ from demtensor import decomp, keypoly
 from demtensor.cartan import root_system, vadd
 from demtensor.crystal import TensorElement, f_op, induced_component, weight_of
 from demtensor.decomp import (
-    checked_path_witness,
+    TheoremViolation,
     closure_product,
     component,
     condition_check,
@@ -102,9 +102,47 @@ def test_path_witness_example1():
 
 
 def test_path_witness_oracle_agreement_example1():
+    """The oracle, `decompose` at v = e, matches each component of
+    b_lam (x) B_w(mu) to the normalized base witness, as the search does."""
     kw = EX1
-    for k in (1, 2, 3):
-        checked_path_witness(WA2, eps_path(k), kw["w"], kw["mu"], kw["lam"])
+    report = decompose(WA2, WA2.identity, kw["w"], kw["lam"], kw["mu"])
+    assert {entry.pi for entry in report.entries} == {eps_path(k) for k in (1, 2, 3)}
+    for entry in report.entries:
+        base = path_witness(WA2, entry.pi, kw["w"], kw["mu"], kw["lam"])
+        normalized = WA2.coset_min_weight(base, entry.shifted_shape)
+        assert entry.witness == entry.expected_witness == normalized
+        assert path_witness_by_search(WA2, entry.pi, kw["w"], kw["mu"], kw["lam"]) == normalized
+
+
+def test_oracle_labels_b_lam_against_b_w_once(monkeypatch):
+    """With the oracle, the README example labels its own product and
+    b_lam (x) B_w(mu); at v = e the lift word is empty, so its own check
+    is the oracle and one labelling is made."""
+    passes, label = [], decomp.components_of
+    monkeypatch.setattr(decomp, "components_of", lambda product: passes.append(product) or label(product))
+    decompose(WA2, oracle=True, **EX1)
+    assert len(passes) == 2
+    assert set(passes[0].ids.left) == {passes[0].space.left.top}
+    del passes[:]
+    decompose(WA2, WA2.identity, EX1["w"], EX1["lam"], EX1["mu"], oracle=True)
+    assert len(passes) == 1
+
+
+def test_oracle_sees_a_base_witness_the_lift_hides(monkeypatch):
+    """The base witness of the straight path of EX1 is e.  s2 is wrong
+    modulo the stabilizer of (2, 1), yet it lifts along (1, 2) to the same
+    s1 s2: the product of v cannot see it, the oracle at v = e does."""
+    pi, witness = eps_path(1), decomp.path_witness
+    assert witness(WA2, pi, EX1["w"], EX1["mu"], EX1["lam"]) is WA2.identity
+    monkeypatch.setattr(
+        decomp, "path_witness", lambda group, p, *args: el(2) if p == pi else witness(group, p, *args)
+    )
+    assert decompose(WA2, **EX1).condition_holds
+    assert lifted_witness(WA2, pi, **EX1) == el(1, 2)
+    with pytest.raises(TheoremViolation, match="is the crystal of e, expected s2"):
+        decompose(WA2, oracle=True, **EX1)
+    with pytest.raises(TheoremViolation, match="is the crystal of e, expected s2"):
+        lifted_witness(WA2, pi, oracle=True, **EX1)
 
 
 def test_path_witness_by_search_trivial():
@@ -245,21 +283,25 @@ def test_closure_product_matches_product_under_condition():
     assert closed.elements() == tensor_demazure(WA2, kw["v"], kw["w"], kw["lam"], kw["mu"])
 
 
-def test_witness_oracle_labels_the_straight_path_against_b_w():
-    """The oracle labels b_lam (x) B_w(mu): the left factor of its product
+def test_witness_oracle_labels_the_straight_path_against_b_w(monkeypatch):
+    """The search labels b_lam (x) B_w(mu): the left factor of its product
     is B_e(lam), the straight path alone, so the product has |B_w(mu)|
     pairs, one per element of the right factor."""
     from demtensor.demazure import generate_demazure
 
+    passes, label = [], decomp.components_of
+    monkeypatch.setattr(
+        decomp, "components_of", lambda product: passes.append((product, label(product))) or passes[-1][1]
+    )
     lam, mu = (1, 1), (1, 1)
     for w in WA2:
         right = generate_demazure(WA2, w, mu)
         for pi in dominant_paths(WA2, w, mu, lam):
-            labels = {}
-            path_witness_by_search(WA2, pi, w, mu, lam, labels)
-            ((product, tops),) = labels.values()
+            del passes[:]
+            path_witness_by_search(WA2, pi, w, mu, lam)
+            ((product, comps),) = passes
             assert set(product.ids.left) == {product.space.left.top}
-            assert len(product) == len(right) == sum(map(len, tops.values()))
+            assert len(product) == len(right) == sum(map(len, comps))
 
 
 def test_recursive_component_reaches_example3():
@@ -424,6 +466,28 @@ def test_demazure_match_needs_the_top_weight_to_be_nu():
     assert demazure_match(WA2, whole, (1, 1)) is None
     assert match_oracle.isomorphism_match(WA2, whole, (1, 1)) is None
     assert demazure_match(WA2, whole, (2, 2)) == w0
+
+
+def test_closure_match_needs_the_closure_to_be_the_component(monkeypatch):
+    """A closure of the component's size that holds one code from outside
+    it is not the component: the largest component of A2 w0, w0,
+    (1,1) x (1,0) matches w0 only while the closure is exactly its set."""
+    w0 = WA2.longest()
+    product, tops = decomp._labelled(WA2, w0, w0, (1, 1), (1, 0))
+    comp = max(tops.values(), key=len)
+    space, top = comp.space, comp.tops()[0]
+    nu = space._weight(top)
+    assert decomp._closure_match(WA2, comp, nu) == w0
+    outside = next(c for c in product.ids if c not in comp.ids)
+    closure = decomp.lower_closure
+
+    def leaky(space, seeds, word, within=None):
+        grown = closure(space, seeds, word, within)
+        return grown - {max(grown - set(seeds))} | {outside}
+
+    monkeypatch.setattr(decomp, "lower_closure", leaky)
+    assert len(leaky(space, (top,), w0.word, comp.ids)) == len(comp.ids)
+    assert decomp._closure_match(WA2, comp, nu) is None
 
 
 def _not_closed_under_e():

@@ -15,6 +15,7 @@ from demtensor import crystal, decomp, keypoly, verify
 from demtensor.cartan import root_system
 from demtensor.crystal import Subset, generate_crystal, tensor_space
 from demtensor.decomp import dominant_paths
+from demtensor.demazure import generate_demazure
 from demtensor.verify import _ascent_pairs, _coset_reps, _reduced_words, parse_grid
 from demtensor.weyl import WeylGroup, weyl_group
 
@@ -121,19 +122,26 @@ def test_biconditional_decomposes_each_product_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["B2:1", "G2:1"])
 def test_recursion_grows_each_component_once(monkeypatch, name):
-    """One call per (v mod W_lam, i, w mod W_mu, pi, lam, mu) over the
-    ascents (v, i) and the dominant paths pi of every (w, lam, mu)."""
+    """One step per (v mod W_lam, i, w mod W_mu, pi, lam, mu) over the
+    ascents (v, i) and the dominant paths pi of every (w, lam, mu), on the
+    products of v and s_i v.  A step sees a product as its space, which
+    fixes (lam, mu), and its factors' Demazure ids, which fix the cosets."""
     grid = parse_grid(name)
     group = grid.group
 
-    def key(group, pi, v, i, w, lam, mu):
-        return (group.coset_min_weight(v, lam), i, group.coset_min_weight(w, mu), pi, lam, mu)
+    def key(group, pi, i, here, there):
+        product, up = here[0], there[0]
+        return product.space, product.ids.left, up.ids.left, i, product.ids.right, pi
 
-    calls = _spy(monkeypatch, "recursive_component", key)
+    def ids(u, shape):
+        return generate_demazure(group, u, shape).subset.ids
+
+    calls = _spy(monkeypatch, "_recursion_step", key)
     assert verify.suite_recursion(grid) is None
     ascents = _ascent_pairs(group, list(group))
     keys = {
-        key(group, pi, v, i, w, lam, mu)
+        (tensor_space(generate_crystal(grid.rs, lam), generate_crystal(grid.rs, mu)),
+         ids(v, lam), ids(group.multiply(group.simple(i), v), lam), i, ids(w, mu), pi)
         for lam, mu in itertools.product(grid.shapes, repeat=2)
         for w in group
         for pi in dominant_paths(group, w, mu, lam)
@@ -266,9 +274,11 @@ def test_recursion_and_witness_oracle_search_nothing(monkeypatch, name):
 
 def test_unlabelled_pair_fails_structurally_under_optimized_mode():
     """When a dominant pair is not the top of a labelled component, the
-    recursion suite names its instance and the witness oracle raises
-    TheoremViolation, so `verify` exits 2, also under python -O."""
+    recursion suite and the witness oracle each name their instance in a
+    FAIL line, and `verify` exits 2 with nothing on stderr, also under
+    python -O."""
     import demtensor
+    from demtensor.lspath import straight_path
 
     src = os.path.dirname(os.path.dirname(demtensor.__file__))
     script = (
@@ -289,8 +299,12 @@ def test_unlabelled_pair_fails_structurally_under_optimized_mode():
     message = "is not the top of a labelled component"
     assert lines[0].startswith("v=") and lines[0].endswith(message)
     assert lines[-1] == "exit 2"
-    assert out.stderr.startswith("structural failure: the pair of ")
-    assert out.stderr.rstrip().endswith(message)
+    assert out.stderr == ""
+    grid = parse_grid("A2:1")
+    lam = mu = grid.shapes[0]
+    oracle = "FAIL %-28s A2: w=%r lam=%r mu=%r: the pair of %r is not the top of a component" % (
+        "witness-oracle", grid.group.identity, lam, mu, straight_path(grid.rs, mu))
+    assert oracle in lines
 
 
 def test_word_closure_suite_sees_a_missing_pair(monkeypatch):
