@@ -97,8 +97,16 @@ def dominant_paths(group, w, mu, lam):
     """Paths of the right factor that stay dominant after shifting by lam.
 
     These index the connected components; the order is the canonical one.
+    B_w(mu) depends on w only through its minimal representative modulo the
+    stabilizer of mu, so the scan is memoized by (that representative, mu,
+    lam), the key of `path_witness`; every call gets a new list.
     """
-    return [pi for pi in generate_demazure(group, w, mu) if pi.is_dominant_for(lam)]
+    return list(_dominant_paths(group, group.coset_min_weight(w, mu), tuple(mu), tuple(lam)))
+
+
+@lru_cache(maxsize=None)
+def _dominant_paths(group, wfloor, mu, lam):
+    return tuple(pi for pi in generate_demazure(group, wfloor, mu) if pi.is_dominant_for(lam))
 
 
 def _product(group, v, w, lam, mu):
@@ -154,12 +162,12 @@ def condition_check(group, v, w, lam, mu):
     """Is the minimal representative of v modulo the stabilizer of lam inside
     the left-descent parabolic of the maximal representative of w modulo the
     stabilizer of mu?  An element is in W_I when its reduced word's letters
-    are, so the test is one mask operation: no letter of vfloor's support
-    lies outside the left-descent mask of wceil.
+    are, so the group answers it on element indices and the two weights'
+    stabilizer masks: one walk down to vfloor, one up to wceil, and one mask
+    operation, no letter of vfloor's support outside the left-descent mask
+    of wceil.
     """
-    vfloor = group.coset_min_weight(v, lam)
-    wceil = group.coset_max_weight(w, mu)
-    return not group._support_mask(vfloor) & ~group._left_descent_mask(wceil)
+    return group._decomposition_condition(v, w, lam, mu)
 
 
 # -- the base witness of a dominant path ----------------------------------------------

@@ -125,7 +125,7 @@ def parse_grid(text):
 def _coset_reps(group, lam):
     """The minimal representatives of the cosets w W_lam, in index order:
     the elements with no right descent in the stabilizer of lam."""
-    return list(_reps_by_mask(group, group._mask(group.stabilizer_indices(lam))))
+    return list(_reps_by_mask(group, group._stabilizer_mask(lam)))
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,12 @@ support is inside J.  Bruhat order reads the word of the larger element
 from the right (property Z; Bjorner-Brenti, Combinatorics of Coxeter
 Groups, 2.2.7).  No coset is enumerated: a coset extreme is where a walk by
 the generators of J stops, the minimum at the first element with no right
-descent in J, the maximum at the first with all of J (ibid., 2.4).  An
+descent in J, the maximum at the first with all of J (ibid., 2.4).  The
+stabilizer of a dominant weight is one mask, memoized per weight, so the
+coset queries by weight and the decomposition condition read element
+indices and masks only: the condition walks v down on lam's mask and w up
+on mu's, and tests the floor's support against the ceiling's left
+descents, with no element object or frozenset made on the way.  An
 element stores one reduced word, the lexicographically least, and `apply`
 reflects along it.  The build keys w by w^-1(rho), rho = (1, ..., 1): rho
 is regular, so the key is injective, (w s_i)^-1 rho = s_i(w^-1 rho) is one
@@ -174,10 +179,11 @@ class WeylGroup:
             for i in reversed(w):
                 k = tables[i][k]
             inv.append(k)
-        # memos of the masks of index sets, their sets and the stabilizers
+        # memos of the masks of index sets, their sets and the stabilizer
+        # mask of each weight
         self._masks = {}
         self._index_sets = {}
-        self._stabilizers = {}
+        self._stabilizer_masks = {}
         self._check_tables()
 
     def _check_tables(self):
@@ -278,10 +284,6 @@ class WeylGroup:
         """Bit i - 1 set for each i with length(s_i w) < length(w)."""
         return self._rdes[self._inv[w.index]]
 
-    def _support_mask(self, w):
-        """Bit i - 1 set for each letter i of w's reduced words."""
-        return self._support[w.index]
-
     def left_descents(self, w):
         """Simple indices i with length(s_i w) < length(w): the right descents of w^-1."""
         return self._indices(self._rdes[self._inv[w.index]])
@@ -295,16 +297,20 @@ class WeylGroup:
         outside = ~self._mask(J)
         return tuple(w for w, s in zip(self.elements, self._support) if not s & outside)
 
+    def _stabilizer_mask(self, lam):
+        """The stabilizer of the dominant weight lam as a mask, bit c set where
+        lam[c] == 0; memoized per weight, a list read as its tuple."""
+        if type(lam) is not tuple:
+            lam = tuple(lam)
+        got = self._stabilizer_masks.get(lam)
+        if got is None:
+            got = self._stabilizer_masks[lam] = sum(1 << c for c, a in enumerate(lam) if a == 0)
+        return got
+
     def stabilizer_indices(self, lam):
         """Simple indices whose reflection fixes the dominant weight lam; one
-        frozenset per weight, memoized on tuple(lam)."""
-        lam = tuple(lam)
-        got = self._stabilizers.get(lam)
-        if got is None:
-            got = self._stabilizers[lam] = frozenset(
-                i for i in range(1, self.rs.rank + 1) if lam[i - 1] == 0
-            )
-        return got
+        frozenset per stabilizer mask."""
+        return self._indices(self._stabilizer_mask(lam))
 
     def _coset_floor(self, k, J):
         """Index of the minimal element of elements[k] W_J, J a mask: step by
@@ -336,10 +342,20 @@ class WeylGroup:
 
     def coset_min_weight(self, w, lam):
         """Minimal-length representative of w modulo the stabilizer of lam."""
-        return self.coset_min(w, self.stabilizer_indices(lam))
+        return self.elements[self._coset_floor(w.index, self._stabilizer_mask(lam))]
 
     def coset_max_weight(self, w, lam):
-        return self.coset_max(w, self.stabilizer_indices(lam))
+        """Maximal-length representative of w modulo the stabilizer of lam."""
+        return self.elements[self._coset_ceiling(w.index, self._stabilizer_mask(lam))]
+
+    def _decomposition_condition(self, v, w, lam, mu):
+        """The decomposition condition: the floor of v on lam's stabilizer mask
+        lies in the parabolic subgroup of the left descents of the ceiling of
+        w on mu's, that is, no letter of the floor's support is outside the
+        right descents of the ceiling's inverse."""
+        floor = self._coset_floor(v.index, self._stabilizer_mask(lam))
+        ceiling = self._coset_ceiling(w.index, self._stabilizer_mask(mu))
+        return not self._support[floor] & ~self._rdes[self._inv[ceiling]]
 
     # -- Bruhat order ----------------------------------------------------------
 

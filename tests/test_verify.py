@@ -357,3 +357,32 @@ def test_one_step_closure_fails_every_closure_suite(monkeypatch, capsys, cold_ca
     assert main(["verify", "--grid", "B2:1"]) == 2
     failed = {line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")}
     assert failed >= {"string-property", "word-closure", "component-recursion", "lowering-product-rule"}
+
+
+def test_default_verify_scans_each_dominant_path_key_once(monkeypatch, cold_caches):
+    """`dominant_paths` is memoized by (coset of w mod W_mu, mu, lam): the
+    default `verify` asks for it far more often than it scans, and scans
+    each of its 52 keys once.  Each memoized scan equals the uncached scan
+    of B_w(mu) for every w of the coset, and every call gets a new list."""
+    keys = []
+    scan = decomp._dominant_paths.__wrapped__
+
+    def counted(*key):
+        keys.append(key)
+        return scan(*key)
+
+    memo = functools.lru_cache(maxsize=None)(counted)
+    monkeypatch.setattr(decomp, "_dominant_paths", memo)
+    for name, grid, failure in verify.run_all():
+        assert failure is None, (name, grid.name)
+    assert len(keys) == len(set(keys)) == 52
+    assert memo.cache_info().hits > len(keys)
+    for group, wfloor, mu, lam in keys:
+        coset = [w for w in group if group.coset_min_weight(w, mu) is wfloor]
+        for w in coset:
+            got = dominant_paths(group, w, list(mu), list(lam))
+            uncached = [pi for pi in generate_demazure(group, w, mu) if pi.is_dominant_for(lam)]
+            assert got == uncached, (wfloor, mu, lam)
+            assert got is not dominant_paths(group, w, mu, lam)
+    # other members of the coset and list weights scanned nothing new
+    assert len(keys) == 52

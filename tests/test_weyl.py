@@ -512,6 +512,62 @@ def test_coset_reps_match_the_walk_and_stabilizers_are_shared(letter, rank):
             assert group.stabilizer_indices(list(lam)) is group.stabilizer_indices(lam)
 
 
+# -- queries on a weight's stabilizer mask ----------------------------------
+
+EXHAUSTIVE_TYPES = [("A", 3), ("B", 3), ("C", 3), ("G", 2)]
+
+
+def bound_one_shapes(rank):
+    return [lam for lam in product((0, 1), repeat=rank) if any(lam)]
+
+
+def elements_to_check(group):
+    """Every element of a group of at most 100, else a seeded 100."""
+    if len(group) <= 100:
+        return group.elements
+    return random.Random(25).sample(group.elements, 100)
+
+
+@pytest.mark.parametrize("letter,rank", EXHAUSTIVE_TYPES + [("D", 4), ("F", 4)])
+def test_coset_queries_by_weight_match_the_frozenset_queries(letter, rank):
+    """On every bound-1 shape: the stabilizer is the set of simple
+    reflections that fix the weight; a list and a tuple weight give the
+    same mask (the shared frozenset is checked above); and on every element (a
+    seeded sample on D4 and F4) the walks on the weight's mask give
+    `coset_min`/`coset_max` on `stabilizer_indices`."""
+    group = weyl_group(root_system(letter, rank))
+    for lam in bound_one_shapes(rank):
+        J = group.stabilizer_indices(lam)
+        fixing = {i for i in range(1, rank + 1) if group.apply(group.simple(i), lam) == lam}
+        assert J == fixing, lam
+        assert group._stabilizer_mask(list(lam)) == group._stabilizer_mask(lam) == group._mask(J)
+        for w in elements_to_check(group):
+            for weight in (lam, list(lam)):
+                assert group.coset_min_weight(w, weight) is group.coset_min(w, J), (w, lam)
+                assert group.coset_max_weight(w, weight) is group.coset_max(w, J), (w, lam)
+
+
+@pytest.mark.parametrize("letter,rank", EXHAUSTIVE_TYPES)
+def test_condition_on_masks_matches_the_coset_oracle(letter, rank):
+    """400 seeded instances per type, both orientations, weights as tuples
+    and as lists: the condition on indices and stabilizer masks is the
+    oracle's membership test in the enumerated left-descent parabolic."""
+    group = weyl_group(root_system(letter, rank))
+    shapes = bound_one_shapes(rank)
+    rng = random.Random(rank * 31 + ord(letter))
+    verdicts = []
+    for _ in range(400):
+        v, w = rng.choice(group.elements), rng.choice(group.elements)
+        lam, mu = rng.choice(shapes), rng.choice(shapes)
+        expected = coset_oracle.condition_check(group, v, w, lam, mu)
+        assert condition_check(group, v, w, lam, mu) is expected, (v, w, lam, mu)
+        assert condition_check(group, v, w, list(lam), list(mu)) is expected, (v, w, lam, mu)
+        swapped = coset_oracle.condition_check(group, w, v, mu, lam)
+        assert condition_check(group, w, v, mu, lam) is swapped, (w, v, mu, lam)
+        verdicts += [expected, swapped]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_group_order_closed_form():
     types = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4)]
     types += [("C", 3), ("D", 4), ("G", 2), ("F", 4)]
