@@ -12,7 +12,10 @@ certifies every verdict structurally, and it is the one place that
 certifies witnesses: at v = e the condition holds and u(pi, e) is the base
 witness, so `decompose` at v = e compares every base witness of
 b_lam (x) B_w(mu) with a test that reads only weights and closures.  That
-is the witness oracle, which `oracle=True` runs first.
+is the witness oracle, which `oracle=True` runs first.  `decompose` is a
+prologue, the refusal of oversized input and the oracle, before a private
+certification of a labelled product (`_certify`); `verify` certifies the
+products it has labelled for its other checks with that alone.
 
 A component can match one Demazure crystal only: B_x(nu) has character
 key(x nu), keys are unitriangular (`keypoly._check_unitriangular`), so the
@@ -34,7 +37,7 @@ that lifts a base witness to u(pi, v) is computed once per decomposition
 Everything `decompose` computes depends on v and w only through the
 cosets v W_lam and w W_mu.  It keeps no memo of its own, so a component
 lives as long as its report; `verify` meets each product once by sweeping
-minimal coset representatives.
+minimal coset representatives, and certifies it once.
 
 The product B_v(lam) (x) B_w(mu) is never built: a pair is the integer code
 a * |B(mu)| + b of its ids in the compiled crystals, and membership is
@@ -57,9 +60,9 @@ its factors' weights once per distinct pair met.  The recursion formula
 reads its two components off the same labels (`_labelled`), one pass per
 product: `recursive_component` labels the products of v and s_i v, and
 `verify` labels each product once per (lam, mu, w) loop and hands the
-labelled products to the same step (`_recursion_step`).  `component`
-finds one component by a search from its pair, an independent
-computation of the same sets.
+labelled products to the same step (`_recursion_step`) and to `_certify`.
+`component` finds one component by a search from its pair, an
+independent computation of the same sets.
 """
 
 from functools import lru_cache
@@ -491,11 +494,19 @@ def decompose(group, v, w, lam, mu, oracle=False):
     b_lam (x) B_w(mu) against its component.
     """
     _refuse_oversized_product(group.rs, lam, mu)
+    if oracle and condition_check(group, v, w, lam, mu) and lift_word(group, v, w, lam, mu):
+        decompose(group, group.identity, w, lam, mu)
+    return _certify(group, v, w, lam, mu, _labelled(group, v, w, lam, mu))
+
+
+def _certify(group, v, w, lam, mu, labelled):
+    """`decompose` on the `_labelled` product of v, past its refusal and
+    its oracle: the verdicts, their certificates and the biconditional,
+    each failure a TheoremViolation.  `verify` hands it the product it
+    labelled for its other checks."""
     cond = condition_check(group, v, w, lam, mu)
     word = lift_word(group, v, w, lam, mu) if cond else None
-    if oracle and word:
-        decompose(group, group.identity, w, lam, mu)
-    product, components = _labelled(group, v, w, lam, mu)
+    product, components = labelled
     entries = []
     named = set()
     for pi in dominant_paths(group, w, mu, lam):

@@ -13,17 +13,24 @@ v W_lam (Bjorner-Brenti, GTM 231, ch. 2).  The membership criterion reads
 w itself and sweeps all of W.  The representatives are scanned once per
 group and stabilizer mask.
 
-Each suite meets a product's facts once.  tensor-vs-concatenation
-concatenates every pair of B(lam) (x) B(mu) once and compares the path
-operators on each concatenation with the concatenation at the code the
-tensor rule steps to.  The witness oracle is `decompose` at v = e, once
-per (lam, mu, w): it labels b_lam (x) B_w(mu) once and compares every
-closure match with its base witness.  The recursion formula reads its
-components off one `components_of` labelling per product, kept in a dict
-keyed by the minimal representative of v W_lam for one (lam, mu, w) loop
-and dropped with it, so no labels outlive a suite; the formula itself
-still grows the component of v by closure and removal.  word-closure
-compares pair codes, with no pair decoded.
+The six suites about the product B_v(lam) (x) B_w(mu), word-closure,
+decomposition-biconditional, witness-oracle, component-recursion,
+lowering-product-rule and key-positivity, are checks on one instance
+(`check_*`, and `decomp._certify` for the biconditional), each raising
+TheoremViolation, run by one sweep over (lam, mu, w, v) (`_sweep`).  The
+sweep labels each product once per (lam, mu, w) loop, with one
+`components_of` pass, keeps the labels in a dict dropped with the loop,
+and hands them to every check that reads them.  Each product is certified
+once; at v = e that certification is the witness oracle, with no second
+decomposition.  Each suite still reports its own first failure in its
+former loop order, and an exception other than TheoremViolation that
+escaped a check is raised at its suite's turn in `run_all`, so the lines
+printed before it stay the same.
+
+tensor-vs-concatenation concatenates every pair of B(lam) (x) B(mu) once
+and compares the path operators on each concatenation with the
+concatenation at the code the tensor rule steps to.  word-closure compares
+pair codes, with no pair decoded.
 """
 
 import itertools
@@ -35,6 +42,7 @@ from .crystal import (
     _path_e,
     _path_f,
     _refuse_oversized,
+    _refuse_oversized_product,
     character,
     e_op,
     generate_crystal,
@@ -46,11 +54,11 @@ from .crystal import (
 )
 from .decomp import (
     TheoremViolation,
+    _certify,
     _labelled,
     _recursion_step,
     closure_product,
     condition_check,
-    decompose,
     dominant_paths,
     leibniz_check,
 )
@@ -132,11 +140,6 @@ def _coset_reps(group, lam):
 def _reps_by_mask(group, stabilizer):
     """`_coset_reps` for a stabilizer mask, one scan of the group per mask."""
     return tuple(w for w in group if not group._right_descent_mask(w) & stabilizer)
-
-
-def _coset_pairs(group, lam, mu):
-    """The pairs (v, w) of minimal representatives of v W_lam and w W_mu."""
-    return itertools.product(_coset_reps(group, lam), _coset_reps(group, mu))
 
 
 def _ascent_pairs(group, reps):
@@ -253,87 +256,199 @@ def suite_full_tensor_partition(grid):
     return None
 
 
+# -- per-instance checks of a product ---------------------------------------------------
+#
+# Each check reads one instance, v and w minimal coset representatives
+# modulo the stabilizers of lam and mu, and raises TheoremViolation on a
+# failure.  The checks that read components take the `_labelled` products
+# of v (`here`) and of s_i v (`there`).  The biconditional's check is the
+# certification of `decompose` on the labelled product (`decomp._certify`),
+# whose message the sweep puts behind the instance.
+
+
+def check_word_closure(group, v, w, lam, mu):
+    """Under the condition, closing the seeded product along the minimal word
+    of v recovers the whole product."""
+    if not condition_check(group, v, w, lam, mu):
+        return
+    closed = closure_product(group, v.word, w, lam, mu)
+    left = generate_demazure(group, v, lam).subset
+    right = generate_demazure(group, w, mu).subset
+    if closed.ids != closed.space.pairs(left.ids, right.ids):
+        raise TheoremViolation("closure misses the product at v=%r w=%r" % (v, w))
+
+
+def check_recursion(group, v, i, w, lam, mu, here, there):
+    """The recursion formula equals the direct component on every dominant
+    path, for the ascent (v, i)."""
+    for pi in dominant_paths(group, w, mu, lam):
+        try:
+            _recursion_step(group, pi, i, here, there)
+        except TheoremViolation as caught:
+            raise TheoremViolation(
+                "v=%r i=%d w=%r lam=%r mu=%r: %s" % (v, i, w, lam, mu, caught)
+            ) from None
+
+
+def check_product_rule(group, v, i, w, lam, mu):
+    """The lowering closure of the product splits as stated, with disjoint
+    parts, for the ascent (v, i)."""
+    result = leibniz_check(group, v, w, lam, mu, i)
+    if not result.disjoint:
+        raise TheoremViolation("overlap at v=%r w=%r i=%d lam=%r mu=%r" % (v, w, i, lam, mu))
+    if not result.equal:
+        raise TheoremViolation("sides differ at v=%r w=%r i=%d lam=%r mu=%r" % (v, w, i, lam, mu))
+
+
+def check_key_positivity(group, v, w, lam, mu):
+    """Either orientation of the condition forces a nonnegative expansion
+    matching the component count."""
+    try:
+        report = product_report(group, v, w, lam, mu)
+    except TheoremViolation as caught:
+        raise TheoremViolation("v=%r w=%r lam=%r mu=%r: %s" % (v, w, lam, mu, caught)) from None
+    if (report.condition_forward or report.condition_swapped) and not report.all_nonnegative:
+        raise TheoremViolation("negative coefficient at v=%r w=%r" % (v, w))
+
+
+# -- one sweep over the products of a grid ------------------------------------------------
+
+_SWEPT = ("word-closure", "decomposition-biconditional", "witness-oracle",
+          "component-recursion", "lowering-product-rule", "key-positivity")
+
+
+def _outcome(check):
+    """None when the check passes, the message of its TheoremViolation, or
+    any other exception that escaped it."""
+    try:
+        check()
+    except TheoremViolation as caught:
+        return str(caught)
+    except Exception as caught:
+        return caught
+    return None
+
+
+def _named(outcome, text, *instance):
+    """An outcome with its message put behind the instance it names."""
+    return text % instance + outcome if isinstance(outcome, str) else outcome
+
+
+def _sweep(grid, names):
+    """Run the checks of the named suites over every coset pair of the grid,
+    (lam, mu, w) outside v; returns each suite's first failure, its
+    message or the exception that escaped, or None.
+
+    The products of one (lam, mu, w) loop are labelled once each, on first
+    use, after the refusal `decompose` makes of a pair space over the
+    limit, and dropped with the loop; each is certified once, and at v = e
+    that certification is the witness oracle too.  Each suite takes the
+    instances of the loop in turn, up to its first failure.  Biconditional,
+    word-closure and key-positivity once ran v outside w, so within a
+    (lam, mu) block their first failure is the least (v, w) by index; the
+    other suites ran in this order.
+    """
+    group, found = grid.group, dict.fromkeys(names)
+
+    def scan(name, position, outcome_of, items):
+        # positions grow along the items: stop at a failure, or at an item
+        # placed behind the suite's first
+        if name not in found:
+            return
+        for item in items:
+            if found[name] is not None and position(*item) >= found[name][0]:
+                return
+            outcome = outcome_of(*item)
+            if outcome is not None:
+                found[name] = (position(*item), outcome)
+                return
+
+    for a, lam in enumerate(grid.shapes):
+        vs = _coset_reps(group, lam)
+        reps = [(v,) for v in vs]
+        ascents = [
+            (v, i, group.coset_min_weight(group.multiply(group.simple(i), v), lam))
+            for v, i in _ascent_pairs(group, vs)
+        ]
+        for b, mu in enumerate(grid.shapes):
+            if all(found.values()):
+                break
+            for w in _coset_reps(group, mu):
+                labelled, certified = {}, {}
+
+                def label(u):
+                    if u not in labelled:
+                        _refuse_oversized_product(group.rs, lam, mu)
+                        labelled[u] = _labelled(group, u, w, lam, mu)
+                    return labelled[u]
+
+                def certify(v):
+                    if v not in certified:
+                        certified[v] = _outcome(lambda: _certify(group, v, w, lam, mu, label(v)))
+                    return certified[v]
+
+                def across(v):
+                    return a, b, v.index, w.index
+
+                def along(v, i=0, _=None):
+                    return a, b, w.index, v.index, i
+
+                scan("word-closure", across, lambda v: _outcome(
+                    lambda: check_word_closure(group, v, w, lam, mu)), reps)
+                # the representatives start at e
+                scan("witness-oracle", along, lambda v: _named(
+                    certify(v), "w=%r lam=%r mu=%r: ", w, lam, mu), reps[:1])
+                scan("decomposition-biconditional", across, lambda v: _named(
+                    certify(v), "v=%r w=%r lam=%r mu=%r: ", v, w, lam, mu), reps)
+                scan("component-recursion", along, lambda v, i, up: _outcome(
+                    lambda: check_recursion(group, v, i, w, lam, mu, label(v), label(up))), ascents)
+                scan("lowering-product-rule", along, lambda v, i, _: _outcome(
+                    lambda: check_product_rule(group, v, i, w, lam, mu)), ascents)
+                scan("key-positivity", across, lambda v: _outcome(
+                    lambda: check_key_positivity(group, v, w, lam, mu)), reps)
+    return {name: first and first[1] for name, first in found.items()}
+
+
+def _reported(outcome):
+    """A suite's result from its sweep outcome: a deferred exception is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _swept(grid, name):
+    """One product-level suite on a grid: the sweep of its checks alone."""
+    return _reported(_sweep(grid, (name,))[name])
+
+
 # -- decomposition suites ---------------------------------------------------------------
 
 
 def suite_biconditional(grid):
     """Condition == every component Demazure, over all coset pairs and shapes."""
-    for lam in grid.shapes:
-        for mu in grid.shapes:
-            for v, w in _coset_pairs(grid.group, lam, mu):
-                try:
-                    decompose(grid.group, v, w, lam, mu)
-                except TheoremViolation as caught:
-                    return "v=%r w=%r lam=%r mu=%r: %s" % (v, w, lam, mu, caught)
-    return None
+    return _swept(grid, "decomposition-biconditional")
 
 
 def suite_witness_oracle(grid):
     """Interval recursion equals the closure match on every dominant path:
     `decompose` at v = e, where the lifted witness is the base witness."""
-    for lam in grid.shapes:
-        for mu in grid.shapes:
-            for w in _coset_reps(grid.group, mu):
-                try:
-                    decompose(grid.group, grid.group.identity, w, lam, mu)
-                except TheoremViolation as caught:
-                    return "w=%r lam=%r mu=%r: %s" % (w, lam, mu, caught)
-    return None
+    return _swept(grid, "witness-oracle")
 
 
 def suite_word_closure(grid):
     """Under the condition, closing the seeded product along the minimal word
     of v recovers the whole product."""
-    for lam in grid.shapes:
-        for mu in grid.shapes:
-            for v, w in _coset_pairs(grid.group, lam, mu):
-                if not condition_check(grid.group, v, w, lam, mu):
-                    continue
-                closed = closure_product(grid.group, v.word, w, lam, mu)
-                left = generate_demazure(grid.group, v, lam).subset
-                right = generate_demazure(grid.group, w, mu).subset
-                if closed.ids != closed.space.pairs(left.ids, right.ids):
-                    return "closure misses the product at v=%r w=%r" % (v, w)
-    return None
+    return _swept(grid, "word-closure")
 
 
 def suite_recursion(grid):
     """The recursion formula equals the direct component for every ascent."""
-    group = grid.group
-    for lam in grid.shapes:
-        ascents = [
-            (v, i, group.coset_min_weight(group.multiply(group.simple(i), v), lam))
-            for v, i in _ascent_pairs(group, _coset_reps(group, lam))
-        ]
-        for mu in grid.shapes:
-            for w in _coset_reps(group, mu):
-                paths = dominant_paths(group, w, mu, lam)
-                labelled = {}
-                for v, i, up in ascents:
-                    for u in (v, up):
-                        if u not in labelled:
-                            labelled[u] = _labelled(group, u, w, lam, mu)
-                    for pi in paths:
-                        try:
-                            _recursion_step(group, pi, i, labelled[v], labelled[up])
-                        except TheoremViolation as caught:
-                            return "v=%r i=%d w=%r lam=%r mu=%r: %s" % (v, i, w, lam, mu, caught)
-    return None
+    return _swept(grid, "component-recursion")
 
 
 def suite_product_rule(grid):
     """Lowering closures of products split as stated, with disjoint parts."""
-    for lam in grid.shapes:
-        ascents = _ascent_pairs(grid.group, _coset_reps(grid.group, lam))
-        for mu in grid.shapes:
-            for w in _coset_reps(grid.group, mu):
-                for v, i in ascents:
-                    result = leibniz_check(grid.group, v, w, lam, mu, i)
-                    if not result.disjoint:
-                        return "overlap at v=%r w=%r i=%d lam=%r mu=%r" % (v, w, i, lam, mu)
-                    if not result.equal:
-                        return "sides differ at v=%r w=%r i=%d lam=%r mu=%r" % (v, w, i, lam, mu)
-    return None
+    return _swept(grid, "lowering-product-rule")
 
 
 def suite_characters(grid):
@@ -359,18 +474,7 @@ def suite_characters(grid):
 def suite_key_positivity(grid):
     """Either orientation of the condition forces a nonnegative expansion
     matching the component count."""
-    for lam in grid.shapes:
-        for mu in grid.shapes:
-            for v, w in _coset_pairs(grid.group, lam, mu):
-                try:
-                    report = product_report(grid.group, v, w, lam, mu)
-                except TheoremViolation as caught:
-                    return "v=%r w=%r lam=%r mu=%r: %s" % (v, w, lam, mu, caught)
-                if (
-                    report.condition_forward or report.condition_swapped
-                ) and not report.all_nonnegative:
-                    return "negative coefficient at v=%r w=%r" % (v, w)
-    return None
+    return _swept(grid, "key-positivity")
 
 
 ALL_SUITES = (
@@ -391,9 +495,21 @@ ALL_SUITES = (
 
 
 def run_all(grids=None, suites=ALL_SUITES):
-    """Run every suite over every grid; yields (suite, grid, failure_or_None)."""
+    """Run every suite over every grid; yields (suite, grid, failure_or_None).
+
+    The product-level suites of `suites` share one sweep per grid, run at
+    the first of their turns; each reports at its own turn, and an
+    exception that escaped one of its checks is raised there.
+    """
     if grids is None:
         grids = default_grids()
+    swept = [name for name, _ in suites if name in _SWEPT]
+    sweeps = {}
     for name, fn in suites:
-        for grid in grids:
-            yield name, grid, fn(grid)
+        for k, grid in enumerate(grids):
+            if name not in _SWEPT:
+                yield name, grid, fn(grid)
+                continue
+            if k not in sweeps:
+                sweeps[k] = _sweep(grid, swept)
+            yield name, grid, _reported(sweeps[k][name])

@@ -111,6 +111,23 @@ MUTANTS = [
         ["tests/test_crystal.py::test_lower_closure_is_the_composition_of_its_letters"],
         False,
     ),
+    Mutant(
+        "sweep-skips-v-equal-e",
+        "demtensor/verify.py",
+        "vs = _coset_reps(group, lam)\n",
+        "vs = _coset_reps(group, lam)[1:]\n",
+        ["tests/test_verify.py::test_verify_labels_each_product_once",
+         "tests/test_cli.py::test_witness_oracle_failure_names_its_instance"],
+        False,
+    ),
+    Mutant(
+        "first-failure-by-greatest-key",
+        "demtensor/verify.py",
+        "position(*item) >= found[name][0]",
+        "position(*item) <= found[name][0]",
+        ["tests/test_verify.py::test_each_suite_reports_its_first_failure_in_its_former_order"],
+        False,
+    ),
 ]
 
 # pytest exit statuses: 1 some tests failed, 2 interrupted (here: a module

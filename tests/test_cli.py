@@ -662,22 +662,23 @@ def _first_call_fails(failure, seen):
 
 
 def test_witness_oracle_failure_names_its_instance(monkeypatch, capsys):
-    """`decompose` failing everywhere fails the biconditional at its first
-    coset pair and the witness oracle, `decompose` at v = e, at its first
-    (lam, mu, w), each named in its FAIL line."""
+    """The certification of `decompose` failing everywhere fails the
+    biconditional at its first coset pair and the witness oracle, the
+    certification at v = e, at its first (lam, mu, w): one certification,
+    at v = w = e, fails both, each named in its FAIL line."""
     from demtensor import verify
 
     seen = []
-    monkeypatch.setattr(verify, "decompose", _first_call_fails(TheoremViolation, seen))
+    monkeypatch.setattr(verify, "_certify", _first_call_fails(TheoremViolation, seen))
     code = main(["verify", "--grid", "A2:1"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 2
-    (v, w, lam, mu), (e, w_e, lam_e, mu_e) = seen
-    assert e is verify.parse_grid("A2:1").group.identity
+    [(v, w, lam, mu, _)] = seen
+    assert v is w is verify.parse_grid("A2:1").group.identity
     expected = [
         "FAIL %-28s A2: v=%r w=%r lam=%r mu=%r: injected"
         % ("decomposition-biconditional", v, w, lam, mu),
-        "FAIL %-28s A2: w=%r lam=%r mu=%r: injected" % ("witness-oracle", w_e, lam_e, mu_e),
+        "FAIL %-28s A2: w=%r lam=%r mu=%r: injected" % ("witness-oracle", w, lam, mu),
     ]
     assert [line for line in lines if line.startswith("FAIL")] == expected
 

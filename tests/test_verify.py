@@ -9,6 +9,8 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coset_oracle
 from demtensor import crystal, decomp, keypoly, verify
@@ -108,7 +110,8 @@ def _spy(monkeypatch, name, key):
 @pytest.mark.parametrize("name", ["B2:1", "G2:1"])
 def test_biconditional_decomposes_each_product_once(monkeypatch, name):
     grid = parse_grid(name)
-    calls = _spy(monkeypatch, "decompose", keypoly.product_key)
+    calls = _spy(monkeypatch, "_certify",
+                 lambda group, v, w, lam, mu, here: keypoly.product_key(group, v, w, lam, mu))
     assert verify.suite_biconditional(grid) is None
     group = grid.group
     keys = {
@@ -386,3 +389,170 @@ def test_default_verify_scans_each_dominant_path_key_once(monkeypatch, cold_cach
             assert got is not dominant_paths(group, w, mu, lam)
     # other members of the coset and list weights scanned nothing new
     assert len(keys) == 52
+
+
+# Exact output of `verify --grid B2:1` with the closure walking one step per
+# string: the key-positivity check meets the broken Demazure crystals in
+# its key polynomials and raises an AssertionError, which `verify` reports
+# at that suite's turn, after every earlier suite's line.
+ONE_STEP_B2_STDOUT = """\
+FAIL string-property              B2: string property fails for w=s2*s1 lam=(1, 0) color=2
+FAIL reduced-word-independence    B2: word (2, 1, 2, 1) of s1*s2*s1*s2 changes the crystal of (1, 0)
+FAIL membership-criterion         B2: membership criterion fails at LSPath((1, -2); 0, 1), w=s2*s1
+PASS dimension-formula            B2
+PASS tensor-vs-concatenation      B2
+PASS full-tensor-partition        B2
+FAIL word-closure                 B2: closure misses the product at v=s2 w=s2
+FAIL decomposition-biconditional  B2: v=s2 w=s2 lam=(0, 1) mu=(0, 1): condition holds but \
+the component of LSPath((0, 1); 0, 1) is not Demazure
+FAIL witness-oracle               B2: w=s2*s1 lam=(0, 1) mu=(1, 0): component of \
+LSPath((1, -2), (-1, 2); 0, 1/2, 1) is the crystal of e, expected s2
+FAIL component-recursion          B2: v=e i=2 w=s2 lam=(0, 1) mu=(0, 1): recursion formula \
+disagrees with the direct component on LSPath((0, 1); 0, 1)
+FAIL lowering-product-rule        B2: sides differ at v=e w=e i=2 lam=(0, 1) mu=(0, 1)
+FAIL character-formula            B2: character formula fails at w=s2*s1 lam=(1, 0)
+"""
+
+
+def test_one_step_closure_crash_is_reported_at_its_suite(monkeypatch, capsys, cold_caches):
+    """Under the one-step closure, `verify --grid B2:1` prints every suite's
+    line up to key-positivity, whose check crashes: exit 2, the crash on
+    stderr, and the same bytes whatever order the checks ran in."""
+    from demtensor.cli import main
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("demtensor") and getattr(m, "lower_closure", None) is crystal.lower_closure]
+    for module in modules:
+        monkeypatch.setattr(module, "lower_closure", _one_step_closure)
+    assert main(["verify", "--grid", "B2:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ONE_STEP_B2_STDOUT
+    assert captured.err == "structural failure: crystal character and operator character disagree on s2\n"
+
+
+def test_each_suite_reports_its_first_failure_in_its_former_order(monkeypatch, cold_caches):
+    """A fault on exactly two coset pairs, (v1, w2) and (v2, w1) with v1 < v2
+    and w1 < w2 by index.  The suites that ran v outside w (biconditional,
+    word-closure, key-positivity) name (v1, w2); those that ran w outside v
+    (recursion, product rule) name (v2, w1) at the first ascent of v2; the
+    witness oracle, which sees neither, passes."""
+    from types import SimpleNamespace
+
+    from demtensor.cartan import root_system
+
+    grid = verify.Grid(root_system("A", 2), [(1, 1)])
+    group = grid.group
+    lam = mu = (1, 1)
+    v1, v2 = group.from_word((1,)), group.from_word((2,))
+    w1, w2 = group.from_word((2,)), group.longest()
+    assert v1.index < v2.index and w1.index < w2.index
+    targets = {(v1, w2), (v2, w1)}
+    assert all(verify.condition_check(group, v, w, lam, mu) for v, w in targets)
+
+    def hit(v, w):
+        return (group.coset_min_weight(v, lam), group.coset_min_weight(w, mu)) in targets
+
+    def by_ids(product):
+        ids = product.ids
+        return {(v, w) for v in group for w in group
+                if generate_demazure(group, v, lam).subset.ids == ids.left
+                and generate_demazure(group, w, mu).subset.ids == ids.right}
+
+    lift_word, closure, step = decomp.lift_word, verify.closure_product, verify._recursion_step
+    leibniz, report = verify.leibniz_check, verify.product_report
+
+    def faulty_lift_word(group, v, w, lam, mu, word=None):
+        if hit(v, w):
+            raise decomp.TheoremViolation("injected")
+        return lift_word(group, v, w, lam, mu, word)
+
+    def faulty_closure(group, word, w, lam, mu):
+        closed = closure(group, word, w, lam, mu)
+        if hit(group.from_word(word), w):
+            return Subset(closed.space, closed.ids - {max(closed.ids)})
+        return closed
+
+    def faulty_step(group, pi, i, here, there):
+        if any(hit(v, w) for v, w in by_ids(here[0])):
+            raise decomp.TheoremViolation("injected")
+        return step(group, pi, i, here, there)
+
+    def faulty_leibniz(group, v, w, lam, mu, i):
+        result = leibniz(group, v, w, lam, mu, i)
+        return SimpleNamespace(disjoint=True, equal=False) if hit(v, w) else result
+
+    def faulty_report(group, v, w, lam, mu):
+        if hit(v, w):
+            raise decomp.TheoremViolation("injected")
+        return report(group, v, w, lam, mu)
+
+    monkeypatch.setattr(decomp, "lift_word", faulty_lift_word)
+    monkeypatch.setattr(verify, "closure_product", faulty_closure)
+    monkeypatch.setattr(verify, "_recursion_step", faulty_step)
+    monkeypatch.setattr(verify, "leibniz_check", faulty_leibniz)
+    monkeypatch.setattr(verify, "product_report", faulty_report)
+    got = {name: failure for name, _, failure in verify.run_all([grid])}
+    i = min(i for i in range(1, 3) if not group._left_descent_mask(v2) & 1 << (i - 1))
+    assert got == dict.fromkeys(name for name, _ in verify.ALL_SUITES) | {
+        "word-closure": "closure misses the product at v=%r w=%r" % (v1, w2),
+        "decomposition-biconditional": "v=%r w=%r lam=%r mu=%r: injected" % (v1, w2, lam, mu),
+        "key-positivity": "v=%r w=%r lam=%r mu=%r: injected" % (v1, w2, lam, mu),
+        "component-recursion": "v=%r i=%d w=%r lam=%r mu=%r: injected" % (v2, i, w1, lam, mu),
+        "lowering-product-rule": "sides differ at v=%r w=%r i=%d lam=%r mu=%r" % (v2, w1, i, lam, mu),
+    }
+
+
+@pytest.mark.parametrize("names", [(), ("B2:1", "G2:1")], ids=["default", "B2:1+G2:1"])
+def test_verify_labels_each_product_once(monkeypatch, names):
+    """A whole `verify` run makes one labelling pass per distinct product,
+    and the products are the coset pairs of every (lam, mu): 208 on the
+    default grids.  Every label is dropped with its (lam, mu, w) loop."""
+    grids = [parse_grid(name) for name in names] or verify.default_grids()
+    passes = _track_labels(monkeypatch)
+    keys = _spy(monkeypatch, "_labelled", keypoly.product_key)
+    for name, grid, failure in verify.run_all(grids):
+        assert failure is None, (name, grid.name)
+    pairs = sum(len(_coset_reps(grid.group, lam)) * len(_coset_reps(grid.group, mu))
+                for grid in grids for lam, mu in itertools.product(grid.shapes, repeat=2))
+    assert len(passes) == len(keys) == len(set(keys)) == pairs
+    if not names:
+        assert pairs == 208
+    gc.collect()
+    refs = [ref for comps in passes for ref in comps]
+    assert refs and all(ref() is None for ref in refs)
+
+
+def _small_shapes(rank):
+    """The fundamental weights, and for rank two their sum."""
+    units = [tuple(int(k == j) for k in range(rank)) for j in range(rank)]
+    return units + ([(1,) * rank] if rank == 2 else [])
+
+
+@st.composite
+def _instances(draw):
+    """(group, v, w, lam, mu) over A2, B2, G2 and A3 with small shapes, v and
+    w the minimal representatives of drawn elements."""
+    letter, rank = draw(st.sampled_from([("A", 2), ("B", 2), ("G", 2), ("A", 3)]))
+    group = weyl_group(root_system(letter, rank))
+    lam, mu = (draw(st.sampled_from(_small_shapes(rank))) for _ in range(2))
+    v, w = (group.elements[draw(st.integers(0, len(group) - 1))] for _ in range(2))
+    return group, group.coset_min_weight(v, lam), group.coset_min_weight(w, mu), lam, mu
+
+
+@settings(derandomize=True, deadline=5000, max_examples=100, database=None)
+@given(_instances())
+def test_every_check_holds_on_drawn_instances(instance):
+    """Each per-instance check of the sweep passes on its own, handed the
+    labelled products it reads; at v = e the biconditional is the witness
+    oracle."""
+    group, v, w, lam, mu = instance
+    here = decomp._labelled(group, v, w, lam, mu)
+    verify.check_word_closure(group, v, w, lam, mu)
+    decomp._certify(group, v, w, lam, mu, here)
+    decomp._certify(group, group.identity, w, lam, mu,
+                    decomp._labelled(group, group.identity, w, lam, mu))
+    for _, i in _ascent_pairs(group, [v]):
+        up = group.coset_min_weight(group.multiply(group.simple(i), v), lam)
+        verify.check_recursion(group, v, i, w, lam, mu, here, decomp._labelled(group, up, w, lam, mu))
+        verify.check_product_rule(group, v, i, w, lam, mu)
+    verify.check_key_positivity(group, v, w, lam, mu)
