@@ -17,17 +17,23 @@ Every key is checked to be unitriangular when it is built.
 
 Ranks are memoized by (group, weight), key polynomials by their index and
 the dominant walks of `lspath` by weight, so the peel ranks and walks each
-weight once per process.  The reconciliation with the decomposition
-computes the lifting word once per product.
+weight once per process.
 
 `product_report` is memoized by `product_key`, the pair of cosets
-(v mod W_lam, w mod W_mu) with the two shapes: both key indices, the
-expansion, both orientations of the condition and the reconciliation
-depend on v and w only through those cosets, so a sweep over W x W
-expands and reconciles each distinct product once.  Each call returns a
-new report with its own coefficient dict; the key indices are shared.
-The memo keeps every expansion it computed for the life of the process,
-but no component: the reconciliation counts witnesses without one.
+(v mod W_lam, w mod W_mu) with the two shapes: both key indices, both
+orientations of the condition and the reconciliation depend on v and w
+only through those cosets, so a sweep over W x W checks each distinct
+product once.  Under it sit two memos of pure results.  The expansion
+(`_key_product`) is keyed by the two key indices in `KeyIndex.sort_key`
+order: key(a) * key(b) = key(b) * key(a), so both orientations of a
+product share one expansion.  The count of lifted witnesses over the
+dominant paths (`_counted`) is keyed by the oriented coset pair whose
+condition holds, with the lifting word computed once per count.  The
+checks, nonnegativity and the comparison of the count with the
+expansion, run on every distinct product and are not shared.  Each call
+returns a new report with its own coefficient dict; the key indices are
+shared.  The memos keep every expansion and count they computed for the
+life of the process, but no component: the count needs none.
 """
 
 from functools import lru_cache
@@ -169,12 +175,6 @@ def key_polynomial(group, nu):
     return _key_polynomial_cached(group, idx.shape, idx.witness)
 
 
-def key_of_pair(group, w, lam):
-    """Key polynomial of the weight w(lam), as a (index, polynomial) pair."""
-    idx = key_index(group, group.apply(w, lam))
-    return idx, key_polynomial(group, idx)
-
-
 # -- expansion in the key basis ----------------------------------------------------
 
 
@@ -260,8 +260,10 @@ def product_report(group, v, w, lam, mu):
     they must count the dominant paths with the matching shifted shape and
     normalized lifted witness.
 
-    The work runs once per `product_key`; the report and its coefficient
-    dict are new on every call.
+    The checks run once per `product_key`, on an expansion shared by both
+    orientations of the product and a count shared by every product that
+    reconciles in the same orientation; the report and its coefficient dict
+    are new on every call.
     """
     left_idx, right_idx, coeffs, forward, swapped = _product_report(
         *product_key(group, v, w, lam, mu)
@@ -277,24 +279,32 @@ def _product_report(group, v, w, lam, mu):
     shapes that are not dominant and a pair space over `PAIR_SPACE_LIMIT`
     are refused before any work."""
     _refuse_oversized_product(group.rs, lam, mu)
-    left_idx, left = key_of_pair(group, v, lam)
-    right_idx, right = key_of_pair(group, w, mu)
-    coeffs = expand_in_keys(group, left * right)
+    left_idx = key_index(group, group.apply(v, lam))
+    right_idx = key_index(group, group.apply(w, mu))
+    coeffs = _key_product(group, *sorted((left_idx, right_idx), key=KeyIndex.sort_key))
     forward = condition_check(group, v, w, lam, mu)
     swapped = condition_check(group, w, v, mu, lam)
-    if (forward or swapped) and any(c < 0 for c in coeffs.values()):
-        raise TheoremViolation(
-            "negative key coefficient under the decomposition condition"
-        )
-    if forward:
-        _reconcile_with_decomposition(group, v, w, lam, mu, coeffs)
-    elif swapped:
-        _reconcile_with_decomposition(group, w, v, mu, lam, coeffs)
+    if forward or swapped:
+        if any(c < 0 for c in coeffs.values()):
+            raise TheoremViolation("negative key coefficient under the decomposition condition")
+        counted = _counted(group, v, w, lam, mu) if forward else _counted(group, w, v, mu, lam)
+        if counted != coeffs:
+            raise TheoremViolation("key coefficients disagree with the component count")
     return left_idx, right_idx, coeffs, forward, swapped
 
 
-def _reconcile_with_decomposition(group, v, w, lam, mu, coeffs):
-    """Coefficients must equal the counting formula over dominant paths."""
+@lru_cache(maxsize=None)
+def _key_product(group, a, b):
+    """Expansion of key(a) * key(b) in the key basis, for a and b in
+    `KeyIndex.sort_key` order: both orientations of a product share it."""
+    return expand_in_keys(group, key_polynomial(group, a) * key_polynomial(group, b))
+
+
+@lru_cache(maxsize=None)
+def _counted(group, v, w, lam, mu):
+    """The counting formula over dominant paths, KeyIndex -> count: one per
+    dominant path of B_w(mu) for lam, under the shifted shape and the
+    normalized lifted witness."""
     word = lift_word(group, v, w, lam, mu)
     counted = {}
     for pi in dominant_paths(group, w, mu, lam):
@@ -302,8 +312,7 @@ def _reconcile_with_decomposition(group, v, w, lam, mu, coeffs):
         u = lift(group, word, pi, w, mu, lam)
         idx = KeyIndex(nu, group.coset_min_weight(u, nu))
         counted[idx] = counted.get(idx, 0) + 1
-    if counted != coeffs:
-        raise TheoremViolation("key coefficients disagree with the component count")
+    return counted
 
 
 # -- type A monomial rendering ---------------------------------------------------------

@@ -19,8 +19,9 @@ lowering-product-rule and key-positivity, are checks on one instance
 (`check_*`, and `decomp._certify` for the biconditional), each raising
 TheoremViolation, run by one sweep over (lam, mu, w, v) (`_sweep`).  The
 sweep labels each product once per (lam, mu, w) loop, with one
-`components_of` pass, keeps the labels in a dict dropped with the loop,
-and hands them to every check that reads them.  Each product is certified
+`components_of` pass, keeps the labels in a dict of the loop, hands them
+to every check that reads them, and clears the dict once
+component-recursion, the last of those, has run.  Each product is certified
 once; at v = e that certification is the witness oracle, with no second
 decomposition.  Each suite still reports its own first failure in its
 former loop order, and an exception other than TheoremViolation that
@@ -107,7 +108,8 @@ def parse_grid(text):
 
     The type is read by `parse_type`, which refuses an oversized Weyl group
     before its root system is built, and the grid is refused before its
-    (bound + 1)^rank shapes are enumerated.
+    (bound + 1)^rank shapes are enumerated: by the crystal of twice its top
+    shape, and by the pair space of the top shape with itself.
     """
     type_name, colon, bound_text = text.partition(":")
     try:
@@ -120,8 +122,11 @@ def parse_grid(text):
         raise ValueError("cannot parse grid %r" % text) from None
     if bound < 1:
         raise ValueError("grid %r has no nonzero shapes to sweep" % text)
-    # The largest crystal the suites build is B(lam + mu) of the top shapes.
+    # The largest crystal the suites build is B(lam + mu) of the top shapes,
+    # and the largest pair space is their product.
+    top = (bound,) * rs.rank
     _refuse_oversized(rs, (2 * bound,) * rs.rank)
+    _refuse_oversized_product(rs, top, top)
     shapes = [
         coords
         for coords in itertools.product(range(bound + 1), repeat=rs.rank)
@@ -341,8 +346,9 @@ def _sweep(grid, names):
 
     The products of one (lam, mu, w) loop are labelled once each, on first
     use, after the refusal `decompose` makes of a pair space over the
-    limit, and dropped with the loop; each is certified once, and at v = e
-    that certification is the witness oracle too.  Each suite takes the
+    limit, and dropped after component-recursion, before the label-free
+    checks; each is certified once, and at v = e that certification is
+    the witness oracle too.  Each suite takes the
     instances of the loop in turn, up to its first failure.  Biconditional,
     word-closure and key-positivity once ran v outside w, so within a
     (lam, mu) block their first failure is the least (v, w) by index; the
@@ -402,6 +408,8 @@ def _sweep(grid, names):
                     certify(v), "v=%r w=%r lam=%r mu=%r: ", v, w, lam, mu), reps)
                 scan("component-recursion", along, lambda v, i, up: _outcome(
                     lambda: check_recursion(group, v, i, w, lam, mu, label(v), label(up))), ascents)
+                # no check below reads labels
+                labelled.clear()
                 scan("lowering-product-rule", along, lambda v, i, _: _outcome(
                     lambda: check_product_rule(group, v, i, w, lam, mu)), ascents)
                 scan("key-positivity", across, lambda v: _outcome(

@@ -128,6 +128,23 @@ MUTANTS = [
         ["tests/test_verify.py::test_each_suite_reports_its_first_failure_in_its_former_order"],
         False,
     ),
+    Mutant(
+        "key-positivity-count-unchecked",
+        "demtensor/keypoly.py",
+        "        if counted != coeffs:\n",
+        "        if False:\n",
+        ["tests/test_keypoly.py::test_key_positivity_faults_raise",
+         "tests/test_cli.py::test_key_positivity_failure_names_its_instance"],
+        False,
+    ),
+    Mutant(
+        "key-product-of-the-left-index-twice",
+        "demtensor/keypoly.py",
+        "_key_product(group, *sorted((left_idx, right_idx), key=KeyIndex.sort_key))",
+        "_key_product(group, left_idx, left_idx)",
+        ["tests/test_keypoly.py::test_every_report_sums_back_to_the_product_of_its_keys"],
+        False,
+    ),
 ]
 
 # pytest exit statuses: 1 some tests failed, 2 interrupted (here: a module

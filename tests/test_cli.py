@@ -15,6 +15,7 @@ from demtensor.cli import main
 from demtensor.crystal import MultipleHighestWeights
 from demtensor.decomp import NoDemazureMatch, TheoremViolation
 from demtensor.weyl import NonUniqueMaximum
+from test_keypoly import KEY_POSITIVITY_FAULTS, _faulty
 
 EX1 = ["--type", "A2", "--v", "1,2", "--w", "1,2,1", "--lambda", "1,1", "--mu", "1,0"]
 EX2 = ["--type", "A2", "--v", "1", "--w", "1,2", "--lambda", "2,1", "--mu", "1,2"]
@@ -260,6 +261,32 @@ def test_oversized_grid_refused_at_parse_time(capsys, grid, top):
     assert str(parsed.value) == str(refused.value)
     start = time.perf_counter()
     code = main(["verify", "--grid", grid])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: %s\n" % refused.value
+    assert elapsed < 1.0
+
+
+def test_grid_refused_by_the_pair_space_of_its_top_product(capsys):
+    """A2:10 passes the crystal limit on B(20, 20), but its top product
+    (10, 10) x (10, 10) is over the pair-space limit: the parser refuses
+    the grid with decompose's message before any suite runs."""
+    import time
+
+    from demtensor.decomp import decompose
+    from demtensor.verify import parse_grid
+    from demtensor.weyl import weyl_group
+
+    group = weyl_group(root_system("A", 2))
+    with pytest.raises(ValueError) as refused:
+        decompose(group, group.identity, group.identity, (10, 10), (10, 10))
+    with pytest.raises(ValueError) as parsed:
+        parse_grid("A2:10")
+    assert str(parsed.value) == str(refused.value)
+    assert "1771561 pairs" in str(parsed.value)
+    start = time.perf_counter()
+    code = main(["verify", "--grid", "A2:10"])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -744,3 +771,23 @@ def test_dot_output_matches_recorded_digests(capsys, tmp_path):
         "component_0.dot": "d0597c2699d26b38b8771fa467de0772a8156add9ee2ef385f45c23df93ca40a",
         "component_1.dot": "09c58c8a718ea054f842cb7f7d5decc243631ed077c0ce7670d5ced3b528c72b",
     }
+
+
+@pytest.mark.parametrize("memo, fault, message", KEY_POSITIVITY_FAULTS, ids=["negative", "miscounted"])
+def test_key_positivity_failure_names_its_instance(monkeypatch, capsys, cold_caches, memo, fault, message):
+    """A key-positivity fault on every product fails key-positivity alone,
+    at its first product, v = w = e on the first shapes, where the
+    condition holds: exit 2 and one FAIL line naming that instance."""
+    import demtensor.keypoly as keypoly
+    from demtensor import verify
+
+    monkeypatch.setattr(keypoly, memo, _faulty(getattr(keypoly, memo), fault))
+    code = main(["verify", "--grid", "A2:1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    grid = verify.parse_grid("A2:1")
+    e, lam = grid.group.identity, grid.shapes[0]
+    expected = "FAIL %-28s A2: v=%r w=%r lam=%r mu=%r: %s" % (
+        "key-positivity", e, e, lam, lam, message)
+    assert [line for line in lines if line.startswith("FAIL")] == [expected]
+    assert len(lines) == len(verify.ALL_SUITES)

@@ -19,7 +19,6 @@ from demtensor.keypoly import (
     demazure_operator_word,
     expand_in_keys,
     key_index,
-    key_of_pair,
     key_polynomial,
     monomials_type_a,
     product_report,
@@ -208,12 +207,6 @@ def test_character_multiplicativity_with_demazure_factors():
     assert character(prod) == character(left.elements) * character(right.elements)
 
 
-def test_key_of_pair():
-    idx, poly = key_of_pair(WA2, el(1, 2, 1), (1, 0))
-    assert idx.weight == WA2.apply(el(1, 2, 1), (1, 0))
-    assert poly == key_polynomial(WA2, idx)
-
-
 def test_monomial_rendering():
     text = monomials_type_a(A2, CharPoly.monomial((1, 0)) + CharPoly.monomial((-1, 1)))
     assert "x1" in text and text.count("+1") == 2
@@ -386,3 +379,88 @@ def test_product_reports_do_not_share_their_coefficients():
     first.coefficients[first.left_index] = -1
     again = product_report(WA2, v, w, (1, 1), (1, 0))
     assert again is not first and _report_facts(again) == expected
+
+
+def test_every_report_sums_back_to_the_product_of_its_keys():
+    """For every (v, w, lam, mu) of the default grids, sum(coeff * key) over
+    the report is key(v lam) * key(w mu), every key computed by divided
+    differences along a reduced word: independent of crystals and of the
+    report memos."""
+    from demtensor.verify import default_grids
+
+    checked = 0
+    for grid in default_grids():
+        group, keys = grid.group, {}
+
+        def key(shape, word):
+            if (shape, word) not in keys:
+                keys[shape, word] = demazure_operator_word(group.rs, CharPoly.monomial(shape), word)
+            return keys[shape, word]
+
+        for lam, mu in itertools.product(grid.shapes, repeat=2):
+            for v, w in itertools.product(group, repeat=2):
+                report = product_report(group, v, w, lam, mu)
+                total = CharPoly()
+                for idx, c in report.coefficients.items():
+                    total = total + c * key(idx.shape, idx.witness.word)
+                assert total == key(lam, v.word) * key(mu, w.word), (v, w, lam, mu)
+                checked += 1
+    assert checked == 324 + 256
+
+
+def test_key_product_and_count_memos_miss_once_per_pair(cold_caches):
+    """A cold sweep over the coset pairs of the default grids expands once
+    per unordered pair of key indices and counts once per oriented product
+    whose condition holds, the orientation the report reconciles."""
+    import demtensor.keypoly as keypoly
+    from demtensor.verify import _coset_reps, default_grids
+
+    unordered, oriented, products = set(), set(), 0
+    for grid in default_grids():
+        group = grid.group
+        for lam, mu in itertools.product(grid.shapes, repeat=2):
+            for v, w in itertools.product(_coset_reps(group, lam), _coset_reps(group, mu)):
+                report = product_report(group, v, w, lam, mu)
+                unordered.add(frozenset((report.left_index, report.right_index)))
+                if report.condition_forward:
+                    oriented.add((group, v, w, lam, mu))
+                elif report.condition_swapped:
+                    oriented.add((group, w, v, mu, lam))
+                products += 1
+    assert products == keypoly._product_report.cache_info().misses == 208
+    assert keypoly._key_product.cache_info().misses == len(unordered) == 114
+    assert keypoly._counted.cache_info().misses == len(oriented) == 113
+
+
+# Each fault maps every coefficient of a memo's result.
+KEY_POSITIVITY_FAULTS = [
+    ("_key_product", lambda c: -c, "negative key coefficient under the decomposition condition"),
+    ("_counted", lambda c: c + 1, "key coefficients disagree with the component count"),
+]
+
+
+def _faulty(memo, fault):
+    def broken(group, *args):
+        return {idx: fault(c) for idx, c in memo(group, *args).items()}
+
+    return broken
+
+
+@pytest.mark.parametrize("memo, fault, message", KEY_POSITIVITY_FAULTS, ids=["negative", "miscounted"])
+def test_key_positivity_faults_raise(monkeypatch, cold_caches, memo, fault, message):
+    """A negated expansion under the condition, and a component count that
+    disagrees with the expansion, each raise TheoremViolation from
+    product_report, in either orientation of the condition; a product
+    where neither orientation holds is not checked."""
+    import demtensor.keypoly as keypoly
+    from demtensor.decomp import TheoremViolation
+
+    monkeypatch.setattr(keypoly, memo, _faulty(getattr(keypoly, memo), fault))
+    with pytest.raises(TheoremViolation) as raised:
+        product_report(WA2, el(1, 2), el(1, 2, 1), (1, 1), (1, 0))
+    assert str(raised.value) == message
+    # the swapped orientation alone holds here, and is checked too
+    with pytest.raises(TheoremViolation, match=message):
+        product_report(WA2, el(1, 2), el(1, 2), (1, 1), (1, 0))
+    report = product_report(WA2, el(2, 1), el(2, 1), (1, 1), (1, 1))
+    assert not report.condition_forward and not report.condition_swapped
