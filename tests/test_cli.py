@@ -15,7 +15,6 @@ from demtensor.cli import main
 from demtensor.crystal import MultipleHighestWeights
 from demtensor.decomp import NoDemazureMatch, TheoremViolation
 from demtensor.weyl import NonUniqueMaximum
-from test_keypoly import KEY_POSITIVITY_FAULTS, _faulty
 
 EX1 = ["--type", "A2", "--v", "1,2", "--w", "1,2,1", "--lambda", "1,1", "--mu", "1,0"]
 EX2 = ["--type", "A2", "--v", "1", "--w", "1,2", "--lambda", "2,1", "--mu", "1,2"]
@@ -773,7 +772,14 @@ def test_dot_output_matches_recorded_digests(capsys, tmp_path):
     }
 
 
-@pytest.mark.parametrize("memo, fault, message", KEY_POSITIVITY_FAULTS, ids=["negative", "miscounted"])
+@pytest.mark.parametrize(
+    "memo, fault, message",
+    [
+        ("_key_product", lambda c: -c, "negative key coefficient under the decomposition condition"),
+        ("_counted", lambda c: c + 1, "key coefficients disagree with the component count"),
+    ],
+    ids=["negative", "miscounted"],
+)
 def test_key_positivity_failure_names_its_instance(monkeypatch, capsys, cold_caches, memo, fault, message):
     """A key-positivity fault on every product fails key-positivity alone,
     at its first product, v = w = e on the first shapes, where the
@@ -781,7 +787,10 @@ def test_key_positivity_failure_names_its_instance(monkeypatch, capsys, cold_cac
     import demtensor.keypoly as keypoly
     from demtensor import verify
 
-    monkeypatch.setattr(keypoly, memo, _faulty(getattr(keypoly, memo), fault))
+    real = getattr(keypoly, memo)
+    monkeypatch.setattr(
+        keypoly, memo, lambda group, *args: {idx: fault(c) for idx, c in real(group, *args).items()}
+    )
     code = main(["verify", "--grid", "A2:1"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 2
