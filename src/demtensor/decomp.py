@@ -177,7 +177,7 @@ def condition_check(group, v, w, lam, mu):
 
 
 def stabilizer_intervals(group, pi, lam):
-    """Stabilizer generator sets along the shifted path, minimally merged.
+    """Stabilizer masks along the shifted path, minimally merged.
 
     The unit interval splits into finitely many pieces on which the
     reflection stabilizer of lam + pi(t) is constant.  On a segment each
@@ -185,7 +185,8 @@ def stabilizer_intervals(group, pi, lam):
     whole open segment or nowhere on it, any other one vanishes at one
     time at most.  So the pieces are the breakpoints, the interior zeros
     and the open spans between them, read in that order and merged where
-    equal neighbours meet.  Returned as the ordered tuple of index sets.
+    equal neighbours meet.  Returned as the ordered tuple of their masks,
+    bit c set where coordinate c of lam + pi(t) is zero.
     Everything is in ticks: den * (lam + pi(t)) at the breakpoints is
     lam * den plus the path's marks.
     """
@@ -194,24 +195,25 @@ def stabilizer_intervals(group, pi, lam):
     shifted = [lam[k % n] * den + m for k, m in enumerate(pi.marks)]
 
     def zeros(k):
-        return frozenset(c + 1 for c in range(n) if shifted[k * n + c] == 0)
+        return sum(1 << c for c in range(n) if shifted[k * n + c] == 0)
 
     fine = [zeros(0)]
     for k, d in enumerate(pi.directions):
         start = shifted[k * n:(k + 1) * n]
         length = ticks[k + 1] - ticks[k]
-        flat = frozenset(c + 1 for c in range(n) if d[c] == 0 and start[c] == 0)
+        flat = sum(1 << c for c in range(n) if d[c] == 0 and start[c] == 0)
         # coordinate c vanishes num / q ticks into the segment
         crossings = []
         for c in range(n):
             if d[c]:
                 num, q = (-start[c], d[c]) if d[c] > 0 else (start[c], -d[c])
                 if 0 < num < q * length:
-                    crossings.append((num, q, c + 1))
+                    crossings.append((num, q, 1 << c))
         common = lcm(*(q for _, q, _ in crossings))
         at = {}
-        for num, q, c in crossings:
-            at.setdefault(num * (common // q), set()).add(c)
+        for num, q, bit in crossings:
+            time = num * (common // q)
+            at[time] = at.get(time, 0) | bit
         for time in sorted(at):
             fine.append(flat)
             fine.append(flat | at[time])

@@ -162,7 +162,8 @@ def _reduced_words(group, w):
     if not group.length(w):
         yield ()
         return
-    for s in sorted(group.left_descents(w)):
+    descents = group._left_descent_mask(w)
+    for s in (c + 1 for c in range(group.rs.rank) if descents >> c & 1):
         for word in _reduced_words(group, group.multiply(group.simple(s), w)):
             yield (s,) + word
 
@@ -307,13 +308,12 @@ def check_product_rule(group, v, i, w, lam, mu):
 
 def check_key_positivity(group, v, w, lam, mu):
     """Either orientation of the condition forces a nonnegative expansion
-    matching the component count."""
+    matching the component count: `product_report` raises otherwise, and
+    the instance is named here."""
     try:
-        report = product_report(group, v, w, lam, mu)
+        product_report(group, v, w, lam, mu)
     except TheoremViolation as caught:
         raise TheoremViolation("v=%r w=%r lam=%r mu=%r: %s" % (v, w, lam, mu, caught)) from None
-    if (report.condition_forward or report.condition_swapped) and not report.all_nonnegative:
-        raise TheoremViolation("negative coefficient at v=%r w=%r" % (v, w))
 
 
 # -- one sweep over the products of a grid ------------------------------------------------

@@ -6,20 +6,22 @@ An element is identified by its index in `WeylGroup.elements`, and there is
 one `WeylElement` per group element, so equality is identity.  The group
 keeps one integer generator table, built once with it, w*s_i, beside w^-1,
 the length and two bit masks of every element: its right descents and the
-support of its reduced words (bit i - 1 for the letter i).  Products,
-inverses, lengths and Bruhat comparisons walk these tables with right steps
-only, and descents, cosets and parabolic subgroups are mask operations: a
-left descent of w is a right descent of w^-1, and w lies in W_J when its
-support is inside J.  Bruhat order reads the word of the larger element
-from the right (property Z; Bjorner-Brenti, Combinatorics of Coxeter
-Groups, 2.2.7).  No coset is enumerated: a coset extreme is where a walk by
-the generators of J stops, the minimum at the first element with no right
-descent in J, the maximum at the first with all of J (ibid., 2.4).  The
-stabilizer of a dominant weight is one mask, memoized per weight, so the
-coset queries by weight and the decomposition condition read element
-indices and masks only: the condition walks v down on lam's mask and w up
-on mu's, and tests the floor's support against the ceiling's left
-descents, with no element object or frozenset made on the way.  An
+support of its reduced words.  A set J of simple reflections is always a
+bit mask, bit i - 1 for s_i, here and in every caller: `parabolic(J)` and
+`coset_bruhat_max(J, w)` take one.  Products, inverses, lengths and Bruhat
+comparisons walk these tables with right steps only, and descents, cosets
+and parabolic subgroups are mask operations: a left descent of w is a
+right descent of w^-1, and w lies in W_J when its support is inside J.
+Bruhat order reads the word of the larger element from the right
+(property Z; Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.2.7).  No
+coset is enumerated: a coset extreme is where a walk by the generators of
+J stops, the minimum at the first element with no right descent in J, the
+maximum at the first with all of J (ibid., 2.4).  Cosets are queried by
+weight: the stabilizer of a dominant weight is one mask, memoized per
+weight, so the coset queries by weight and the decomposition condition
+read element indices and masks only: the condition walks v down on lam's
+mask and w up on mu's, and tests the floor's support against the
+ceiling's left descents, with no element object made on the way.  An
 element stores one reduced word, the lexicographically least, and `apply`
 reflects along it.  The build keys w by w^-1(rho), rho = (1, ..., 1): rho
 is regular, so the key is injective, (w s_i)^-1 rho = s_i(w^-1 rho) is one
@@ -179,10 +181,7 @@ class WeylGroup:
             for i in reversed(w):
                 k = tables[i][k]
             inv.append(k)
-        # memos of the masks of index sets, their sets and the stabilizer
-        # mask of each weight
-        self._masks = {}
-        self._index_sets = {}
+        # memo of the stabilizer mask of each weight
         self._stabilizer_masks = {}
         self._check_tables()
 
@@ -260,22 +259,6 @@ class WeylGroup:
 
     # -- descents and masks ----------------------------------------------------
 
-    def _mask(self, J):
-        """The bit mask of a frozenset J of simple indices, memoized per set."""
-        got = self._masks.get(J)
-        if got is None:
-            got = self._masks[J] = sum(1 << (j - 1) for j in J)
-        return got
-
-    def _indices(self, mask):
-        """The frozenset of simple indices of a bit mask, one per mask."""
-        got = self._index_sets.get(mask)
-        if got is None:
-            got = self._index_sets[mask] = frozenset(
-                c + 1 for c in range(self.rs.rank) if mask >> c & 1
-            )
-        return got
-
     def _right_descent_mask(self, w):
         """Bit i - 1 set for each i with length(w s_i) < length(w)."""
         return self._rdes[w.index]
@@ -284,18 +267,13 @@ class WeylGroup:
         """Bit i - 1 set for each i with length(s_i w) < length(w)."""
         return self._rdes[self._inv[w.index]]
 
-    def left_descents(self, w):
-        """Simple indices i with length(s_i w) < length(w): the right descents of w^-1."""
-        return self._indices(self._rdes[self._inv[w.index]])
-
     # -- parabolic subgroups and cosets ---------------------------------------
 
     @lru_cache(maxsize=None)
     def parabolic(self, J):
-        """All elements of the standard parabolic subgroup W_J, J a frozenset:
+        """All elements of the standard parabolic subgroup W_J, J a mask:
         those whose reduced word uses only letters of J."""
-        outside = ~self._mask(J)
-        return tuple(w for w, s in zip(self.elements, self._support) if not s & outside)
+        return tuple(w for w, s in zip(self.elements, self._support) if not s & ~J)
 
     def _stabilizer_mask(self, lam):
         """The stabilizer of the dominant weight lam as a mask, bit c set where
@@ -306,11 +284,6 @@ class WeylGroup:
         if got is None:
             got = self._stabilizer_masks[lam] = sum(1 << c for c, a in enumerate(lam) if a == 0)
         return got
-
-    def stabilizer_indices(self, lam):
-        """Simple indices whose reflection fixes the dominant weight lam; one
-        frozenset per stabilizer mask."""
-        return self._indices(self._stabilizer_mask(lam))
 
     def _coset_floor(self, k, J):
         """Index of the minimal element of elements[k] W_J, J a mask: step by
@@ -331,14 +304,6 @@ class WeylGroup:
             k = rmul[(m & -m).bit_length() - 1][k]
             m = J & ~rdes[k]
         return k
-
-    def coset_min(self, w, J):
-        """Minimal-length representative of the coset w W_J, J a frozenset."""
-        return self.elements[self._coset_floor(w.index, self._mask(J))]
-
-    def coset_max(self, w, J):
-        """Maximal-length representative of the coset w W_J, J a frozenset."""
-        return self.elements[self._coset_ceiling(w.index, self._mask(J))]
 
     def coset_min_weight(self, w, lam):
         """Minimal-length representative of w modulo the stabilizer of lam."""
@@ -388,10 +353,10 @@ class WeylGroup:
         return winners[0]
 
     def coset_bruhat_max(self, J, w):
-        """Bruhat-maximal element of the coset W_J w: its longest element, the
-        inverse of the longest element of w^-1 W_J."""
+        """Bruhat-maximal element of the coset W_J w, J a mask: its longest
+        element, the inverse of the longest element of w^-1 W_J."""
         inv = self._inv
-        return self.elements[inv[self._coset_ceiling(inv[w.index], self._mask(J))]]
+        return self.elements[inv[self._coset_ceiling(inv[w.index], J)]]
 
 
 @lru_cache(maxsize=None)

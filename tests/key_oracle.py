@@ -6,12 +6,14 @@ dominant form of the support, and the coefficients solve the monomial
 system by Gaussian elimination over Fractions.  `scan_key_index` is the
 key-index normalization by a scan over the whole group, and
 `root_coordinates` reads a weight in the simple-root basis by exact
-elimination.
+elimination.  Cosets and stabilizers come from `coset_oracle`, and the
+scan applies an element by the simple reflections of its word, so no coset
+query or action of `WeylGroup` is read.
 """
 
 from fractions import Fraction
 
-from coset_oracle import minimal_coset_reps
+from coset_oracle import coset_min, minimal_coset_reps, stabilizer
 from demtensor.cartan import vsub
 from demtensor.keypoly import KeyIndex, key_polynomial
 from demtensor.lspath import dominant_walk
@@ -36,11 +38,14 @@ def root_coordinates(rs, x):
 def scan_key_index(group, nu):
     """Key index of nu: the first group element that moves its dominant form
     to nu, reduced to its minimal coset representative."""
-    nu = tuple(nu)
+    nu, rs = tuple(nu), group.rs
     shape = dominant_walk(group, nu)[0]
     for u in group.elements:
-        if group.apply(u, shape) == nu:
-            return KeyIndex(shape, group.coset_min_weight(u, shape))
+        x = shape
+        for i in reversed(u.word):
+            x = rs.simple_reflect(x, i)
+        if x == nu:
+            return KeyIndex(shape, coset_min(group, u, stabilizer(shape)))
     raise AssertionError("unreachable: %r not in the orbit of its dominant form" % (nu,))
 
 
@@ -98,7 +103,7 @@ def candidate_key_indices(group, f):
         shapes.update(_dominant_weights_below(group, m))
     indices = []
     for shape in sorted(shapes):
-        for rep in minimal_coset_reps(group, group.stabilizer_indices(shape)):
+        for rep in minimal_coset_reps(group, stabilizer(shape)):
             indices.append(KeyIndex(shape, rep))
     indices.sort(key=lambda idx: idx.sort_key())
     return indices

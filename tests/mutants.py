@@ -49,12 +49,20 @@ MUTANTS = [
         False,
     ),
     Mutant(
-        "index-set-mask-off-by-one",
+        "parabolic-support-meets-the-mask",
         "demtensor/weyl.py",
-        "sum(1 << (j - 1) for j in J)",
-        "sum(1 << j for j in J)",
-        ["tests/test_weyl.py::test_parabolics_match_the_word_filter",
-         "tests/test_weyl.py::test_coset_queries_by_weight_match_the_frozenset_queries"],
+        "if not s & ~J)",
+        "if s & J)",
+        ["tests/test_weyl.py::test_parabolics_match_the_word_filter"],
+        False,
+    ),
+    Mutant(
+        "stabilizer-interval-zero-bit-shifted",
+        "demtensor/decomp.py",
+        "sum(1 << c for c in range(n) if shifted[k * n + c] == 0)",
+        "sum(1 << (c + 1) for c in range(n) if shifted[k * n + c] == 0)",
+        ["tests/test_decomp.py::test_stabilizer_intervals_match_fraction_oracle",
+         "tests/test_decomp.py::test_stabilizer_intervals_match_fraction_oracle_on_drawn_paths"],
         False,
     ),
     Mutant(

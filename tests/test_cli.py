@@ -772,6 +772,25 @@ def test_dot_output_matches_recorded_digests(capsys, tmp_path):
     }
 
 
+def test_readme_library_sketch_runs(capsys):
+    """The README's python block runs as written, with stdout captured, so
+    a name it shows that the package no longer has fails here."""
+    import re
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as handle:
+        blocks = re.findall(r"^```python\n(.*?)^```$", handle.read(), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "LSPath((-1, 1); 0, 1) (0, 2) True s1*s2",
+        "LSPath((0, -1); 0, 1) (1, 0) True s1",
+        "LSPath((1, 0); 0, 1) (2, 1) True s1*s2",
+        "{KeyIndex(shape=(0, 2), witness=s1*s2): 1, KeyIndex(shape=(1, 0), witness=s1): 1, "
+        "KeyIndex(shape=(2, 1), witness=s1*s2): 1} True",
+    ]
+
+
 @pytest.mark.parametrize(
     "memo, fault, message",
     [

@@ -6,13 +6,15 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coset_oracle
 import match_oracle
 from tensor_oracle import tensor_demazure
 from demtensor import decomp, keypoly
-from demtensor.cartan import root_system, vadd
-from demtensor.crystal import TensorElement, f_op, induced_component, weight_of
+from demtensor.cartan import root_system, vadd, weyl_dimension
+from demtensor.crystal import CRYSTAL_SIZE_LIMIT, TensorElement, f_op, induced_component, weight_of
 from demtensor.decomp import (
     TheoremViolation,
     closure_product,
@@ -89,9 +91,9 @@ def test_dominant_paths_example2():
 
 def test_stabilizer_intervals_example1():
     lam = EX1["lam"]
-    assert stabilizer_intervals(WA2, eps_path(1), lam) == (frozenset(),)
-    assert stabilizer_intervals(WA2, eps_path(2), lam) == (frozenset(), frozenset({1}))
-    assert stabilizer_intervals(WA2, eps_path(3), lam) == (frozenset(), frozenset({2}))
+    assert stabilizer_intervals(WA2, eps_path(1), lam) == (0,)
+    assert stabilizer_intervals(WA2, eps_path(2), lam) == (0, 0b01)
+    assert stabilizer_intervals(WA2, eps_path(3), lam) == (0, 0b10)
 
 
 def test_path_witness_example1():
@@ -421,8 +423,7 @@ def test_size_filtered_search_matches_exhaustive_sweep():
                 comp = Subset(product.space, searched_codes(product, pi))
                 nu = vadd(lam, weight_of(pi))
                 if nu not in reps:
-                    J = group.stabilizer_indices(nu)
-                    reps[nu] = coset_oracle.minimal_coset_reps(group, J)
+                    reps[nu] = coset_oracle.minimal_coset_reps(group, coset_oracle.stabilizer(nu))
                 sweep = [x for x in reps[nu]
                          if is_isomorphic(grid.rs, comp, generate_demazure(group, x, nu).subset)]
                 oracle = match_oracle.isomorphism_match(group, comp, nu)
@@ -578,9 +579,50 @@ def test_stabilizer_intervals_match_fraction_oracle():
             for mu in grid.shapes:
                 for pi in generate_crystal(grid.rs, mu):
                     got = stabilizer_intervals(grid.group, pi, lam)
-                    assert got == path_oracle.stabilizer_intervals(grid.group, pi, lam), (pi, lam)
+                    expected = path_oracle.stabilizer_intervals(grid.group, pi, lam)
+                    assert got == tuple(map(coset_oracle.mask, expected)), (pi, lam)
                     dominant += pi.is_dominant_for(lam)
     assert dominant > 100
+
+
+@st.composite
+def _interval_draws(draw):
+    """(group, pi, lam): a type of A3, B3, C3 and G2, dominant lam and mu
+    with entries at most 2, B(mu) under the crystal size limit, an element
+    w and a dominant path pi of B_w(mu) for lam."""
+    letter, rank = draw(st.sampled_from([("A", 3), ("B", 3), ("C", 3), ("G", 2)]))
+    rs = root_system(letter, rank)
+    group = weyl_group(rs)
+    weights = st.tuples(*[st.integers(0, 2)] * rank)
+    lam = draw(weights)
+    mu = draw(weights.filter(lambda mu: any(mu) and weyl_dimension(rs, mu) <= CRYSTAL_SIZE_LIMIT))
+    w = group.elements[draw(st.integers(0, len(group) - 1))]
+    paths = dominant_paths(group, w, mu, lam)
+    # the top path of B_w(mu) is dominant for every dominant lam
+    assert paths, (w, mu, lam)
+    return group, draw(st.sampled_from(paths)), lam
+
+
+def test_stabilizer_intervals_match_fraction_oracle_on_drawn_paths():
+    """Beyond the fixed grids: on drawn types, shapes, elements and
+    dominant paths, the masks are the Fraction oracle's index sets; some
+    draws meet a zero coordinate after the start, so the draws are not all
+    the trivial one-interval case."""
+    import path_oracle
+
+    inner = []
+
+    @settings(derandomize=True, max_examples=60, deadline=10000, database=None)
+    @given(_interval_draws())
+    def check(draw):
+        group, pi, lam = draw
+        got = stabilizer_intervals(group, pi, lam)
+        expected = path_oracle.stabilizer_intervals(group, pi, lam)
+        assert got and got == tuple(map(coset_oracle.mask, expected)), (pi, lam)
+        inner.append(any(got[1:]))
+
+    check()
+    assert any(inner)
 
 
 def test_components_never_build_the_product(monkeypatch, cold_caches):
@@ -818,7 +860,7 @@ def test_path_witness_memo_matches_a_fresh_recursion():
     for grid in default_grids() + [parse_grid("G2:1")]:
         group = grid.group
         for lam, mu in itertools.product(grid.shapes, repeat=2):
-            stabilizer = group.stabilizer_indices(mu)
+            stabilizer = coset_oracle.stabilizer(mu)
             for w in group:
                 paths = dominant_paths(group, w, mu, lam)
                 wfloor = group.coset_min_weight(w, mu)

@@ -171,11 +171,11 @@ def test_bruhat_matches_the_subword_oracle_on_seeded_pairs(letter, rank):
 
 
 def test_left_descents():
-    assert A2.left_descents(A2.identity) == frozenset()
+    assert A2._left_descent_mask(A2.identity) == 0
     assert coset_oracle.descent_subgroup(A2, A2.identity) == (A2.identity,)
-    assert A2.left_descents(el(A2, 1, 2)) == frozenset({1})
+    assert A2._left_descent_mask(el(A2, 1, 2)) == 0b01
     # the longest element descends in every direction
-    assert A2.left_descents(el(A2, 1, 2, 1)) == frozenset({1, 2})
+    assert A2._left_descent_mask(el(A2, 1, 2, 1)) == 0b11
     assert len(coset_oracle.descent_subgroup(A2, el(A2, 1, 2, 1))) == 6
 
 
@@ -185,7 +185,7 @@ def test_coset_representatives():
         assert A2.coset_min_weight(w, (1, 1)) == w
         assert A2.coset_max_weight(w, (1, 1)) == w
     # stabilizer of the first fundamental weight is generated by s_2
-    assert A2.stabilizer_indices((1, 0)) == frozenset({2})
+    assert A2._stabilizer_mask((1, 0)) == 0b10
     assert A2.coset_max_weight(A2.simple(1), (1, 0)) == el(A2, 1, 2)
     assert A2.coset_max_weight(el(A2, 1, 2, 1), (1, 0)) == el(A2, 1, 2, 1)
     assert A2.coset_min_weight(el(A2, 1, 2), (1, 0)) == A2.simple(1)
@@ -194,10 +194,10 @@ def test_coset_representatives():
 def test_coset_extremes_are_extremal():
     for group in (A2, B2):
         for lam in [(1, 0), (0, 1), (1, 1)]:
-            J = group.stabilizer_indices(lam)
+            J = coset_oracle.stabilizer(lam)
             for w in group:
-                lo = group.coset_min(w, J)
-                hi = group.coset_max(w, J)
+                lo = group.coset_min_weight(w, lam)
+                hi = group.coset_max_weight(w, lam)
                 coset = coset_oracle.coset(group, w, J)
                 assert lo in coset and hi in coset
                 for u in coset:
@@ -215,8 +215,16 @@ def all_subsets(rank):
 
 
 def assert_walks_match_scans(group, w, J):
-    assert group.coset_min(w, J) is coset_oracle.coset_min(group, w, J), (w, J)
-    assert group.coset_max(w, J) is coset_oracle.coset_max(group, w, J), (w, J)
+    """The walks on the 0/1 weight that is zero exactly on J, whose
+    stabilizer is J, give the scanned extremes of w W_J."""
+    lam = coset_oracle.zero_on(J, group.rs.rank)
+    assert group.coset_min_weight(w, lam) is coset_oracle.coset_min(group, w, J), (w, J)
+    assert group.coset_max_weight(w, lam) is coset_oracle.coset_max(group, w, J), (w, J)
+
+
+def assert_bruhat_max_matches_scan(group, J, w):
+    got = group.coset_bruhat_max(coset_oracle.mask(J), w)
+    assert got is coset_oracle.coset_bruhat_max(group, J, w), (J, w)
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("G", 2)])
@@ -225,7 +233,7 @@ def test_coset_walks_match_the_scan_oracle(letter, rank):
     for J in all_subsets(rank):
         for w in group:
             assert_walks_match_scans(group, w, J)
-            assert group.coset_bruhat_max(J, w) is coset_oracle.coset_bruhat_max(group, J, w)
+            assert_bruhat_max_matches_scan(group, J, w)
 
 
 def test_coset_walks_match_the_scan_oracle_on_f4():
@@ -241,10 +249,10 @@ def test_coset_walks_match_the_scan_oracle_on_f4():
         for w in group:
             assert_walks_match_scans(group, w, J)
         for w in sample:
-            assert group.coset_bruhat_max(J, w) is coset_oracle.coset_bruhat_max(group, J, w)
+            assert_bruhat_max_matches_scan(group, J, w)
     for w in sample:
         assert_walks_match_scans(group, w, full)
-        assert group.coset_bruhat_max(full, w) is coset_oracle.coset_bruhat_max(group, full, w)
+        assert_bruhat_max_matches_scan(group, full, w)
 
 
 def test_orbit_poset_basics():
@@ -276,11 +284,10 @@ def test_orbit_order_matches_bruhat_on_coset_reps():
     for group, lams in [(A2, [(1, 0), (0, 1), (1, 1), (1, 2)]), (B2, [(1, 0), (0, 1), (1, 1)])]:
         for lam in lams:
             poset = orbit_oracle.orbit_poset(group, lam)
-            J = group.stabilizer_indices(lam)
             rep = {}
             for w in group:
                 x = group.apply(w, lam)
-                u = group.coset_min(w, J)
+                u = group.coset_min_weight(w, lam)
                 assert rep.setdefault(x, u) == u
             for x in poset.points:
                 for y in poset.points:
@@ -301,8 +308,8 @@ def test_sigma_chain_examples():
 
 def test_coset_bruhat_max():
     for w in A2:
-        assert A2.coset_bruhat_max(frozenset(), w) == w
-    h = frozenset({1})
+        assert A2.coset_bruhat_max(0, w) == w
+    h = 0b01
     assert A2.coset_bruhat_max(h, A2.identity) == A2.simple(1)
     assert A2.coset_bruhat_max(h, el(A2, 2, 1)) == el(A2, 1, 2, 1)
 
@@ -401,7 +408,7 @@ def test_cosets_and_descents_match_matrix_oracle(letter, rank):
     subsets = [frozenset(J) for k in range(rank + 1) for J in combinations(range(1, rank + 1), k)]
     parabolics = {J: oracle_parabolic(rs, J) for J in subsets}
     for J in subsets:
-        assert {h.matrix for h in group.parabolic(J)} == parabolics[J]
+        assert {h.matrix for h in group.parabolic(coset_oracle.mask(J))} == parabolics[J]
     for w in group:
         inverse = word_matrix(rs, tuple(reversed(w.word)))
         descents = frozenset(
@@ -409,13 +416,14 @@ def test_cosets_and_descents_match_matrix_oracle(letter, rank):
             for i in range(1, rank + 1)
             if root_sign(rs, matvec(inverse, rs.simple_roots[i - 1].fw)) < 0
         )
-        assert group.left_descents(w) == descents
+        assert group._left_descent_mask(w) == coset_oracle.mask(descents)
         for J in subsets:
             coset = sorted(
                 (inversion_count(rs, m), m) for m in {matmul(w.matrix, h) for h in parabolics[J]}
             )
-            assert group.coset_min(w, J).matrix == coset[0][1]
-            assert group.coset_max(w, J).matrix == coset[-1][1]
+            lam = coset_oracle.zero_on(J, rank)
+            assert group.coset_min_weight(w, lam).matrix == coset[0][1]
+            assert group.coset_max_weight(w, lam).matrix == coset[-1][1]
 
 
 TABLES = ["rmul", "inv", "len", "rdes", "support"]
@@ -484,32 +492,31 @@ MASK_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
 def test_left_descents_match_products(letter, rank):
     group = weyl_group(root_system(letter, rank))
     for w in group:
-        below = group.length(w)
-        descents = {
-            i for i in range(1, rank + 1)
-            if group.length(group.multiply(group.simple(i), w)) < below
-        }
-        assert group.left_descents(w) == descents, w
+        descents = coset_oracle.left_descents(group, w)
+        assert group._left_descent_mask(w) == coset_oracle.mask(descents), w
 
 
 @pytest.mark.parametrize("letter,rank", MASK_TYPES)
 def test_parabolics_match_the_word_filter(letter, rank):
     group = weyl_group(root_system(letter, rank))
     for J in all_subsets(rank):
-        assert group.parabolic(J) == tuple(w for w in group if J.issuperset(w.word)), J
+        expected = tuple(w for w in group if J.issuperset(w.word))
+        assert group.parabolic(coset_oracle.mask(J)) == expected, J
 
 
 @pytest.mark.parametrize("letter,rank", MASK_TYPES)
 def test_coset_reps_match_the_walk_and_stabilizers_are_shared(letter, rank):
     """verify's minimal representatives, read off the descent masks, are the
-    elements the coset walk fixes; a stabilizer is one shared frozenset
-    whether its weight comes as a list or a tuple."""
+    elements the coset walk fixes; a stabilizer mask is memoized once per
+    weight, shared by the weight as a list and as a tuple."""
     group = weyl_group(root_system(letter, rank))
     for lam in product((0, 1), repeat=rank):
         if any(lam):
             walked = [w for w in group if group.coset_min_weight(w, lam) is w]
             assert _coset_reps(group, lam) == walked, lam
-            assert group.stabilizer_indices(list(lam)) is group.stabilizer_indices(lam)
+            memo = dict(group._stabilizer_masks)
+            assert group._stabilizer_mask(list(lam)) == memo[lam]
+            assert group._stabilizer_masks == memo
 
 
 # -- queries on a weight's stabilizer mask ----------------------------------
@@ -530,21 +537,23 @@ def elements_to_check(group):
 
 @pytest.mark.parametrize("letter,rank", EXHAUSTIVE_TYPES + [("D", 4), ("F", 4)])
 def test_coset_queries_by_weight_match_the_frozenset_queries(letter, rank):
-    """On every bound-1 shape: the stabilizer is the set of simple
-    reflections that fix the weight; a list and a tuple weight give the
-    same mask (the shared frozenset is checked above); and on every element (a
-    seeded sample on D4 and F4) the walks on the weight's mask give
-    `coset_min`/`coset_max` on `stabilizer_indices`."""
+    """On every bound-1 shape: the stabilizer mask is the mask of the simple
+    reflections that fix the weight, for a list and a tuple weight alike;
+    and on every element (a seeded sample on D4 and F4) the walks on the
+    weight's mask give the scanned extremes of the coset oracle on the
+    frozenset of the weight's zero coordinates."""
     group = weyl_group(root_system(letter, rank))
     for lam in bound_one_shapes(rank):
-        J = group.stabilizer_indices(lam)
+        J = coset_oracle.stabilizer(lam)
         fixing = {i for i in range(1, rank + 1) if group.apply(group.simple(i), lam) == lam}
         assert J == fixing, lam
-        assert group._stabilizer_mask(list(lam)) == group._stabilizer_mask(lam) == group._mask(J)
+        mask = coset_oracle.mask(fixing)
+        assert group._stabilizer_mask(list(lam)) == group._stabilizer_mask(lam) == mask, lam
         for w in elements_to_check(group):
+            lo, hi = coset_oracle.coset_min(group, w, J), coset_oracle.coset_max(group, w, J)
             for weight in (lam, list(lam)):
-                assert group.coset_min_weight(w, weight) is group.coset_min(w, J), (w, lam)
-                assert group.coset_max_weight(w, weight) is group.coset_max(w, J), (w, lam)
+                assert group.coset_min_weight(w, weight) is lo, (w, lam)
+                assert group.coset_max_weight(w, weight) is hi, (w, lam)
 
 
 @pytest.mark.parametrize("letter,rank", EXHAUSTIVE_TYPES)
