@@ -532,39 +532,13 @@ def tensor_space(left, right):
     return TensorCodes(left, right)
 
 
-class PairBox:
-    """The codes of the pairs with left id in `left` and right id in `right`.
-
-    Membership is tested factor by factor, so the set is never built.
-    """
-
-    __slots__ = ("left", "right", "n")
-
-    def __init__(self, left, right, n):
-        self.left = left
-        self.right = right
-        self.n = n
-
-    def __contains__(self, c):
-        return c // self.n in self.left and c % self.n in self.right
-
-    def __len__(self):
-        return len(self.left) * len(self.right)
-
-    def __iter__(self):
-        """The codes in increasing order."""
-        n, right = self.n, sorted(self.right)
-        return (a * n + b for a in sorted(self.left) for b in right)
-
-
 class Subset:
     """Part of a compiled space (a crystal on ids, a product on pair codes).
 
-    `ids` is any container of ids whose `in` is membership; searches that
-    enumerate it need a finite iterable such as a frozenset or a range.
-    It is not changed after construction: `tops` is scanned once (or given,
-    by a caller that found them) and `elements` decoded once, and both are
-    kept.
+    `ids` is a frozenset of ids (or pair codes), so a product is built as
+    its set of codes (`TensorCodes.pairs`).  It is not changed after
+    construction: `tops` is scanned once (or given, by a caller that found
+    them) and `elements` decoded once, and both are kept.
     """
 
     __slots__ = ("space", "ids", "_tops", "_elements")
@@ -785,8 +759,8 @@ def components_of(members):
     if not members.ids:
         return []
     space = members.space
-    order = sorted(members.ids)
-    inside = set(order)
+    inside = members.ids
+    order = sorted(inside)
     rows, n, fill = space._rows, space.n, space._row
     raising = range(1, 2 * space.rank, 2)
     label = {}

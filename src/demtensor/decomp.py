@@ -39,14 +39,15 @@ cosets v W_lam and w W_mu.  It keeps no memo of its own, so a component
 lives as long as its report; `verify` meets each product once by sweeping
 minimal coset representatives, and certifies it once.
 
-The product B_v(lam) (x) B_w(mu) is never built: a pair is the integer code
-a * |B(mu)| + b of its ids in the compiled crystals, and membership is
-tested factor by factor against the two Demazure id sets.  Components,
-isomorphism certificates, the recursion and the product rule run on these
-codes; `TensorElement`s are decoded only for the values returned.  Every
-closure here is `crystal.lower_closure`: the test of a component along
-x's word, the word closure of a product (`closure_product`), and the
-i-closures of the recursion formula and the product rule.
+A pair of B_v(lam) (x) B_w(mu) is the integer code a * |B(mu)| + b of its
+ids in the compiled crystals, and the product is the frozenset of the
+codes of all pairs of the two Demazure id sets (`_product`), built once.
+Components, isomorphism certificates, the recursion and the product rule
+run on these codes; `TensorElement`s are decoded only for the values
+returned.  Every closure here is `crystal.lower_closure`: the test of a
+component along x's word, the word closure of a product
+(`closure_product`), and the i-closures of the recursion formula and the
+product rule.
 
 `decompose` labels every component of its product in one pass
 (`crystal.components_of`): the product is closed under every e_i, each
@@ -66,12 +67,10 @@ independent computation of the same sets.
 """
 
 from functools import lru_cache
-from math import lcm
 
 from .cartan import vadd
 from .crystal import (
     MultipleHighestWeights,
-    PairBox,
     Subset,
     _refuse_oversized_product,
     compiled_subset,
@@ -113,28 +112,27 @@ def _dominant_paths(group, wfloor, mu, lam):
 
 
 def _product(group, v, w, lam, mu):
-    """B_v(lam) (x) B_w(mu) as a Subset of pair codes, tested factor by factor."""
+    """B_v(lam) (x) B_w(mu) as a Subset: the codes of all pairs of the two
+    Demazure id sets, built once."""
     left = generate_demazure(group, v, lam).subset
     right = generate_demazure(group, w, mu).subset
     space = tensor_space(left.space, right.space)
-    return Subset(space, PairBox(left.ids, right.ids, space.n))
+    return Subset(space, space.pairs(left.ids, right.ids))
 
 
 def _pair_code(product, pi):
     """The pair code of (top path, pi) in the product."""
     space = product.space
     b = space.right.index.get(pi, -1)
-    if b < 0 or b not in product.ids.right:
+    code = space.left.top * space.n + b
+    if b < 0 or code not in product.ids:
         raise AssertionError("pi is not an element of the right Demazure factor")
-    return space.left.top * space.n + b
+    return code
 
 
 def component(group, pi, v, w, lam, mu):
     """Connected component of the product through the pair (top path, pi),
-    found by a search from that pair.
-
-    Membership in the product is tested on the two cached Demazure
-    crystals, so the product set itself is never built.
+    found by a search from that pair through the codes of the product.
     """
     product = _product(group, v, w, lam, mu)
     space = product.space
@@ -180,45 +178,29 @@ def stabilizer_intervals(group, pi, lam):
     """Stabilizer masks along the shifted path, minimally merged.
 
     The unit interval splits into finitely many pieces on which the
-    reflection stabilizer of lam + pi(t) is constant.  On a segment each
-    coordinate of lam + pi(t) is affine: one with zero slope is zero on the
-    whole open segment or nowhere on it, any other one vanishes at one
-    time at most.  So the pieces are the breakpoints, the interior zeros
-    and the open spans between them, read in that order and merged where
-    equal neighbours meet.  Returned as the ordered tuple of their masks,
-    bit c set where coordinate c of lam + pi(t) is zero.
+    reflection stabilizer of lam + pi(t) is constant.  The path must be
+    dominant for lam, as every path the recursion passes is; any other
+    raises AssertionError.  Then each coordinate of lam + pi(t) is affine
+    and never negative on a segment, so it vanishes inside the segment
+    exactly when it vanishes at both ends.  So the pieces are the
+    breakpoints and the open segments between them, read in that order and
+    merged where equal neighbours meet.  Returned as the ordered tuple of
+    their masks, bit c set where coordinate c of lam + pi(t) is zero.
     Everything is in ticks: den * (lam + pi(t)) at the breakpoints is
     lam * den plus the path's marks.
     """
     n = group.rs.rank
-    den, ticks = pi.den, pi.ticks
-    shifted = [lam[k % n] * den + m for k, m in enumerate(pi.marks)]
-
-    def zeros(k):
-        return sum(1 << c for c in range(n) if shifted[k * n + c] == 0)
-
-    fine = [zeros(0)]
-    for k, d in enumerate(pi.directions):
-        start = shifted[k * n:(k + 1) * n]
-        length = ticks[k + 1] - ticks[k]
-        flat = sum(1 << c for c in range(n) if d[c] == 0 and start[c] == 0)
-        # coordinate c vanishes num / q ticks into the segment
-        crossings = []
-        for c in range(n):
-            if d[c]:
-                num, q = (-start[c], d[c]) if d[c] > 0 else (start[c], -d[c])
-                if 0 < num < q * length:
-                    crossings.append((num, q, 1 << c))
-        common = lcm(*(q for _, q, _ in crossings))
-        at = {}
-        for num, q, bit in crossings:
-            time = num * (common // q)
-            at[time] = at.get(time, 0) | bit
-        for time in sorted(at):
-            fine.append(flat)
-            fine.append(flat | at[time])
-        fine.append(flat)
-        fine.append(zeros(k + 1))
+    shifted = [lam[k % n] * pi.den + m for k, m in enumerate(pi.marks)]
+    if min(shifted) < 0:
+        raise AssertionError("%r is not dominant for %r" % (pi, tuple(lam)))
+    zeros = [
+        sum(1 << c for c in range(n) if shifted[k * n + c] == 0)
+        for k in range(len(pi.ticks))
+    ]
+    fine = [zeros[0]]
+    for k in range(1, len(zeros)):
+        fine.append(zeros[k - 1] & zeros[k])
+        fine.append(zeros[k])
     merged = []
     for J in fine:
         if not merged or merged[-1] != J:
@@ -478,16 +460,15 @@ def decompose(group, v, w, lam, mu, oracle=False):
     raises that every raising step from the product lands in the product
     and in the same component.  Each dominant path pi must name the top
     (top path, pi) of exactly one component and every component must be
-    named, so the dominant paths index the components and the product set
-    is never built.  Every component is tested against the one Demazure
-    crystal that `demazure_match` names, by closing its top pair along
-    that crystal's word inside the product; a failed test is certified by
-    an i-string through the component that meets it in more than its top
-    but not in full.  The biconditional between the group condition and
-    all-verdicts-positive is enforced, and under the condition the verdict
-    must agree with the lifted witness.  Shapes that are not dominant and a
-    pair space over `PAIR_SPACE_LIMIT` are refused before any crystal is
-    built.
+    named, so the dominant paths index the components.  Every component is
+    tested against the one Demazure crystal that `demazure_match` names,
+    by closing its top pair along that crystal's word inside the product;
+    a failed test is certified by an i-string through the component that
+    meets it in more than its top but not in full.  The biconditional
+    between the group condition and all-verdicts-positive is enforced, and
+    under the condition the verdict must agree with the lifted witness.
+    Shapes that are not dominant and a pair space over `PAIR_SPACE_LIMIT`
+    are refused before any crystal is built.
 
     At v = e the condition holds, the lift word is empty and the lifted
     witness is the base witness, so this check is the witness oracle.
@@ -603,7 +584,7 @@ def _recursion_step(group, pi, i, here, there):
     rs = group.rs
     product = here[0]
     comp = _top_component(here, pi)
-    space, right_ids = product.space, product.ids.right
+    space, ids = product.space, product.ids
     left, right, n = space.left, space.right, space.n
     fl, fr = left.f_table[i - 1], right.f_table[i - 1]
     grown = lower_closure(space, comp.ids, (i,))
@@ -613,7 +594,8 @@ def _recursion_step(group, pi, i, here, there):
         if left.eps_table[i - 1][a] != 0:
             continue
         fb = fr[b]
-        if fb < 0 or fb in right_ids:
+        # a is a left id of the product, so (a, fb) is in it when fb is in B_w(mu)
+        if fb < 0 or a * n + fb in ids:
             continue
         lowered_left = _f_power(fl, a, rs.pairing(left.weights[a], i))
         if lowered_left < 0:
@@ -687,18 +669,20 @@ def leibniz_check(group, v, w, lam, mu, i):
         raise ValueError("the color must increase the length of v")
     si = group.simple(i)
     product = _product(group, v, w, lam, mu)
-    space, box = product.space, product.ids
-    lhs = lower_closure(space, box, (i,))
+    space = product.space
+    lhs = lower_closure(space, product.ids, (i,))
+    left_ids = generate_demazure(group, v, lam).subset.ids
+    right_ids = generate_demazure(group, w, mu).subset.ids
     grown_left = generate_demazure(group, group.multiply(si, v), lam).subset
-    first = space.pairs(grown_left.ids, box.right)
+    first = space.pairs(grown_left.ids, right_ids)
     crystal = space.left
     e, f = crystal.e_table[i - 1], crystal.f_table[i - 1]
     lifted_tops = set()
-    for a in box.left:
+    for a in left_ids:
         while e[a] >= 0:
             a = e[a]
         # at the top of its string the pairing is phi, so the lift is f^phi
         lifted_tops.add(_f_power(f, a, rs.pairing(crystal.weights[a], i)))
     grown_right = generate_demazure(group, group.multiply(si, w), mu).subset
-    second = space.pairs(lifted_tops, grown_right.ids - box.right)
+    second = space.pairs(lifted_tops, grown_right.ids - right_ids)
     return LeibnizResult(space, lhs, first, second)

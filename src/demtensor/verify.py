@@ -57,6 +57,7 @@ from .decomp import (
     TheoremViolation,
     _certify,
     _labelled,
+    _product,
     _recursion_step,
     closure_product,
     condition_check,
@@ -244,7 +245,7 @@ def suite_full_tensor_partition(grid):
             left = generate_crystal(grid.rs, lam)
             right = generate_crystal(grid.rs, mu)
             space = tensor_space(left, right)
-            members = Subset(space, range(len(space)))
+            members = Subset(space, frozenset(range(len(space))))
             covered = set()
             for b, pi in enumerate(right):
                 if not pi.is_dominant_for(lam):
@@ -254,7 +255,7 @@ def suite_full_tensor_partition(grid):
                     return "components overlap at %r" % (pi,)
                 covered |= comp
                 target = generate_crystal(grid.rs, vadd(lam, weight_of(pi)))
-                whole = Subset(target, range(len(target)))
+                whole = Subset(target, frozenset(range(len(target))))
                 if not is_isomorphic(grid.rs, Subset(space, comp), whole):
                     return "component of %r is not the full crystal of its weight" % (pi,)
             if len(covered) != len(members):
@@ -278,9 +279,7 @@ def check_word_closure(group, v, w, lam, mu):
     if not condition_check(group, v, w, lam, mu):
         return
     closed = closure_product(group, v.word, w, lam, mu)
-    left = generate_demazure(group, v, lam).subset
-    right = generate_demazure(group, w, mu).subset
-    if closed.ids != closed.space.pairs(left.ids, right.ids):
+    if closed.ids != _product(group, v, w, lam, mu).ids:
         raise TheoremViolation("closure misses the product at v=%r w=%r" % (v, w))
 
 

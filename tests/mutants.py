@@ -66,6 +66,30 @@ MUTANTS = [
         False,
     ),
     Mutant(
+        "stabilizer-intervals-take-any-path",
+        "demtensor/decomp.py",
+        "    if min(shifted) < 0:\n",
+        "    if False:\n",
+        ["tests/test_decomp.py::test_stabilizer_intervals_match_fraction_oracle"],
+        False,
+    ),
+    Mutant(
+        "recursion-right-id-read-as-a-code",
+        "demtensor/decomp.py",
+        "if fb < 0 or a * n + fb in ids:",
+        "if fb < 0 or fb in ids:",
+        ["tests/test_acceptance.py::test_criterion_05_recursion_over_grid"],
+        False,
+    ),
+    Mutant(
+        "pair-code-membership-unchecked",
+        "demtensor/decomp.py",
+        "if b < 0 or code not in product.ids:",
+        "if b < 0:",
+        ["tests/test_cli.py::test_dominant_path_outside_the_right_factor_is_structural"],
+        False,
+    ),
+    Mutant(
         "condition-and-for-and-not",
         "demtensor/weyl.py",
         "not self._support[floor] & ~self._rdes[",

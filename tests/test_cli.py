@@ -726,8 +726,8 @@ def test_recursion_failure_names_its_instance(monkeypatch, capsys):
     (v, i), w = verify._ascent_pairs(group, verify._coset_reps(group, lam))[0], group.identity
     pi, got_i, here, there = seen[0]
     assert (pi, got_i) == (decomp.dominant_paths(group, w, mu, lam)[0], i)
-    assert here[0].ids.left == generate_demazure(group, v, lam).subset.ids
-    assert here[0].ids.right == generate_demazure(group, w, mu).subset.ids
+    assert here[0].ids == here[0].space.pairs(
+        generate_demazure(group, v, lam).subset.ids, generate_demazure(group, w, mu).subset.ids)
     expected = "FAIL %-28s A2: v=%r i=%d w=%r lam=%r mu=%r: injected" % (
         "component-recursion", v, i, w, lam, mu)
     assert [line for line in lines if line.startswith("FAIL")] == [expected]

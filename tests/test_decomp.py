@@ -124,7 +124,7 @@ def test_oracle_labels_b_lam_against_b_w_once(monkeypatch):
     monkeypatch.setattr(decomp, "components_of", lambda product: passes.append(product) or label(product))
     decompose(WA2, oracle=True, **EX1)
     assert len(passes) == 2
-    assert set(passes[0].ids.left) == {passes[0].space.left.top}
+    assert {c // passes[0].space.n for c in passes[0].ids} == {passes[0].space.left.top}
     del passes[:]
     decompose(WA2, WA2.identity, EX1["w"], EX1["lam"], EX1["mu"], oracle=True)
     assert len(passes) == 1
@@ -302,7 +302,7 @@ def test_witness_oracle_labels_the_straight_path_against_b_w(monkeypatch):
             del passes[:]
             path_witness_by_search(WA2, pi, w, mu, lam)
             ((product, comps),) = passes
-            assert set(product.ids.left) == {product.space.left.top}
+            assert {c // product.space.n for c in product.ids} == {product.space.left.top}
             assert len(product) == len(right) == sum(map(len, comps))
 
 
@@ -568,21 +568,29 @@ def test_decompose_builds_the_ambient_product_only_when_needed(monkeypatch, cold
 
 
 def test_stabilizer_intervals_match_fraction_oracle():
+    """On every path of the default and G2:1 grids that is dominant for a
+    shape of its grid or zero, the masks are the Fraction oracle's index
+    sets; every other pair is refused with AssertionError."""
     import path_oracle
 
     from demtensor.crystal import generate_crystal
     from demtensor.verify import default_grids, parse_grid
 
-    dominant = 0
+    dominant = refused = 0
     for grid in default_grids() + [parse_grid("G2:1")]:
         for lam in [grid.rs.zero()] + list(grid.shapes):
             for mu in grid.shapes:
                 for pi in generate_crystal(grid.rs, mu):
+                    if not pi.is_dominant_for(lam):
+                        with pytest.raises(AssertionError, match="is not dominant for"):
+                            stabilizer_intervals(grid.group, pi, lam)
+                        refused += 1
+                        continue
                     got = stabilizer_intervals(grid.group, pi, lam)
                     expected = path_oracle.stabilizer_intervals(grid.group, pi, lam)
                     assert got == tuple(map(coset_oracle.mask, expected)), (pi, lam)
-                    dominant += pi.is_dominant_for(lam)
-    assert dominant > 100
+                    dominant += 1
+    assert dominant > 100 and refused > 100
 
 
 @st.composite
@@ -639,6 +647,29 @@ def test_components_never_build_the_product(monkeypatch, cold_caches):
     assert recursive_component(WA2, pi, el(), 1, EX1["w"], EX1["lam"], EX1["mu"])
 
 
+def test_every_subset_the_package_returns_holds_a_frozenset():
+    """`Subset.ids` is a frozenset of ids or pair codes wherever a Subset
+    comes from: a labelled product and its components, the entries of
+    `decompose`, a Demazure crystal, a word closure of a product, a grown
+    component and a set of crystal elements."""
+    from demtensor.crystal import compiled_subset
+    from demtensor.demazure import generate_demazure
+
+    v, w, lam, mu = EX1["v"], EX1["w"], EX1["lam"], EX1["mu"]
+    product, components = decomp._labelled(WA2, v, w, lam, mu)
+    subsets = [product, *components.values()]
+    subsets += [entry.component for entry in decompose(WA2, **EX1).entries]
+    subsets += [
+        generate_demazure(WA2, w, mu).subset,
+        closure_product(WA2, v.word, w, lam, mu),
+        recursive_component(WA2, eps_path(1), el(), 1, w, lam, mu),
+        compiled_subset(product.elements()),
+        compiled_subset(()),
+    ]
+    for subset in subsets:
+        assert type(subset.ids) is frozenset, subset
+
+
 def test_labelling_pass_matches_a_search_from_each_dominant_pair():
     """On every distinct coset pair of A2:1, B2:1 and G2:1, `components_of`
     labels the components `induced_component` finds from each (top, pi),
@@ -673,7 +704,7 @@ def test_labelling_pass_matches_a_search_from_each_dominant_pair():
         for lam, mu in itertools.product(grid.shapes, repeat=2):
             left, right = generate_crystal(grid.rs, lam), generate_crystal(grid.rs, mu)
             space = tensor_space(left, right)
-            comps = components_of(Subset(space, range(len(space))))
+            comps = components_of(Subset(space, frozenset(range(len(space)))))
             assert sum(map(len, comps)) == len(space)
             assert frozenset().union(*(comp.ids for comp in comps)) == frozenset(range(len(space)))
             assert sorted(comp.tops()[0] for comp in comps) == [
@@ -695,7 +726,7 @@ def _corrupt_a_raising_step(where):
     space, n = product.space, product.space.n
     paths = dominant_paths(WA2, EX1["w"], EX1["mu"], EX1["lam"])
     first, second = (searched_codes(product, pi) for pi in paths[:2])
-    outside = min(set(range(len(space.left))) - product.ids.left)
+    outside = min(set(range(len(space.left))) - {c // n for c in product.ids})
     if where == "first":
         c = min(c for c in first if max(space._steps(c)[1::2]) < 0)
         k, y = 1, outside * n + c % n
